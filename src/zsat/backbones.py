@@ -1,37 +1,17 @@
-"""Audio embedding backbones: a patchout spectrogram transformer, an
-arbitrary-length pooling convnet, and a fixed-window convnet, plus supervised
-multi-label pretraining with a classification head."""
+"""Audio embedding backbones behind one `Backbone` interface: a patchout
+spectrogram transformer, an arbitrary-length pooling convnet, and a
+fixed-window convnet, plus supervised multi-label pretraining with a
+classification head."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
 from .dsp import MelSpectrogram
-
-
-@dataclass
-class PatchGrid:
-    tokens: np.ndarray            # (n_tokens, d)
-    grid_shape: tuple[int, int]   # (F_patches, T_patches)
-    patch_size: tuple[int, int]   # (pf, pt)
-    rows: np.ndarray              # surviving grid row index per token
-    cols: np.ndarray              # surviving grid column index per token
-
-
-@dataclass(frozen=True)
-class PatchoutConfig:
-    n_freq_drop: int = 0
-    n_time_drop: int = 0
-    mode: str = "eval"  # train|eval
-
-    def __post_init__(self):
-        if self.n_freq_drop < 0 or self.n_time_drop < 0:
-            raise ValueError("drop counts must be >= 0")
-        if self.mode not in ("train", "eval"):
-            raise ValueError("mode must be 'train' or 'eval'")
 
 
 @dataclass(frozen=True)
@@ -45,15 +25,20 @@ class TransformerConfig:
     max_t_patches: int = 64
     embed_dim: int = 768
     ffn_mult: int = 4
+    # structured patchout: whole grid rows (frequency) and columns (time)
+    # dropped from the token sequence in training only
+    n_freq_drop: int = 0
+    n_time_drop: int = 0
 
     def __post_init__(self):
         if self.d % self.n_heads != 0:
             raise ValueError("d must be divisible by n_heads")
+        if self.n_freq_drop < 0 or self.n_time_drop < 0:
+            raise ValueError("drop counts must be >= 0")
 
 
 @dataclass(frozen=True)
 class ConvConfig:
-    kind: str = "cnn14"             # cnn14|vggish
     channels: tuple = (64, 128, 256, 512, 1024, 2048)
     fc_units: int = 2048
     embed_dim: int = 768
@@ -69,11 +54,51 @@ def _choose_drops(size: int, n_drop: int, rng: np.random.Generator) -> np.ndarra
     return np.setdiff1d(np.arange(size), dropped)
 
 
-class TransformerBackbone:
+class Backbone:
+    """Interface shared by the embedding backbones.
+
+    A subclass sets `kind` (its checkpoint tag), `config_type` and
+    `config_key` (the ExperimentConfig field holding its settings), keeps
+    trained tensors in `params` and running statistics in `stats`, and
+    defines `embed_batch(x, train=False, rng=None)`, which maps (N, f, t)
+    spectrograms to (embeddings (N, m), cache), and `backward(demb, cache)`,
+    which returns the gradient of every tensor in `params`.
+    """
+
+    kind: str
+    config_type: type
+    config_key: str
+    STAT_PREFIXES = ("bn_mean", "bn_var")
+
+    def embed(self, x: MelSpectrogram) -> np.ndarray:
+        emb, _ = self.embed_batch(x.values[None])
+        return emb[0]
+
+    def hyperparams(self) -> dict:
+        return dataclasses.asdict(self.cfg)
+
+    @classmethod
+    def from_hyperparams(cls, hp: dict, tensors: dict):
+        # conv checkpoints written while ConvConfig had a `kind` field still
+        # carry it; the checkpoint header's kind tag is the one that counts
+        hp = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in hp.items() if k != "kind"}
+        obj = cls.__new__(cls)
+        obj.cfg = cls.config_type(**hp)
+        obj.params = {k: v for k, v in tensors.items()
+                      if not k.startswith(cls.STAT_PREFIXES)}
+        obj.stats = {k: v.astype(np.float64) for k, v in tensors.items()
+                     if k.startswith(cls.STAT_PREFIXES)}
+        return obj
+
+
+class TransformerBackbone(Backbone):
     """Pre-norm transformer over non-overlapping spectrogram patches with a
     class token and disentangled frequency/time positional tables."""
 
     kind = "transformer"
+    config_type = TransformerConfig
+    config_key = "transformer"
 
     def __init__(self, cfg: TransformerConfig, rng: np.random.Generator,
                  dtype=np.float32):
@@ -97,6 +122,7 @@ class TransformerBackbone:
         p["lnf_b"] = np.zeros(d, dtype)
         p["head_w"], p["head_b"] = nn.init_linear(rng, m, d, dtype)
         self.params = p
+        self.stats = {}
 
     # -- patch handling -----------------------------------------------------
 
@@ -112,15 +138,16 @@ class TransformerBackbone:
         v = x[:, :fp * pf, :tp * pt].reshape(n, fp, pf, tp, pt)
         return v.transpose(0, 1, 3, 2, 4).reshape(n, fp, tp, pf * pt), (fp, tp)
 
-    def _token_sequence(self, x, patchout: PatchoutConfig, rng):
-        """Project surviving patches, add positions, prepend class token."""
-        p = self.params
+    def _token_sequence(self, x, train: bool, rng):
+        """Project surviving patches, add positions, prepend class token.
+        In training, patchout drops whole grid rows, then whole columns."""
+        p, cfg = self.params, self.cfg
         patches, (fp, tp) = self._patches(x)
-        if patchout.mode == "train" and (patchout.n_freq_drop or patchout.n_time_drop):
-            if patchout.n_freq_drop >= fp or patchout.n_time_drop >= tp:
+        if train and (cfg.n_freq_drop or cfg.n_time_drop):
+            if cfg.n_freq_drop >= fp or cfg.n_time_drop >= tp:
                 raise ValueError("patchout drops must be smaller than the grid")
-            rows = _choose_drops(fp, patchout.n_freq_drop, rng)
-            cols = _choose_drops(tp, patchout.n_time_drop, rng)
+            rows = _choose_drops(fp, cfg.n_freq_drop, rng)
+            cols = _choose_drops(tp, cfg.n_time_drop, rng)
         else:
             rows, cols = np.arange(fp), np.arange(tp)
         sel = patches[:, rows][:, :, cols]            # (N, R, C, pf*pt)
@@ -135,12 +162,12 @@ class TransformerBackbone:
 
     # -- forward / backward -------------------------------------------------
 
-    def embed_batch(self, x: np.ndarray, patchout: PatchoutConfig | None = None,
+    def embed_batch(self, x: np.ndarray, train: bool = False,
                     rng: np.random.Generator | None = None):
-        """x: (N, f, t) -> (embeddings (N, m), cache for backward)."""
+        """x: (N, f, t) -> (embeddings (N, m), cache for backward).
+        `train` turns patchout on; `rng` draws the dropped rows and columns."""
         p, cfg = self.params, self.cfg
-        patchout = patchout or PatchoutConfig()
-        seq, patch_cache = self._token_sequence(x, patchout, rng)
+        seq, patch_cache = self._token_sequence(x, train, rng)
         h = seq
         blocks = []
         for i in range(cfg.n_layers):
@@ -196,27 +223,15 @@ class TransformerBackbone:
         _, grads["proj_w"], grads["proj_b"] = nn.linear_backward(dtok, flat, p["proj_w"])
         return grads
 
-    def embed(self, x: MelSpectrogram) -> np.ndarray:
-        emb, _ = self.embed_batch(x.values[None])
-        return emb[0]
 
-    def hyperparams(self) -> dict:
-        return {k: getattr(self.cfg, k) for k in self.cfg.__dataclass_fields__}
-
-    @classmethod
-    def from_hyperparams(cls, hp: dict, tensors: dict, stats: dict | None = None):
-        obj = cls.__new__(cls)
-        obj.cfg = TransformerConfig(**hp)
-        obj.params = tensors
-        return obj
-
-
-class Cnn14Backbone:
+class Cnn14Backbone(Backbone):
     """Deep convnet: 6 blocks of two 3x3 convs with batch norm and ReLU,
     2x2 average pooling between blocks; pooled features pass a wide
     fully-connected layer and an embedding head. Accepts any input length."""
 
     kind = "cnn14"
+    config_type = ConvConfig
+    config_key = "conv"
     POOLED_BLOCKS = 5  # no pooling after the last block
 
     def __init__(self, cfg: ConvConfig, rng: np.random.Generator, dtype=np.float32):
@@ -245,8 +260,10 @@ class Cnn14Backbone:
     def min_frames(self) -> int:
         return 2 ** self.POOLED_BLOCKS
 
-    def embed_batch(self, x: np.ndarray, train: bool = False):
-        """x: (N, f, t) -> (embeddings (N, m), cache)."""
+    def embed_batch(self, x: np.ndarray, train: bool = False,
+                    rng: np.random.Generator | None = None):
+        """x: (N, f, t) -> (embeddings (N, m), cache). `train` normalizes
+        batch norm by batch statistics; nothing here draws from `rng`."""
         if x.shape[2] < self.min_frames():
             raise ValueError(f"input has {x.shape[2]} frames; "
                              f"needs at least {self.min_frames()}")
@@ -306,34 +323,15 @@ class Cnn14Backbone:
                     nn.conv2d_backward(dh, c_conv)
         return grads
 
-    def embed(self, x: MelSpectrogram) -> np.ndarray:
-        emb, _ = self.embed_batch(x.values[None])
-        return emb[0]
 
-    def hyperparams(self) -> dict:
-        hp = {k: getattr(self.cfg, k) for k in self.cfg.__dataclass_fields__}
-        hp["channels"] = list(hp["channels"])
-        return hp
-
-    @classmethod
-    def from_hyperparams(cls, hp: dict, tensors: dict, stats: dict | None = None):
-        hp = dict(hp)
-        hp["channels"] = tuple(hp["channels"])
-        obj = cls.__new__(cls)
-        obj.cfg = ConvConfig(**hp)
-        obj.params = {k: v for k, v in tensors.items() if not k.startswith("bn_mean")
-                      and not k.startswith("bn_var")}
-        obj.stats = stats or {k: v.astype(np.float64) for k, v in tensors.items()
-                              if k.startswith("bn_mean") or k.startswith("bn_var")}
-        return obj
-
-
-class VggishBackbone:
+class VggishBackbone(Backbone):
     """Fixed-window convnet: 6 conv layers with batch norm and ReLU, max
     pooling, two wide fully-connected layers. Longer inputs are split into
     fixed-length chunks whose embeddings are averaged."""
 
     kind = "vggish"
+    config_type = ConvConfig
+    config_key = "conv"
     # max pooling after these conv layer indices (0-based)
     POOL_AFTER = (0, 1, 3, 5)
 
@@ -397,8 +395,10 @@ class VggishBackbone:
         k = t // tlen
         return x[:, :k * tlen].T.reshape(k, tlen, f)
 
-    def embed_batch(self, x: np.ndarray, train: bool = False):
-        """x: (N, f, t); every clip contributes t//chunk chunks."""
+    def embed_batch(self, x: np.ndarray, train: bool = False,
+                    rng: np.random.Generator | None = None):
+        """x: (N, f, t); every clip contributes t//chunk chunks. `train`
+        normalizes batch norm by batch statistics; `rng` is unused."""
         n = x.shape[0]
         chunks = np.concatenate([self._chunk(x[i]) for i in range(n)], axis=0)
         per = x.shape[2] // self.cfg.vggish_time
@@ -430,78 +430,9 @@ class VggishBackbone:
             dh, grads[f"conv_w{i}"], grads[f"conv_b{i}"] = nn.conv2d_backward(dh, c_conv)
         return grads
 
-    def embed(self, x: MelSpectrogram) -> np.ndarray:
-        emb, _ = self.embed_batch(x.values[None])
-        return emb[0]
 
-    def hyperparams(self) -> dict:
-        hp = {k: getattr(self.cfg, k) for k in self.cfg.__dataclass_fields__}
-        hp["channels"] = list(hp["channels"])
-        return hp
-
-    @classmethod
-    def from_hyperparams(cls, hp: dict, tensors: dict, stats: dict | None = None):
-        hp = dict(hp)
-        hp["channels"] = tuple(hp["channels"])
-        obj = cls.__new__(cls)
-        obj.cfg = ConvConfig(**hp)
-        obj.params = {k: v for k, v in tensors.items() if not k.startswith("bn_mean")
-                      and not k.startswith("bn_var")}
-        obj.stats = stats or {k: v.astype(np.float64) for k, v in tensors.items()
-                              if k.startswith("bn_mean") or k.startswith("bn_var")}
-        return obj
-
-
-BACKBONE_KINDS = {
-    "transformer": TransformerBackbone,
-    "cnn14": Cnn14Backbone,
-    "vggish": VggishBackbone,
-}
-
-
-# ---------------------------------------------------------------------------
-# Spec-level operations
-
-
-def patchify(x: MelSpectrogram, model: TransformerBackbone) -> PatchGrid:
-    """Non-overlapping patches, flattened, projected, positions attached."""
-    seq, (flat, rows, cols, fp, tp) = model._token_sequence(
-        x.values[None], PatchoutConfig(), None)
-    return PatchGrid(tokens=seq[0, 1:, :], grid_shape=(fp, tp),
-                     patch_size=(model.cfg.patch_f, model.cfg.patch_t),
-                     rows=np.repeat(np.arange(fp), tp),
-                     cols=np.tile(np.arange(tp), fp))
-
-
-def structured_patchout(grid: PatchGrid, cfg: PatchoutConfig,
-                        rng: np.random.Generator | None = None) -> PatchGrid:
-    """Drop whole grid rows/columns of tokens in train mode; identity in eval."""
-    fp, tp = grid.grid_shape
-    if cfg.mode == "eval" or (cfg.n_freq_drop == 0 and cfg.n_time_drop == 0):
-        return grid
-    if cfg.n_freq_drop >= fp or cfg.n_time_drop >= tp:
-        raise ValueError("patchout drops must be smaller than the grid")
-    keep_rows = _choose_drops(fp, cfg.n_freq_drop, rng)
-    keep_cols = _choose_drops(tp, cfg.n_time_drop, rng)
-    mask = np.isin(grid.rows, keep_rows) & np.isin(grid.cols, keep_cols)
-    return PatchGrid(tokens=grid.tokens[mask], grid_shape=grid.grid_shape,
-                     patch_size=grid.patch_size, rows=grid.rows[mask],
-                     cols=grid.cols[mask])
-
-
-def transformer_embed(x: MelSpectrogram, model: TransformerBackbone,
-                      cfg: PatchoutConfig | None = None,
-                      rng: np.random.Generator | None = None) -> np.ndarray:
-    emb, _ = model.embed_batch(x.values[None], cfg, rng)
-    return emb[0]
-
-
-def cnn14_embed(x: MelSpectrogram, model: Cnn14Backbone) -> np.ndarray:
-    return model.embed(x)
-
-
-def vggish_embed(x: MelSpectrogram, model: VggishBackbone) -> np.ndarray:
-    return model.embed(x)
+BACKBONE_KINDS = {cls.kind: cls for cls in
+                  (TransformerBackbone, Cnn14Backbone, VggishBackbone)}
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +456,8 @@ class DivergenceError(RuntimeError):
         self.epoch = epoch
 
 
-def _forward_train(model, batch, patchout, rng):
-    if model.kind == "transformer":
-        return model.embed_batch(batch, patchout, rng)
-    return model.embed_batch(batch, train=True)
-
-
 def pretrain_backbone(model, head: ClassifierHead, manifest, class_ids: list,
-                      spectrograms: dict, cfg, aug_cfg, patchout_cfg, rng,
+                      spectrograms: dict, cfg, aug_cfg, rng,
                       epochs: int | None = None):
     """Multi-label BCE pretraining of a backbone plus classification head.
 
@@ -585,7 +510,7 @@ def pretrain_backbone(model, head: ClassifierHead, manifest, class_ids: list,
             batch = np.stack([s.values for s in specs]).astype(
                 next(iter(model.params.values())).dtype)
             y = np.stack(targets)
-            emb, cache = _forward_train(model, batch, patchout_cfg, rng)
+            emb, cache = model.embed_batch(batch, train=True, rng=rng)
             logits = emb @ head.weight.T + head.bias
             loss = crossmodal.bce_loss(logits, y)
             if not np.isfinite(loss):

@@ -76,10 +76,8 @@ def load_checkpoint(path, expected_kind: str | None = None):
 
 
 def save_backbone(path, model) -> None:
-    tensors = dict(model.params)
-    for k, v in getattr(model, "stats", {}).items():
-        tensors[k] = v
-    save_checkpoint(path, model.kind, model.hyperparams(), tensors)
+    save_checkpoint(path, model.kind, model.hyperparams(),
+                    {**model.params, **model.stats})
 
 
 def load_backbone(path, expected_kind: str | None = None):

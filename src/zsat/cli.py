@@ -120,8 +120,7 @@ def cmd_fold_split(args) -> int:
     pinned = [cid for cid, lab in labels.items() if lab in cfg.pinned_labels]
     split = protocol.balance_folds({c: n for c, (_, n) in table.items()},
                                    cfg.fold_k, pinned=pinned)
-    _write_json(args.out, {"folds": split.folds, "totals": split.totals,
-                           "pinned": split.pinned,
+    _write_json(args.out, {**split.to_json(),
                            "pinned_labels": [labels[c] for c in split.pinned]},
                 cfg)
     print(f"wrote {cfg.fold_k}-fold split to {args.out}")
@@ -245,7 +244,7 @@ def cmd_train_projection(args) -> int:
 def cmd_evaluate(args) -> int:
     import numpy as np
 
-    from . import checkpoint, crossmodal, evaluation, experiments, semantics
+    from . import checkpoint, crossmodal, experiments
     cfg, seeds = _resolve(args)
     corpus = experiments.load_corpus(args.corpus, cfg.mel)
     category_map = None

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
-from .backbones import ConvConfig, PatchoutConfig, TransformerConfig
+from .backbones import BACKBONE_KINDS, ConvConfig, TransformerConfig
 from .crossmodal import TrainConfig
 from .dsp import AugmentConfig, MelConfig
 from .protocol import SyntheticSpec
@@ -24,7 +24,6 @@ class ExperimentConfig:
     backbone: str                       # transformer|cnn14|vggish
     mel: MelConfig
     augment: AugmentConfig
-    patchout: PatchoutConfig
     transformer: TransformerConfig
     conv: ConvConfig
     pretrain: TrainConfig
@@ -35,6 +34,11 @@ class ExperimentConfig:
     fold_k: int = 5
     pinned_labels: tuple = ("Speech", "Music")
     seeds: tuple = (0, 1, 2)
+
+    def __post_init__(self):
+        if self.backbone not in BACKBONE_KINDS:
+            raise ConfigError(f"unknown backbone kind {self.backbone!r}; choose "
+                              f"from {sorted(BACKBONE_KINDS)}")
 
     def echo(self) -> dict:
         """Resolved config + version string, embedded in output artifacts."""
@@ -84,16 +88,16 @@ _TOY_SYNTH_GRADED = dataclasses.replace(_TOY_SYNTH, test_classes=(1, 4, 5, 6))
 
 _TOY_TRANSFORMER = TransformerConfig(d=64, n_heads=4, n_layers=2, patch_f=8,
                                      patch_t=8, max_f_patches=8, max_t_patches=13,
-                                     embed_dim=32)
+                                     embed_dim=32, n_freq_drop=1, n_time_drop=2)
 _PAPER_TRANSFORMER = TransformerConfig(d=768, n_heads=12, n_layers=12, patch_f=16,
                                        patch_t=16, max_f_patches=8, max_t_patches=64,
-                                       embed_dim=768)
+                                       embed_dim=768, n_freq_drop=2, n_time_drop=10)
 
-_TOY_CONV = ConvConfig(kind="cnn14", channels=(8, 16, 32, 32, 64, 64), fc_units=64,
+_TOY_CONV = ConvConfig(channels=(8, 16, 32, 32, 64, 64), fc_units=64,
                        embed_dim=32, vggish_time=96, vggish_mels=64)
-_PAPER_CNN14 = ConvConfig(kind="cnn14", channels=(64, 128, 256, 512, 1024, 2048),
+_PAPER_CNN14 = ConvConfig(channels=(64, 128, 256, 512, 1024, 2048),
                           fc_units=2048, embed_dim=768)
-_PAPER_VGGISH = ConvConfig(kind="vggish", channels=(64, 128, 256, 256, 512, 512),
+_PAPER_VGGISH = ConvConfig(channels=(64, 128, 256, 256, 512, 512),
                            fc_units=4096, embed_dim=768, vggish_time=96,
                            vggish_mels=64)
 
@@ -105,7 +109,6 @@ def _paper_preset(name: str, backbone: str = "transformer") -> ExperimentConfig:
     pre = dataclasses.replace(_PAPER_PRETRAIN, batch_size=batch)
     return ExperimentConfig(
         preset=name, backbone=backbone, mel=mel, augment=_PAPER_AUG,
-        patchout=PatchoutConfig(n_freq_drop=2, n_time_drop=10, mode="train"),
         transformer=_PAPER_TRANSFORMER, conv=conv, pretrain=pre,
         projection=dataclasses.replace(_PAPER_PROJECTION, batch_size=batch),
         projection_hidden=1024, projection_dropout=0.2,
@@ -115,7 +118,6 @@ def _paper_preset(name: str, backbone: str = "transformer") -> ExperimentConfig:
 def _toy_preset(name: str, synth: SyntheticSpec) -> ExperimentConfig:
     return ExperimentConfig(
         preset=name, backbone="transformer", mel=_TOY_MEL, augment=_TOY_AUG,
-        patchout=PatchoutConfig(n_freq_drop=1, n_time_drop=2, mode="train"),
         transformer=_TOY_TRANSFORMER, conv=_TOY_CONV, pretrain=_TOY_PRETRAIN,
         projection=_TOY_PROJECTION, projection_hidden=64, projection_dropout=0.1,
         synthetic=synth, fold_k=3)
@@ -131,7 +133,7 @@ PRESETS = {
 }
 
 _SUBCONFIG_TYPES = {
-    "mel": MelConfig, "augment": AugmentConfig, "patchout": PatchoutConfig,
+    "mel": MelConfig, "augment": AugmentConfig,
     "transformer": TransformerConfig, "conv": ConvConfig,
     "pretrain": TrainConfig, "projection": TrainConfig,
     "synthetic": SyntheticSpec,

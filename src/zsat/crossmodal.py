@@ -1,11 +1,11 @@
-"""Cross-modal projection into the semantic space, sigmoid dot-product
-scoring, BCE training with AdamW and the warmup/decay schedule, and
+"""Cross-modal projection into the semantic space, dot-product
+classification, BCE training with AdamW and the warmup/decay schedule, and
 best-validation-mAP checkpoint selection."""
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,22 +101,6 @@ def project(a: np.ndarray, p: ProjectionParams, mode: str = "eval",
             rng: np.random.Generator | None = None) -> np.ndarray:
     out, _ = project_batch(np.asarray(a)[None], p, mode, rng)
     return out[0]
-
-
-@dataclass
-class ScorePair:
-    logit: float
-    probability: float
-
-
-def score(a: np.ndarray, e, p: ProjectionParams) -> ScorePair:
-    """P(c|x) = sigmoid(projection(a) . semantic_vector(c))."""
-    vec = e.vector if hasattr(e, "vector") else np.asarray(e)
-    proj = project(a, p, mode="eval")
-    if proj.shape != vec.shape:
-        raise ValueError(f"projected dim {proj.shape} != semantic dim {vec.shape}")
-    logit = float(np.dot(proj, vec))
-    return ScorePair(logit=logit, probability=float(nn.sigmoid(np.array([logit]))[0]))
 
 
 def classify(a: np.ndarray, candidates, p: ProjectionParams) -> str:

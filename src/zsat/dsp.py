@@ -4,12 +4,9 @@ from __future__ import annotations
 
 import struct
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-CACHE_MAGIC = b"ZSML"
-CACHE_VERSION = 1
 
 
 class AudioFormatError(ValueError):
@@ -227,26 +224,3 @@ def apply_spec_augmentations(x: MelSpectrogram, cfg: AugmentConfig,
         gain_db = rng.uniform(-cfg.gain_range_db, cfg.gain_range_db)
         v = v + gain_db * (np.log(10.0) / 10.0)
     return MelSpectrogram(values=v, config=x.config)
-
-
-def save_spectrogram_cache(path, x: MelSpectrogram) -> None:
-    """Versioned binary cache: magic, version, f, t (u32), f*t float32 LE row-major."""
-    f, t = x.values.shape
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<III", CACHE_VERSION, f, t))
-        fh.write(x.values.astype("<f4").tobytes())
-
-
-def load_spectrogram_cache(path, cfg: MelConfig) -> MelSpectrogram:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CACHE_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        version, f, t = struct.unpack("<III", fh.read(12))
-        if version != CACHE_VERSION:
-            raise ValueError(f"{path}: unsupported cache version {version}")
-        data = np.frombuffer(fh.read(4 * f * t), dtype="<f4")
-        if data.size != f * t:
-            raise ValueError(f"{path}: truncated cache")
-    return MelSpectrogram(values=data.reshape(f, t).astype(np.float64), config=cfg)

@@ -1,10 +1,9 @@
-"""Ranking metrics (AP, mAP, top-1 accuracy), analytic random baselines,
-the AP-vs-semantic-proximity correlation, and report emission."""
+"""Ranking metrics (AP, mAP, top-1 accuracy), the analytic random AP
+baseline, and the AP-vs-semantic-proximity correlation."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,21 +60,6 @@ def random_baseline_ap(n_pos: int, n_total: int) -> float:
     return n_pos / n_total
 
 
-def random_baseline(labels_per_class: dict | None = None, task: str = "tagging",
-                    n_candidates: int | None = None):
-    """Tagging: mean over classes of the prevalence baseline AP.
-    Classification: 1/|candidates|."""
-    if task == "classification":
-        if not n_candidates:
-            raise ValueError("classification baseline needs the candidate count")
-        return 1.0 / n_candidates
-    if not labels_per_class:
-        raise ValueError("empty evaluation set")
-    per = {c: random_baseline_ap(int(np.sum(lab)), len(lab))
-           for c, lab in labels_per_class.items()}
-    return float(np.mean(list(per.values()))), per
-
-
 def pearson_r(x, y) -> float | None:
     """Pearson correlation via direct covariance; None when either variable
     has zero variance."""
@@ -114,42 +98,3 @@ def proximity_correlation(test_aps: dict, test_random_aps: dict,
     improvements = [r["ap"] - r["random_ap"] for r in rows]
     proximities = [r["proximity"] for r in rows]
     return ProximityReport(per_class=rows, r=pearson_r(improvements, proximities))
-
-
-# ---------------------------------------------------------------------------
-# Report emission
-
-
-def format_table(row_names, col_names, cells, title: str = "") -> str:
-    """Fixed-width table; numeric cells rendered as percentages, 2 decimals."""
-    def fmt(v):
-        if v is None:
-            return "-"
-        return f"{100.0 * v:.2f}"
-
-    width = max([len(c) for c in col_names] + [8])
-    name_w = max([len(r) for r in row_names] + [8])
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(" " * name_w + " | " + " ".join(f"{c:>{width}}" for c in col_names))
-    lines.append("-" * (name_w + 3 + (width + 1) * len(col_names)))
-    for rname, row in zip(row_names, cells):
-        lines.append(f"{rname:<{name_w}} | "
-                     + " ".join(f"{fmt(v):>{width}}" for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def emit_report(report: dict, path, table: str | None = None) -> None:
-    """Write the JSON document (and an optional table rendering beside it)."""
-    if not report:
-        raise ValueError("refusing to write an empty report")
-    per_class = report.get("per_class")
-    if per_class is not None and len(per_class) == 0:
-        raise ValueError("report has an empty per-class list")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if table is not None:
-        with open(str(path) + ".txt", "w", encoding="utf-8") as fh:
-            fh.write(table)

@@ -72,20 +72,17 @@ def load_corpus(corpus_dir, mel: dsp.MelConfig) -> Corpus:
                   class_embeddings=class_embeddings, spectrograms=spectrograms)
 
 
+def _backbone_config(cfg: ExperimentConfig):
+    """The settings block of the configured backbone kind."""
+    return getattr(cfg, backbones.BACKBONE_KINDS[cfg.backbone].config_key)
+
+
 def build_backbone(cfg: ExperimentConfig, rng: np.random.Generator):
-    if cfg.backbone == "transformer":
-        return backbones.TransformerBackbone(cfg.transformer, rng)
-    if cfg.backbone == "cnn14":
-        return backbones.Cnn14Backbone(cfg.conv, rng)
-    if cfg.backbone == "vggish":
-        return backbones.VggishBackbone(cfg.conv, rng)
-    raise ValueError(f"unknown backbone kind {cfg.backbone!r}")
+    return backbones.BACKBONE_KINDS[cfg.backbone](_backbone_config(cfg), rng)
 
 
 def embed_dim(cfg: ExperimentConfig) -> int:
-    if cfg.backbone == "transformer":
-        return cfg.transformer.embed_dim
-    return cfg.conv.embed_dim
+    return _backbone_config(cfg).embed_dim
 
 
 def run_pretrain(cfg: ExperimentConfig, corpus: Corpus, seed: int,
@@ -103,7 +100,7 @@ def run_pretrain(cfg: ExperimentConfig, corpus: Corpus, seed: int,
                                              embed_dim(cfg), rng)
     return backbones.pretrain_backbone(
         model, head, corpus.records, corpus.train_ids, corpus.spectrograms,
-        cfg.pretrain, cfg.augment, cfg.patchout, rng, epochs=epochs)
+        cfg.pretrain, cfg.augment, rng, epochs=epochs)
 
 
 def run_projection(cfg: ExperimentConfig, corpus: Corpus, model, seed: int):

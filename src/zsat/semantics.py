@@ -1,5 +1,5 @@
 """Label-side embeddings: plain-text word-vector store with multi-word
-averaging and cosine nearest-neighbor lookup."""
+averaging and cosine similarity."""
 
 from __future__ import annotations
 
@@ -116,17 +116,3 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0 or nb == 0:
         raise ValueError("zero-norm vector in cosine similarity")
     return float(np.dot(a, b) / (na * nb))
-
-
-def nearest_neighbor(e: SemanticEmbedding, candidates) -> tuple:
-    """(class id, cosine similarity) of the closest candidate; ties go to the
-    lowest class id."""
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("empty candidate set")
-    best_id, best_sim = None, -np.inf
-    for cand in sorted(candidates, key=lambda c: c.class_id):
-        sim = cosine(e.vector, cand.vector)
-        if sim > best_sim:
-            best_id, best_sim = cand.class_id, sim
-    return best_id, best_sim

@@ -171,26 +171,26 @@ def test_criterion_3_hand_values(report):
 def test_criterion_4_structural_invariants(report):
     rng = np.random.default_rng(4)
 
-    # patch grid / patchout token counts over 1000 random configurations
+    # patch grid / patchout token counts over 1000 random configurations, on
+    # the transformer's own token sequence (class token + surviving patches)
     patch_ok = True
     for _ in range(1000):
         fp = int(rng.integers(1, 6))
         tp = int(rng.integers(1, 6))
         gf = int(rng.integers(2, 10))
         gt = int(rng.integers(2, 10))
-        grid = backbones.PatchGrid(
-            tokens=np.zeros((gf * gt, 3)), grid_shape=(gf, gt),
-            patch_size=(fp, tp),
-            rows=np.repeat(np.arange(gf), gt), cols=np.tile(np.arange(gt), gf))
         fd = int(rng.integers(0, gf))
         td = int(rng.integers(0, gt))
-        cfg = backbones.PatchoutConfig(n_freq_drop=fd, n_time_drop=td,
-                                       mode="train")
-        out = backbones.structured_patchout(grid, cfg, rng)
-        patch_ok &= out.tokens.shape[0] == (gf - fd) * (gt - td)
-        ev = backbones.structured_patchout(
-            grid, dataclasses.replace(cfg, mode="eval"), rng)
-        patch_ok &= ev.tokens.shape[0] == gf * gt
+        cfg = backbones.TransformerConfig(
+            d=2, n_heads=1, n_layers=0, patch_f=fp, patch_t=tp,
+            max_f_patches=gf, max_t_patches=gt, embed_dim=2,
+            n_freq_drop=fd, n_time_drop=td)
+        model = backbones.TransformerBackbone(cfg, np.random.default_rng(0))
+        x = np.zeros((1, gf * fp, gt * tp), np.float32)
+        out, _ = model._token_sequence(x, True, rng)
+        patch_ok &= out.shape[1] == 1 + (gf - fd) * (gt - td)
+        ev, _ = model._token_sequence(x, False, rng)
+        patch_ok &= ev.shape[1] == 1 + gf * gt
 
     # frame counts over 1000 random (N, window, hop)
     frame_ok = True
@@ -218,7 +218,7 @@ def test_criterion_4_structural_invariants(report):
     fold_ok &= hand.folds == [["A", "D", "E"], ["B", "C"]]
 
     # VGGish chunk-mean identity
-    ccfg = backbones.ConvConfig(kind="vggish", channels=(4, 4, 8, 8, 8, 8),
+    ccfg = backbones.ConvConfig(channels=(4, 4, 8, 8, 8, 8),
                                 fc_units=16, embed_dim=6, vggish_time=16,
                                 vggish_mels=32)
     vm = backbones.VggishBackbone(ccfg, np.random.default_rng(0))

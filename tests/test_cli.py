@@ -36,6 +36,20 @@ def test_unknown_override_key_raises():
         resolve_config("toy", {"no_such_field": 1})
 
 
+def test_unknown_backbone_kind_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="resnet"):
+        resolve_config("toy", {"backbone": "resnet"})
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"preset": "toy", "backbone": "resnet"}))
+    # rejected before any corpus is read, so the missing corpus never matters
+    missing = str(tmp_path / "missing")
+    common = ["--config", str(cfg_path), "--corpus", missing]
+    assert cli.main(["pretrain", *common, "--out", str(tmp_path / "b")]) == 2
+    for cmd in (["train-projection", "--out", str(tmp_path / "p")],
+                ["evaluate", "--projection", missing, "--out", str(tmp_path / "r")]):
+        assert cli.main([*cmd, *common, "--backbone", missing]) == 2
+
+
 def test_config_file_loading(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"preset": "toy", "projection_hidden": 32}))

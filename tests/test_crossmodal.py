@@ -52,15 +52,6 @@ def test_project_rejects_nonfinite_input():
         crossmodal.project_batch(bad, p)
 
 
-def test_score_probability_is_sigmoid_of_logit():
-    p = make_params()
-    a = np.random.default_rng(0).standard_normal(6)
-    e = semantics.SemanticEmbedding(np.ones(4), "c")
-    s = crossmodal.score(a, e, p)
-    assert s.probability == pytest.approx(1 / (1 + np.exp(-s.logit)))
-    assert 0 <= s.probability <= 1
-
-
 def test_classify_invariant_under_monotone_transform():
     """classify depends only on the ordering of logits, so scaling all
     candidate vectors by a positive constant cannot change the argmax."""

@@ -156,20 +156,3 @@ def test_rolls_permute_values():
     x = _spec()
     out = dsp.apply_spec_augmentations(x, cfg, np.random.default_rng(11))
     assert np.allclose(np.sort(out.values.ravel()), np.sort(x.values.ravel()))
-
-
-# --- cache ----------------------------------------------------------------
-
-def test_spectrogram_cache_round_trip(tmp_path):
-    x = _spec((12, 17))
-    path = tmp_path / "c.bin"
-    dsp.save_spectrogram_cache(path, x)
-    back = dsp.load_spectrogram_cache(path, x.config)
-    assert np.array_equal(back.values, x.values.astype(np.float32).astype(np.float64))
-
-
-def test_spectrogram_cache_bad_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 32)
-    with pytest.raises(ValueError):
-        dsp.load_spectrogram_cache(path, dsp.MelConfig())

@@ -1,11 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zsat import evaluation
+from zsat import crossmodal, dsp, evaluation, experiments, protocol
 
 
 # --- average precision ---------------------------------------------------------
@@ -95,8 +93,35 @@ def test_random_baseline_ap_is_prevalence():
 
 
 def test_random_baseline_classification():
-    base = evaluation.random_baseline(task="classification", n_candidates=4)
-    assert base == pytest.approx(0.25)
+    """The zero-shot evaluation reports chance accuracy as 1/|candidates|."""
+    rng = np.random.default_rng(0)
+    mel = dsp.MelConfig(n_mels=4)
+    test_ids = ["t0", "t1", "t2", "t3"]
+    records, specs = [], {}
+    for c in test_ids:
+        for j in range(2):
+            cid = f"{c}_{j}"
+            records.append(protocol.ClipRecord(cid, f"{cid}.wav", (c,), "test"))
+            specs[cid] = dsp.MelSpectrogram(rng.standard_normal((4, 3)), mel)
+    all_ids = test_ids + ["r0"]
+    corpus = experiments.Corpus(
+        root="", records=records, labels={c: c for c in all_ids},
+        train_ids=["r0"], test_ids=test_ids,
+        class_embeddings={c: rng.standard_normal(3) for c in all_ids},
+        spectrograms=specs)
+
+    class MeanFrame:
+        def embed(self, x):
+            return x.values.mean(axis=1)
+
+    proj = crossmodal.ProjectionParams.init(4, 3, 5, rng)
+    result = experiments.evaluate_zero_shot(corpus, MeanFrame(), proj)
+    assert result["n_classified"] == 8
+    assert result["random_accuracy"] == pytest.approx(1 / 4)
+    result = experiments.evaluate_zero_shot(corpus, MeanFrame(), proj,
+                                            candidate_ids=test_ids[:3])
+    assert result["n_classified"] == 6
+    assert result["random_accuracy"] == pytest.approx(1 / 3)
 
 
 # --- pearson r -------------------------------------------------------------------
@@ -141,14 +166,3 @@ def test_proximity_needs_three_classes():
         evaluation.proximity_correlation({"a": 0.5, "b": 0.5}, {"a": 0.1, "b": 0.1},
                                          {"t": np.ones(2)},
                                          {"a": np.ones(2), "b": np.ones(2)})
-
-
-# --- reports ----------------------------------------------------------------------
-
-def test_format_table_and_emit(tmp_path):
-    table = evaluation.format_table(["row"], ["c1", "c2"], [[0.5, None]],
-                                    title="demo")
-    assert "row" in table and "c1" in table
-    out = tmp_path / "report.json"
-    evaluation.emit_report({"mAP": 0.5}, out, table=table)
-    assert json.loads(out.read_text())["mAP"] == 0.5

@@ -90,11 +90,3 @@ def test_cosine_basic():
     assert semantics.cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
     assert semantics.cosine(np.array([2.0, 0.0]), np.array([1.0, 0.0])) == 1.0
 
-
-def test_nearest_neighbor_tie_breaks_to_lowest_id():
-    e = semantics.SemanticEmbedding(np.array([1.0, 0.0]), "query")
-    cands = [semantics.SemanticEmbedding(np.array([2.0, 0.0]), "b"),
-             semantics.SemanticEmbedding(np.array([3.0, 0.0]), "a")]
-    cid, sim = semantics.nearest_neighbor(e, cands)
-    assert cid == "a"
-    assert sim == pytest.approx(1.0)
