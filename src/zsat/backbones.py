@@ -70,9 +70,11 @@ class Backbone:
     config_key: str
     STAT_PREFIXES = ("bn_mean", "bn_var")
 
-    def embed(self, x: MelSpectrogram) -> np.ndarray:
-        emb, _ = self.embed_batch(x.values[None])
-        return emb[0]
+    def embed(self, specs: list[MelSpectrogram]) -> np.ndarray:
+        """Eval-mode embeddings (N, m) in float64 of a list of clips. Each
+        clip is its own `embed_batch` call, so lengths may differ."""
+        return np.stack([self.embed_batch(s.values[None])[0][0]
+                         for s in specs]).astype(np.float64)
 
     def hyperparams(self) -> dict:
         return dataclasses.asdict(self.cfg)

@@ -9,7 +9,9 @@ little-endian float32 data.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -22,21 +24,30 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, kind: str, hyperparams: dict, tensors: dict) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        kb = kind.encode("utf-8")
-        fh.write(struct.pack("<I", len(kb)) + kb)
-        hb = json.dumps(hyperparams, sort_keys=True).encode("utf-8")
-        fh.write(struct.pack("<I", len(hb)) + hb)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name], dtype="<f4")
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)) + nb)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    """Write to a temporary file beside `path`, then move it into place, so
+    an interrupted write leaves any previous checkpoint at `path` whole."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            kb = kind.encode("utf-8")
+            fh.write(struct.pack("<I", len(kb)) + kb)
+            hb = json.dumps(hyperparams, sort_keys=True).encode("utf-8")
+            fh.write(struct.pack("<I", len(hb)) + hb)
+            fh.write(struct.pack("<I", len(tensors)))
+            for name in sorted(tensors):
+                arr = np.ascontiguousarray(tensors[name], dtype="<f4")
+                nb = name.encode("utf-8")
+                fh.write(struct.pack("<I", len(nb)) + nb)
+                fh.write(struct.pack("<I", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

@@ -61,8 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--backbone", required=True, help="may contain {seed}")
     p.add_argument("--projection", required=True, help="may contain {seed}")
-    p.add_argument("--task", choices=("tagging", "classification"),
-                   default="tagging")
     p.add_argument("--category-map",
                    help="JSON {class id: category} for per-category accuracy")
     return parser
@@ -176,7 +174,7 @@ def cmd_pretrain(args) -> int:
         if args.resume:
             if not out.exists():
                 raise experiments.DataError(f"--resume: no checkpoint at {out}")
-            model = checkpoint.load_backbone(str(out))
+            model = _load_backbone(out, cfg)
             _, hp, tensors = checkpoint.load_checkpoint(str(head_path), "head")
             head = backbones.ClassifierHead(weight=tensors["weight"],
                                             bias=tensors["bias"])
@@ -201,28 +199,29 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
+def _load_backbone(path, cfg):
+    """The backbone checkpoint at `path`, checked against the config's
+    backbone kind and embed dim."""
+    from . import checkpoint, experiments
+    model = checkpoint.load_backbone(str(path), expected_kind=cfg.backbone)
+    m = experiments.embed_dim(cfg)
+    if model.cfg.embed_dim != m:
+        raise experiments.DataError(
+            f"backbone {path} embeds into {model.cfg.embed_dim} dims but the "
+            f"config expects {m}")
+    return model
+
+
 def cmd_train_projection(args) -> int:
-    from . import checkpoint, crossmodal, experiments
+    from . import crossmodal, experiments
     cfg, seeds = _resolve(args)
     corpus = experiments.load_corpus(args.corpus, cfg.mel)
-    n = next(iter(corpus.class_embeddings.values())).shape[0]
     multi = len(seeds) > 1
     best_maps = {}
     for seed in seeds:
-        bb_path = _seed_path(args.backbone, seed, multi)
-        model = checkpoint.load_backbone(str(bb_path))
-        m = experiments.embed_dim(cfg)
-        model_m = model.hyperparams().get("embed_dim", m)
-        if model_m != m:
-            raise experiments.DataError(
-                f"backbone {bb_path} embeds into {model_m} dims but the config "
-                f"expects {m}")
+        model = _load_backbone(_seed_path(args.backbone, seed, multi), cfg)
         out = _seed_path(args.out, seed, multi)
         proj, report = experiments.run_projection(cfg, corpus, model, seed)
-        if proj.w2.shape[0] != n:
-            raise experiments.DataError(
-                f"projection output dim {proj.w2.shape[0]} != word-vector "
-                f"dim {n}")
         crossmodal.save_projection(str(out), proj)
         _write_json(out.with_suffix(out.suffix + ".json"),
                     {"seed": seed, "selection": report}, cfg)
@@ -244,7 +243,7 @@ def cmd_train_projection(args) -> int:
 def cmd_evaluate(args) -> int:
     import numpy as np
 
-    from . import checkpoint, crossmodal, experiments
+    from . import crossmodal, experiments
     cfg, seeds = _resolve(args)
     corpus = experiments.load_corpus(args.corpus, cfg.mel)
     category_map = None
@@ -254,53 +253,27 @@ def cmd_evaluate(args) -> int:
     multi = len(seeds) > 1
     results = []
     for seed in seeds:
-        model = checkpoint.load_backbone(str(_seed_path(args.backbone, seed, multi)))
+        model = _load_backbone(_seed_path(args.backbone, seed, multi), cfg)
         proj = crossmodal.load_projection(str(_seed_path(args.projection, seed, multi)))
         n = next(iter(corpus.class_embeddings.values())).shape[0]
         if proj.w2.shape[0] != n:
             raise experiments.DataError(
                 f"projection output dim {proj.w2.shape[0]} != word-vector dim {n}")
-        r = experiments.evaluate_zero_shot(corpus, model, proj)
+        r = experiments.evaluate_zero_shot(corpus, model, proj, category_map)
         r["seed"] = seed
-        if category_map:
-            r["per_category_accuracy"] = _category_accuracy(
-                corpus, model, proj, category_map)
         results.append(r)
-    report = {"task": args.task, "per_seed": results}
+    report = {"per_seed": results}
     if multi:
         report["aggregate"] = experiments.aggregate_results(results)
     _write_json(args.out, report, cfg)
-    if args.task == "classification":
-        accs = [r["accuracy"] for r in results]
+    maps = [r["mean_ap"] for r in results]
+    print(f"mAP per seed {['%.3f' % m for m in maps]} "
+          f"mean {np.mean(maps):.3f} baseline {results[0]['random_mean_ap']:.3f}")
+    accs = [r["accuracy"] for r in results if r["accuracy"] is not None]
+    if accs:   # None when the test split has no single-label clip
         print(f"accuracy per seed {['%.3f' % a for a in accs]} "
               f"mean {np.mean(accs):.3f} chance {results[0]['random_accuracy']:.3f}")
-    else:
-        maps = [r["mean_ap"] for r in results]
-        print(f"mAP per seed {['%.3f' % m for m in maps]} "
-              f"mean {np.mean(maps):.3f} baseline {results[0]['random_mean_ap']:.3f}")
     return 0
-
-
-def _category_accuracy(corpus, model, proj, category_map: dict) -> dict:
-    """Forced-choice accuracy restricted to each category's test classes."""
-    from . import crossmodal, evaluation, semantics
-    out = {}
-    test_recs = [r for r in corpus.records if r.split == "test"
-                 and len(r.tags) == 1]
-    for cat in sorted(set(category_map.values())):
-        cands_ids = [c for c in corpus.test_ids if category_map.get(c) == cat]
-        recs = [r for r in test_recs if r.tags[0] in cands_ids]
-        if not recs or len(cands_ids) < 2:
-            out[cat] = None
-            continue
-        cands = [semantics.SemanticEmbedding(corpus.class_embeddings[c], c)
-                 for c in sorted(cands_ids)]
-        preds = [crossmodal.classify(
-            model.embed(corpus.spectrograms[r.clip_id]).astype(float),
-            cands, proj) for r in recs]
-        out[cat] = evaluation.top1_accuracy(preds, [r.tags[0] for r in recs],
-                                            restriction=cands_ids)
-    return out
 
 
 _COMMANDS = {

@@ -97,24 +97,15 @@ def project_backward(dout: np.ndarray, p: ProjectionParams, cache):
                 "w2": dw2, "b2": db2}
 
 
-def project(a: np.ndarray, p: ProjectionParams, mode: str = "eval",
-            rng: np.random.Generator | None = None) -> np.ndarray:
-    out, _ = project_batch(np.asarray(a)[None], p, mode, rng)
-    return out[0]
-
-
-def classify(a: np.ndarray, candidates, p: ProjectionParams) -> str:
-    """Argmax class posterior over the candidate set; ties to lowest class id."""
-    candidates = list(candidates)
-    if not candidates:
+def classify(projected: np.ndarray, class_embeddings: dict,
+             candidate_ids) -> list:
+    """Argmax class posterior of each projected clip (N, n) over the
+    candidate classes; ties go to the lowest class id."""
+    ids = sorted(candidate_ids)
+    if not ids:
         raise ValueError("empty candidate set")
-    proj = project(a, p, mode="eval")
-    best_id, best_logit = None, -np.inf
-    for cand in sorted(candidates, key=lambda c: c.class_id):
-        logit = float(np.dot(proj, cand.vector))
-        if logit > best_logit:
-            best_id, best_logit = cand.class_id, logit
-    return best_id
+    logits = projected @ np.stack([class_embeddings[c] for c in ids]).T
+    return [ids[j] for j in np.argmax(logits, axis=1)]
 
 
 def bce_loss(logits: np.ndarray, targets: np.ndarray) -> float:
@@ -259,13 +250,6 @@ def train_projection(backbone, manifest, spectrograms: dict, class_ids: list,
     epochs = cfg.epochs if epochs is None else epochs
     loss_ids, val_ids = split_validation_classes(class_ids, cfg.val_class_fraction, rng)
 
-    def embed_records(records):
-        out = {}
-        for r in records:
-            emb, _ = backbone.embed_batch(spectrograms[r.clip_id].values[None])
-            out[r.clip_id] = emb[0].astype(np.float64)
-        return out
-
     train_records = [r for r in manifest if r.split == "train"
                      and any(t in loss_ids for t in r.tags)]
     val_records = [r for r in manifest if r.split == "val"]
@@ -273,9 +257,11 @@ def train_projection(backbone, manifest, spectrograms: dict, class_ids: list,
         raise ValueError("no training clips tagged with the loss classes")
     if not val_records:
         raise ValueError("empty validation split")
-    train_emb = embed_records(train_records)
-    val_emb = embed_records(val_records)
+    train_emb = dict(zip([r.clip_id for r in train_records], backbone.embed(
+        [spectrograms[r.clip_id] for r in train_records])))
+    val_emb = backbone.embed([spectrograms[r.clip_id] for r in val_records])
 
+    # a clip listed twice in the manifest counts once in the normalizer
     amat = np.stack(list(train_emb.values()))
     mean = amat.mean(axis=0)
     std = np.maximum(amat.std(axis=0), 1e-8)
@@ -297,8 +283,7 @@ def train_projection(backbone, manifest, spectrograms: dict, class_ids: list,
     steps_per_epoch = max(1, len(train_records) // cfg.batch_size)
 
     def val_map(params: ProjectionParams) -> float:
-        a = np.stack([val_emb[r.clip_id] for r in val_records])
-        proj, _ = project_batch(a, params, mode="eval")
+        proj, _ = project_batch(val_emb, params, mode="eval")
         logits = proj @ e_val.T
         aps = []
         for j, cid in enumerate(val_ids):

@@ -80,9 +80,6 @@ class AugmentConfig:
     max_freq_shift: int = 0
     gain_range_db: float = 0.0
     mixup_enabled: bool = False
-    specaugment_enabled: bool = True
-    shift_enabled: bool = True
-    gain_enabled: bool = True
 
     def __post_init__(self):
         for name in ("n_time_masks", "n_freq_masks", "max_mask_width",
@@ -205,12 +202,11 @@ def apply_spec_augmentations(x: MelSpectrogram, cfg: AugmentConfig,
     f, t = v.shape
     if cfg.max_mask_width >= min(f, t) and (cfg.n_time_masks or cfg.n_freq_masks):
         raise ValueError("mask width must be smaller than both dimensions")
-    if cfg.shift_enabled:
-        if cfg.max_time_shift > 0:
-            v = np.roll(v, int(rng.integers(-cfg.max_time_shift, cfg.max_time_shift + 1)), axis=1)
-        if cfg.max_freq_shift > 0:
-            v = np.roll(v, int(rng.integers(-cfg.max_freq_shift, cfg.max_freq_shift + 1)), axis=0)
-    if cfg.specaugment_enabled and cfg.max_mask_width > 0:
+    if cfg.max_time_shift > 0:
+        v = np.roll(v, int(rng.integers(-cfg.max_time_shift, cfg.max_time_shift + 1)), axis=1)
+    if cfg.max_freq_shift > 0:
+        v = np.roll(v, int(rng.integers(-cfg.max_freq_shift, cfg.max_freq_shift + 1)), axis=0)
+    if cfg.max_mask_width > 0:
         fill = v.mean()
         for _ in range(cfg.n_time_masks):
             width = int(rng.integers(1, cfg.max_mask_width + 1))
@@ -220,7 +216,7 @@ def apply_spec_augmentations(x: MelSpectrogram, cfg: AugmentConfig,
             width = int(rng.integers(1, cfg.max_mask_width + 1))
             start = int(rng.integers(0, f - width + 1))
             v[start:start + width, :] = fill
-    if cfg.gain_enabled and cfg.gain_range_db > 0:
+    if cfg.gain_range_db > 0:
         gain_db = rng.uniform(-cfg.gain_range_db, cfg.gain_range_db)
         v = v + gain_db * (np.log(10.0) / 10.0)
     return MelSpectrogram(values=v, config=x.config)

@@ -114,28 +114,32 @@ def run_projection(cfg: ExperimentConfig, corpus: Corpus, model, seed: int):
 
 
 def evaluate_zero_shot(corpus: Corpus, model, proj,
-                       candidate_ids: list | None = None) -> dict:
+                       category_map: dict | None = None) -> dict:
     """Tagging and classification metrics on the test split over unseen
-    classes, plus the train-proximity analysis of per-class precision."""
-    test_ids = candidate_ids if candidate_ids is not None else corpus.test_ids
+    classes, plus the train-proximity analysis of per-class precision.
+    With a `category_map` (class id -> category), also the forced-choice
+    accuracy within each category's test classes (None under two)."""
+    test_ids = corpus.test_ids
     test_recs = [r for r in corpus.records if r.split == "test"]
     if not test_recs:
         raise DataError("corpus has no test-split clips")
-    emb = {r.clip_id: model.embed(corpus.spectrograms[r.clip_id]).astype(float)
-           for r in test_recs}
+    projected, _ = crossmodal.project_batch(
+        model.embed([corpus.spectrograms[r.clip_id] for r in test_recs]), proj)
 
     # single-label clips -> forced-choice classification over unseen classes
-    cands = [semantics.SemanticEmbedding(corpus.class_embeddings[c], c)
-             for c in sorted(test_ids)]
-    cls_recs = [r for r in test_recs
-                if len(r.tags) == 1 and r.tags[0] in set(test_ids)]
-    predictions = [crossmodal.classify(emb[r.clip_id], cands, proj)
-                   for r in cls_recs]
-    truths = [r.tags[0] for r in cls_recs]
-    accuracy = evaluation.top1_accuracy(predictions, truths) if cls_recs else None
+    single = [(i, r.tags[0]) for i, r in enumerate(test_recs) if len(r.tags) == 1]
 
-    a = np.stack([emb[r.clip_id] for r in test_recs])
-    projected, _ = crossmodal.project_batch(a, proj)
+    def forced_choice(ids):
+        rows = [(i, t) for i, t in single if t in ids]
+        if not rows:
+            return [], []
+        preds = crossmodal.classify(projected[[i for i, _ in rows]],
+                                    corpus.class_embeddings, ids)
+        return preds, [t for _, t in rows]
+
+    predictions, truths = forced_choice(set(test_ids))
+    accuracy = evaluation.top1_accuracy(predictions, truths) if truths else None
+
     aps, random_aps = {}, {}
     for c in test_ids:
         y = np.array([1 if c in r.tags else 0 for r in test_recs])
@@ -146,9 +150,9 @@ def evaluate_zero_shot(corpus: Corpus, model, proj,
     train_emb = {c: corpus.class_embeddings[c] for c in corpus.train_ids}
     held_emb = {c: corpus.class_embeddings[c] for c in test_ids}
     prox = evaluation.proximity_correlation(aps, random_aps, train_emb, held_emb)
-    return {
+    result = {
         "n_test_clips": len(test_recs),
-        "n_classified": len(cls_recs),
+        "n_classified": len(truths),
         "accuracy": accuracy,
         "random_accuracy": 1.0 / len(test_ids) if test_ids else None,
         "per_class_ap": {c: aps[c] for c in sorted(aps)},
@@ -158,6 +162,15 @@ def evaluate_zero_shot(corpus: Corpus, model, proj,
         "random_mean_ap": baseline,
         "proximity": prox.to_json(),
     }
+    if category_map:
+        per_category = {}
+        for cat in sorted(set(category_map.values())):
+            ids = [c for c in test_ids if category_map.get(c) == cat]
+            preds, cat_truths = forced_choice(ids) if len(ids) >= 2 else ([], [])
+            per_category[cat] = (evaluation.top1_accuracy(
+                preds, cat_truths, restriction=ids) if cat_truths else None)
+        result["per_category_accuracy"] = per_category
+    return result
 
 
 def run_experiment(cfg: ExperimentConfig, corpus: Corpus, seed: int) -> dict:

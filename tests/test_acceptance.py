@@ -224,9 +224,8 @@ def test_criterion_4_structural_invariants(report):
     vm = backbones.VggishBackbone(ccfg, np.random.default_rng(0))
     full = np.random.default_rng(1).standard_normal((32, 37))
     mel = dsp.MelConfig(n_mels=32)
-    whole = vm.embed(dsp.MelSpectrogram(full, mel))
-    parts = [vm.embed(dsp.MelSpectrogram(full[:, i:i + 16], mel))
-             for i in (0, 16)]
+    whole, *parts = vm.embed([dsp.MelSpectrogram(v, mel)
+                              for v in (full, full[:, :16], full[:, 16:32])])
     vgg_ok = bool(np.allclose(whole, np.mean(parts, axis=0), atol=1e-6))
 
     ok = patch_ok and frame_ok and fold_ok and vgg_ok
@@ -348,7 +347,6 @@ def test_criterion_7_cli_determinism(tmp_path, report):
         assert cli.main(["evaluate", *common, "--corpus", str(corpus),
                          "--backbone", str(out / "bb.ckpt"),
                          "--projection", str(out / "proj.ckpt"),
-                         "--task", "tagging",
                          "--out", str(out / "report.json")]) == 0
         hashes.append(_tree_hash(out))
     ok = hashes[0] == hashes[1]

@@ -82,10 +82,30 @@ def test_patchout_config_validation():
 def test_transformer_embed_shape_and_determinism():
     model = small_transformer()
     x = spec_of(np.random.default_rng(3).standard_normal((12, 16)))
-    a, _ = model.embed_batch(x.values[None])
-    b = model.embed(x)
-    assert b.shape == (5,)
-    assert np.array_equal(a[0], b)
+    a = model.embed([x])
+    assert a.shape == (1, 5)
+    assert np.array_equal(a, small_transformer().embed([x]))
+
+
+def test_embed_matches_per_clip_embed_batch_for_every_kind():
+    """`Backbone.embed` over clips of mixed lengths is, row for row, the
+    float64 embedding of one eval-mode `embed_batch` call per clip."""
+    models = {kind: model for kind, (model, _) in _small_backbones().items()}
+    assert set(models) == set(backbones.BACKBONE_KINDS)
+    rng = np.random.default_rng(4)
+    # (mels, frame counts): the transformer grid holds at most 16 frames;
+    # VGGish clips span one to three 16-frame windows with a remainder
+    shapes = {"transformer": (12, (16, 8, 12)), "cnn14": (32, (32, 48, 40)),
+              "vggish": (32, (37, 16, 50))}
+    for kind, model in models.items():
+        mels, lengths = shapes[kind]
+        specs = [spec_of(rng.standard_normal((mels, t))) for t in lengths]
+        emb = model.embed(specs)
+        assert emb.dtype == np.float64
+        assert emb.shape == (len(specs), model.cfg.embed_dim)
+        for row, s in zip(emb, specs):
+            one, _ = model.embed_batch(s.values[None])
+            assert np.array_equal(row, one[0].astype(np.float64))
 
 
 def test_transformer_patchout_reduces_sequence_but_keeps_dim():
@@ -101,8 +121,8 @@ def test_cnn14_embed_shape():
     cfg = ConvConfig(channels=(4, 4, 8, 8, 8, 8), fc_units=16, embed_dim=6)
     model = backbones.Cnn14Backbone(cfg, np.random.default_rng(0))
     x = spec_of(np.random.default_rng(1).standard_normal((64, 96)))
-    emb = model.embed(x)
-    assert emb.shape == (6,)
+    emb = model.embed([x])
+    assert emb.shape == (1, 6)
     assert np.all(np.isfinite(emb))
 
 
@@ -114,9 +134,8 @@ def test_vggish_chunk_mean_identity():
     model = backbones.VggishBackbone(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     full = rng.standard_normal((32, 37))  # 2 chunks of 16 + 5 leftover frames
-    whole = model.embed(spec_of(full))
-    chunk_a = model.embed(spec_of(full[:, :16]))
-    chunk_b = model.embed(spec_of(full[:, 16:32]))
+    whole, chunk_a, chunk_b = model.embed(
+        [spec_of(full), spec_of(full[:, :16]), spec_of(full[:, 16:32])])
     assert np.allclose(whole, (chunk_a + chunk_b) / 2, atol=1e-6)
 
 
@@ -125,7 +144,7 @@ def test_vggish_too_short_input_raises():
                      embed_dim=6, vggish_time=16, vggish_mels=32)
     model = backbones.VggishBackbone(cfg, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        model.embed(spec_of(np.zeros((32, 10))))
+        model.embed([spec_of(np.zeros((32, 10)))])
 
 
 # --- gradients ------------------------------------------------------------------
@@ -253,7 +272,7 @@ def _assert_same_backbone(back, model, x):
     for k in model.stats:   # batch-norm running statistics, stored as float32
         assert back.stats[k].dtype == np.float64
         assert np.array_equal(back.stats[k], model.stats[k].astype(np.float32))
-    assert np.allclose(model.embed(x), back.embed(x), atol=1e-6)
+    assert np.allclose(model.embed([x]), back.embed([x]), atol=1e-6)
 
 
 def test_backbone_checkpoint_round_trip(tmp_path):
@@ -295,6 +314,22 @@ def test_checkpoint_kind_mismatch(tmp_path):
         checkpoint.load_checkpoint(path, expected_kind="cnn14")
 
 
+def test_interrupted_checkpoint_write_keeps_previous(tmp_path):
+    """A write that fails half way leaves the previous checkpoint loadable
+    and no temporary file behind."""
+    path = tmp_path / "bb.ckpt"
+    checkpoint.save_checkpoint(path, "head", {"n": 1}, {"w": np.ones(3)})
+    before = path.read_bytes()
+    # "b" is written after "a"; its conversion to float32 raises mid-write
+    with pytest.raises(ValueError):
+        checkpoint.save_checkpoint(path, "head", {"n": 2},
+                                   {"a": np.zeros(4), "b": np.array(["x"])})
+    assert path.read_bytes() == before
+    _, hp, tensors = checkpoint.load_checkpoint(path, "head")
+    assert hp == {"n": 1} and np.array_equal(tensors["w"], np.ones(3))
+    assert [p.name for p in tmp_path.iterdir()] == ["bb.ckpt"]
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"JUNKJUNKJUNK")
@@ -311,4 +346,4 @@ def test_cnn14_checkpoint_round_trip_with_bn_stats(tmp_path):
     path = tmp_path / "cnn.ckpt"
     checkpoint.save_backbone(path, model)
     back = checkpoint.load_backbone(path)
-    assert np.allclose(model.embed(x), back.embed(x), atol=1e-6)
+    assert np.allclose(model.embed([x]), back.embed([x]), atol=1e-6)

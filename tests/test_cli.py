@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from zsat import checkpoint, cli
+from zsat import checkpoint, cli, crossmodal, experiments
 from zsat.config import ConfigError, PRESETS, load_config_file, resolve_config
 
 
@@ -115,12 +115,73 @@ def test_pretrain_then_projection_then_evaluate(cli_env):
     report = root / "report.json"
     rc = cli.main(["evaluate", "--config", cli_env["config"],
                    "--corpus", cli_env["corpus"], "--backbone", str(bb),
-                   "--projection", str(proj), "--task", "tagging",
+                   "--projection", str(proj),
                    "--out", str(report), "--deterministic"])
     assert rc == 0
     data = json.loads(report.read_text())
     assert data["per_seed"][0]["mean_ap"] is not None
     assert data["version"].startswith("zsat-")
+
+
+def _untrained_artifacts(cli_env, root):
+    """An untrained backbone of the configured kind and a projection that
+    fits it, written without any training."""
+    cfg = load_config_file(cli_env["config"])
+    rng = np.random.default_rng(0)
+    bb, proj = root / "bb0.ckpt", root / "proj0.ckpt"
+    checkpoint.save_backbone(bb, experiments.build_backbone(cfg, rng))
+    crossmodal.save_projection(proj, crossmodal.ProjectionParams.init(
+        experiments.embed_dim(cfg), cfg.synthetic.semantic_dim, 16, rng))
+    return cfg, bb, proj
+
+
+def test_backbone_checked_against_config_on_load(cli_env, tmp_path):
+    """A transformer checkpoint run under another kind or embed dim is a
+    data error, in train-projection and evaluate alike."""
+    _, bb, proj = _untrained_artifacts(cli_env, tmp_path)
+    base = json.loads(open(cli_env["config"]).read())
+    for name, override in (("kind", {"backbone": "cnn14"}),
+                           ("dim", {"transformer": {"embed_dim": 16}})):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps({**base, **override}))
+        common = ["--config", str(cfg_path), "--corpus", cli_env["corpus"],
+                  "--backbone", str(bb)]
+        assert cli.main(["train-projection", *common,
+                         "--out", str(tmp_path / f"p_{name}.ckpt")]) == 3
+        assert cli.main(["evaluate", *common, "--projection", str(proj),
+                         "--out", str(tmp_path / f"r_{name}.json")]) == 3
+        assert not (tmp_path / f"p_{name}.ckpt").exists()
+
+
+def test_evaluate_category_map(cli_env, tmp_path):
+    """Per-category accuracy equals forced choice among each category's test
+    classes, scored one clip at a time; a category with fewer than two test
+    classes reports None."""
+    cfg, bb, proj = _untrained_artifacts(cli_env, tmp_path)
+    cats = {"c02": "a", "c05": "a", "c08": "a", "c11": "b", "c00": "c"}
+    cat_path = tmp_path / "categories.json"
+    cat_path.write_text(json.dumps(cats))
+    report = tmp_path / "report.json"
+    assert cli.main(["evaluate", "--config", cli_env["config"],
+                     "--corpus", cli_env["corpus"], "--backbone", str(bb),
+                     "--projection", str(proj), "--category-map", str(cat_path),
+                     "--out", str(report)]) == 0
+    got = json.loads(report.read_text())["per_seed"][0]["per_category_accuracy"]
+    assert got["b"] is None and got["c"] is None
+
+    corpus = experiments.load_corpus(cli_env["corpus"], cfg.mel)
+    model = checkpoint.load_backbone(bb)
+    params = crossmodal.load_projection(proj)
+    ids = ["c02", "c05", "c08"]
+    hits = []
+    for r in corpus.records:
+        if r.split == "test" and len(r.tags) == 1 and r.tags[0] in ids:
+            emb, _ = model.embed_batch(corpus.spectrograms[r.clip_id].values[None])
+            out, _ = crossmodal.project_batch(emb.astype(np.float64), params)
+            logits = [float(out[0] @ corpus.class_embeddings[c]) for c in ids]
+            hits.append(ids[int(np.argmax(logits))] == r.tags[0])
+    assert len(hits) > 0
+    assert got["a"] == pytest.approx(np.mean(hits), abs=1e-12)
 
 
 def test_pretrain_resume_continues_epoch_counter(cli_env, tmp_path):

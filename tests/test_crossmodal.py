@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_gradcheck
-from zsat import crossmodal, protocol, semantics
+from zsat import crossmodal, protocol
+from zsat.backbones import Backbone
 from zsat.crossmodal import ProjectionParams, TrainConfig
 
 
@@ -57,21 +58,23 @@ def test_classify_invariant_under_monotone_transform():
     candidate vectors by a positive constant cannot change the argmax."""
     p = make_params()
     rng = np.random.default_rng(5)
-    a = rng.standard_normal(6)
-    cands = [semantics.SemanticEmbedding(rng.standard_normal(4), f"c{i}")
-             for i in range(5)]
-    scaled = [semantics.SemanticEmbedding(3.5 * c.vector, c.class_id)
-              for c in cands]
-    assert crossmodal.classify(a, cands, p) == crossmodal.classify(a, scaled, p)
+    projected, _ = crossmodal.project_batch(rng.standard_normal((7, 6)), p)
+    emb = {f"c{i}": rng.standard_normal(4) for i in range(5)}
+    scaled = {c: 3.5 * v for c, v in emb.items()}
+    preds = crossmodal.classify(projected, emb, list(emb))
+    # one clip at a time, one dot product per candidate
+    assert preds == [max(emb, key=lambda c: float(np.dot(row, emb[c])))
+                     for row in projected]
+    assert preds == crossmodal.classify(projected, scaled, list(emb))
 
 
 def test_classify_tie_breaks_to_lowest_id():
     p = make_params()
-    a = np.random.default_rng(1).standard_normal(6)
+    projected, _ = crossmodal.project_batch(
+        np.random.default_rng(1).standard_normal((3, 6)), p)
     vec = np.ones(4)
-    cands = [semantics.SemanticEmbedding(vec, "z"),
-             semantics.SemanticEmbedding(vec.copy(), "a")]
-    assert crossmodal.classify(a, cands, p) == "a"
+    emb = {"z": vec, "a": vec.copy()}
+    assert crossmodal.classify(projected, emb, ["z", "a"]) == ["a", "a", "a"]
 
 
 # --- loss -----------------------------------------------------------------------
@@ -179,7 +182,7 @@ def test_projection_checkpoint_round_trip(tmp_path):
 
 # --- training ----------------------------------------------------------------------
 
-class IdentityBackbone:
+class IdentityBackbone(Backbone):
     """Passes precomputed 'spectrogram' vectors straight through."""
 
     kind = "identity"

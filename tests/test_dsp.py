@@ -132,7 +132,7 @@ def test_augment_preserves_shape_and_is_deterministic():
 
 def test_masks_filled_with_mean():
     cfg = dsp.AugmentConfig(n_time_masks=1, max_mask_width=3,
-                            shift_enabled=False, gain_enabled=False)
+                            max_time_shift=0, max_freq_shift=0, gain_range_db=0.0)
     x = _spec()
     out = dsp.apply_spec_augmentations(x, cfg, np.random.default_rng(0))
     changed = np.where(np.any(out.values != x.values, axis=0))[0]
@@ -141,8 +141,8 @@ def test_masks_filled_with_mean():
 
 
 def test_gain_is_constant_log_offset():
-    cfg = dsp.AugmentConfig(gain_range_db=6.0, shift_enabled=False,
-                            specaugment_enabled=False)
+    cfg = dsp.AugmentConfig(gain_range_db=6.0, max_time_shift=0,
+                            max_freq_shift=0, n_time_masks=0, n_freq_masks=0)
     x = _spec()
     out = dsp.apply_spec_augmentations(x, cfg, np.random.default_rng(3))
     diff = out.values - x.values
@@ -152,7 +152,7 @@ def test_gain_is_constant_log_offset():
 
 def test_rolls_permute_values():
     cfg = dsp.AugmentConfig(max_time_shift=5, max_freq_shift=2,
-                            specaugment_enabled=False, gain_enabled=False)
+                            n_time_masks=0, n_freq_masks=0, gain_range_db=0.0)
     x = _spec()
     out = dsp.apply_spec_augmentations(x, cfg, np.random.default_rng(11))
     assert np.allclose(np.sort(out.values.ravel()), np.sort(x.values.ravel()))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,15 +113,15 @@ def test_random_baseline_classification():
         spectrograms=specs)
 
     class MeanFrame:
-        def embed(self, x):
-            return x.values.mean(axis=1)
+        def embed(self, specs):
+            return np.stack([s.values.mean(axis=1) for s in specs])
 
     proj = crossmodal.ProjectionParams.init(4, 3, 5, rng)
     result = experiments.evaluate_zero_shot(corpus, MeanFrame(), proj)
     assert result["n_classified"] == 8
     assert result["random_accuracy"] == pytest.approx(1 / 4)
-    result = experiments.evaluate_zero_shot(corpus, MeanFrame(), proj,
-                                            candidate_ids=test_ids[:3])
+    three = dataclasses.replace(corpus, test_ids=test_ids[:3])
+    result = experiments.evaluate_zero_shot(three, MeanFrame(), proj)
     assert result["n_classified"] == 6
     assert result["random_accuracy"] == pytest.approx(1 / 3)
 
