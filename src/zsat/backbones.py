@@ -460,82 +460,49 @@ class ClassifierHead:
         return cls(weight=w, bias=b)
 
 
-class DivergenceError(RuntimeError):
-    def __init__(self, epoch: int):
-        super().__init__(f"non-finite training loss at epoch {epoch}")
-        self.epoch = epoch
-
-
 def pretrain_backbone(model, head: ClassifierHead, manifest, class_ids: list,
                       spectrograms: dict, cfg, aug_cfg, rng,
                       epochs: int | None = None):
     """Multi-label BCE pretraining of a backbone plus classification head.
 
     `manifest` is a list of records with .clip_id/.tags/.split; `spectrograms`
-    maps clip id -> MelSpectrogram. Returns per-epoch mean loss history.
-    Deterministic for a fixed rng seed (single-threaded).
+    maps clip id -> MelSpectrogram. Mixup runs when `aug_cfg.mixup_alpha > 0`.
+    Returns per-epoch mean loss history. Deterministic for a fixed rng seed
+    (single-threaded).
     """
-    from . import crossmodal, protocol
+    from . import crossmodal
     from .dsp import apply_spec_augmentations, mixup
 
     if not class_ids:
         raise ValueError("empty class set")
-    epochs = cfg.epochs if epochs is None else epochs
-    class_index = {c: i for i, c in enumerate(class_ids)}
     train_records = [r for r in manifest if r.split == "train"
-                     and any(t in class_index for t in r.tags)]
+                     and any(t in class_ids for t in r.tags)]
     if not train_records:
         raise ValueError("no training clips tagged with the given classes")
-    by_id = {r.clip_id: r for r in train_records}
+    dtype = next(iter(model.params.values())).dtype
+    params = {**{f"bb.{k}": v for k, v in model.params.items()},
+              "head.weight": head.weight, "head.bias": head.bias}
 
-    sampler = protocol.balanced_sampler(train_records, class_ids,
-                                        seed=int(rng.integers(2 ** 31)))
-    opt_state = crossmodal.init_adamw_state(
-        {**{f"bb.{k}": v for k, v in model.params.items()},
-         "head.weight": head.weight, "head.bias": head.bias})
-    steps_per_epoch = max(1, len(train_records) // cfg.batch_size)
-    history = []
-    for epoch in range(epochs):
-        lr = crossmodal.lr_at(epoch, cfg)
-        losses = []
-        for _ in range(steps_per_epoch):
-            ids = [next(sampler) for _ in range(cfg.batch_size)]
-            specs, targets = [], []
-            for cid in ids:
-                rec = by_id[cid]
-                s = apply_spec_augmentations(spectrograms[cid], aug_cfg, rng)
-                y = np.zeros(len(class_ids))
-                for t in rec.tags:
-                    if t in class_index:
-                        y[class_index[t]] = 1.0
-                specs.append(s)
-                targets.append(y)
-            if aug_cfg.mixup_enabled and len(specs) >= 2:
-                lam = float(rng.beta(aug_cfg.mixup_alpha, aug_cfg.mixup_alpha))
-                perm = rng.permutation(len(specs))
-                mixed = [mixup(specs[i], specs[int(j)], targets[i], targets[int(j)], lam)
-                         for i, j in enumerate(perm)]
-                specs = [m[0] for m in mixed]
-                targets = [m[1] for m in mixed]
-            batch = np.stack([s.values for s in specs]).astype(
-                next(iter(model.params.values())).dtype)
-            y = np.stack(targets)
-            emb, cache = model.embed_batch(batch, train=True, rng=rng)
-            logits = emb @ head.weight.T + head.bias
-            loss = crossmodal.bce_loss(logits, y)
-            if not np.isfinite(loss):
-                raise DivergenceError(epoch)
-            dlogits = crossmodal.bce_loss_backward(logits, y)
-            demb = dlogits @ head.weight
-            dw = dlogits.T @ emb
-            db = dlogits.sum(axis=0)
-            grads = {f"bb.{k}": v for k, v in model.backward(
-                demb.astype(emb.dtype), cache).items()}
-            grads["head.weight"] = dw
-            grads["head.bias"] = db
-            params = {**{f"bb.{k}": v for k, v in model.params.items()},
-                      "head.weight": head.weight, "head.bias": head.bias}
-            crossmodal.adamw_step(params, grads, opt_state, lr, cfg)
-            losses.append(float(loss))
-        history.append(float(np.mean(losses)))
+    def forward(ids, targets):
+        specs = [apply_spec_augmentations(spectrograms[c], aug_cfg, rng) for c in ids]
+        if aug_cfg.mixup_alpha > 0 and len(specs) >= 2:
+            lam = float(rng.beta(aug_cfg.mixup_alpha, aug_cfg.mixup_alpha))
+            perm = rng.permutation(len(specs))
+            mixed = [mixup(specs[i], specs[int(j)], targets[i], targets[int(j)], lam)
+                     for i, j in enumerate(perm)]
+            specs = [m[0] for m in mixed]
+            targets = np.stack([m[1] for m in mixed])
+        batch = np.stack([s.values for s in specs]).astype(dtype)
+        emb, cache = model.embed_batch(batch, train=True, rng=rng)
+
+        def backward(dlogits):
+            demb, dw, db = nn.linear_backward(dlogits, emb, head.weight)
+            grads = model.backward(demb.astype(emb.dtype), cache)
+            return {**{f"bb.{k}": v for k, v in grads.items()},
+                    "head.weight": dw, "head.bias": db}
+        return nn.linear(emb, head.weight, head.bias), targets, backward
+
+    history = list(crossmodal.train_epochs(
+        train_records, class_ids, params, cfg, rng,
+        cfg.epochs if epochs is None else epochs, forward))
     return model, head, history

@@ -215,11 +215,14 @@ def _load_backbone(path, cfg):
 def cmd_train_projection(args) -> int:
     from . import crossmodal, experiments
     cfg, seeds = _resolve(args)
-    corpus = experiments.load_corpus(args.corpus, cfg.mel)
     multi = len(seeds) > 1
+    # the first seed's backbone is checked before the corpus is read
+    model = _load_backbone(_seed_path(args.backbone, seeds[0], multi), cfg)
+    corpus = experiments.load_corpus(args.corpus, cfg.mel)
     best_maps = {}
-    for seed in seeds:
-        model = _load_backbone(_seed_path(args.backbone, seed, multi), cfg)
+    for i, seed in enumerate(seeds):
+        if i:
+            model = _load_backbone(_seed_path(args.backbone, seed, multi), cfg)
         out = _seed_path(args.out, seed, multi)
         proj, report = experiments.run_projection(cfg, corpus, model, seed)
         crossmodal.save_projection(str(out), proj)
@@ -245,15 +248,18 @@ def cmd_evaluate(args) -> int:
 
     from . import crossmodal, experiments
     cfg, seeds = _resolve(args)
+    multi = len(seeds) > 1
+    # the first seed's backbone is checked before the corpus is read
+    model = _load_backbone(_seed_path(args.backbone, seeds[0], multi), cfg)
     corpus = experiments.load_corpus(args.corpus, cfg.mel)
     category_map = None
     if args.category_map:
         with open(args.category_map, "r", encoding="utf-8") as fh:
             category_map = json.load(fh)
-    multi = len(seeds) > 1
     results = []
-    for seed in seeds:
-        model = _load_backbone(_seed_path(args.backbone, seed, multi), cfg)
+    for i, seed in enumerate(seeds):
+        if i:
+            model = _load_backbone(_seed_path(args.backbone, seed, multi), cfg)
         proj = crossmodal.load_projection(str(_seed_path(args.projection, seed, multi)))
         n = next(iter(corpus.class_embeddings.values())).shape[0]
         if proj.w2.shape[0] != n:
@@ -290,9 +296,8 @@ def main(argv=None) -> int:
     _limit_threads(1 if args.deterministic else max(1, args.threads))
 
     from . import checkpoint, dsp, protocol, semantics
-    from .backbones import DivergenceError
     from .config import ConfigError
-    from .crossmodal import GradientError
+    from .crossmodal import DivergenceError, GradientError
     from .experiments import DataError
     try:
         return _COMMANDS[args.command](args)

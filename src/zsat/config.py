@@ -68,7 +68,7 @@ _PAPER_PROJECTION = dataclasses.replace(_PAPER_PRETRAIN, epochs=10)
 
 _PAPER_AUG = AugmentConfig(mixup_alpha=0.3, n_time_masks=2, n_freq_masks=2,
                            max_mask_width=8, max_time_shift=50, max_freq_shift=4,
-                           gain_range_db=6.0, mixup_enabled=True)
+                           gain_range_db=6.0)
 
 _TOY_PRETRAIN = TrainConfig(initial_lr=1e-3, warmup_epochs=2, decay_start_epoch=20,
                             decay_end_epoch=30, final_lr=1e-5, epochs=30,
@@ -77,7 +77,7 @@ _TOY_PRETRAIN = TrainConfig(initial_lr=1e-3, warmup_epochs=2, decay_start_epoch=
 _TOY_PROJECTION = dataclasses.replace(_TOY_PRETRAIN, epochs=10, warmup_epochs=1,
                                       decay_start_epoch=6, decay_end_epoch=10)
 _TOY_AUG = AugmentConfig(mixup_alpha=0.5, max_time_shift=8, max_freq_shift=3,
-                         gain_range_db=3.0, mixup_enabled=True)
+                         gain_range_db=3.0)
 _TOY_SYNTH = SyntheticSpec(n_classes=12, clips_per_class=30, n_multilabel=24,
                            clip_seconds=1.0, sample_rate=32000, fmin_hz=300.0,
                            fmax_hz=2400.0, noise_level=0.01, semantic_dim=8,
@@ -158,7 +158,7 @@ def resolve_config(preset: str, overrides: dict | None = None) -> ExperimentConf
                 value["mel"] = dataclasses.replace(sub.mel, **value["mel"])
             try:
                 value = dataclasses.replace(sub, **_tupled(value))
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad override for {key}: {exc}") from exc
         elif isinstance(value, list):
             value = tuple(value)

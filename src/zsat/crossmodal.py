@@ -1,5 +1,6 @@
 """Cross-modal projection into the semantic space, dot-product
-classification, BCE training with AdamW and the warmup/decay schedule, and
+classification, the minibatch BCE training loop with AdamW and the
+warmup/decay schedule that pretraining and the projection share, and
 best-validation-mAP checkpoint selection."""
 
 from __future__ import annotations
@@ -9,12 +10,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
+from . import nn, protocol
 from .checkpoint import load_checkpoint, save_checkpoint
+from .evaluation import average_precision, mean_ap
 
 
 class GradientError(RuntimeError):
     pass
+
+
+class DivergenceError(RuntimeError):
+    def __init__(self, epoch: int):
+        super().__init__(f"non-finite training loss at epoch {epoch}")
+        self.epoch = epoch
 
 
 @dataclass
@@ -142,7 +150,6 @@ class TrainConfig:
     beta2: float = 0.99
     epsilon: float = 1e-8
     weight_decay: float = 1e-4
-    seed: int = 0
     val_class_fraction: float = 0.1
 
     def __post_init__(self):
@@ -152,6 +159,8 @@ class TrainConfig:
             raise ValueError("require warmup <= decay_start < decay_end")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
 
 
 def lr_at(epoch: float, cfg: TrainConfig) -> float:
@@ -198,6 +207,41 @@ def adamw_step(params: dict, grads: dict, state: dict, lr: float,
                   + lr * mhat / (np.sqrt(vhat) + cfg.epsilon)).astype(theta.dtype)
 
 
+def train_epochs(records, class_ids: list, params: dict, cfg: TrainConfig,
+                 rng: np.random.Generator, epochs: int, forward):
+    """The minibatch multi-label BCE loop of pretraining and the projection:
+    balanced batches over `class_ids`, AdamW on `params` in place under the
+    `lr_at` schedule. Yields each epoch's mean loss.
+
+    `forward(ids, targets)` takes clip ids and (N, K) multi-hot targets and
+    returns (logits, targets, backward); targets come back because mixup
+    replaces them. `backward(dlogits)` returns a gradient per `params` key.
+    """
+    tags = {r.clip_id: r.tags for r in records}
+    sampler = protocol.balanced_sampler(records, class_ids,
+                                        seed=int(rng.integers(2 ** 31)))
+    opt_state = init_adamw_state(params)
+    steps_per_epoch = max(1, len(records) // cfg.batch_size)
+    for epoch in range(epochs):
+        lr = lr_at(epoch, cfg)
+        losses = []
+        for _ in range(steps_per_epoch):
+            ids = [next(sampler) for _ in range(cfg.batch_size)]
+            # The last step's `backward` keeps its activation cache until this
+            # forward returns. Freed earlier, the cache is often the top of the
+            # heap, which malloc trims and faults back in: 150k-210k minor
+            # page faults per 2-epoch toy pretraining instead of 13k-26k.
+            logits, targets, backward = forward(
+                ids, protocol.multi_hot([tags[c] for c in ids], class_ids))
+            loss = bce_loss(logits, targets)
+            if not np.isfinite(loss):
+                raise DivergenceError(epoch)
+            grads = backward(bce_loss_backward(logits, targets))
+            adamw_step(params, grads, opt_state, lr, cfg)
+            losses.append(loss)
+        yield float(np.mean(losses))
+
+
 # ---------------------------------------------------------------------------
 # Projection training with the backbone frozen
 
@@ -235,7 +279,7 @@ def split_validation_classes(class_ids: list, fraction: float,
 def train_projection(backbone, manifest, spectrograms: dict, class_ids: list,
                      class_embeddings: dict, cfg: TrainConfig,
                      rng: np.random.Generator, hidden: int = 1024,
-                     dropout_rate: float = 0.2, epochs: int | None = None):
+                     dropout_rate: float = 0.2):
     """Train the projection with the backbone frozen.
 
     `class_embeddings` maps class id -> semantic vector (np.ndarray of dim n).
@@ -244,10 +288,6 @@ def train_projection(backbone, manifest, spectrograms: dict, class_ids: list,
     classes drives checkpoint selection. Returns (best ProjectionParams,
     selection report dict).
     """
-    from . import protocol
-    from .evaluation import average_precision
-
-    epochs = cfg.epochs if epochs is None else epochs
     loss_ids, val_ids = split_validation_classes(class_ids, cfg.val_class_fraction, rng)
 
     train_records = [r for r in manifest if r.split == "train"
@@ -273,56 +313,31 @@ def train_projection(backbone, manifest, spectrograms: dict, class_ids: list,
 
     e_loss = np.stack([class_embeddings[c] for c in loss_ids])
     e_val = np.stack([class_embeddings[c] for c in val_ids])
-    by_id = {r.clip_id: r for r in train_records}
-    loss_index = {c: i for i, c in enumerate(loss_ids)}
-
-    sampler = protocol.balanced_sampler(train_records, loss_ids,
-                                        seed=int(rng.integers(2 ** 31)))
+    val_labels = protocol.multi_hot([r.tags for r in val_records], val_ids)
     trained = {k: getattr(p, k) for k in ProjectionParams.TRAINED}
-    opt_state = init_adamw_state(trained)
-    steps_per_epoch = max(1, len(train_records) // cfg.batch_size)
+
+    def forward(ids, targets):
+        proj, cache = project_batch(np.stack([train_emb[c] for c in ids]), p,
+                                    mode="train", rng=rng)
+
+        def backward(dlogits):
+            _, grads = project_backward(dlogits @ e_loss, p, cache)
+            return {k: grads[k] for k in trained}
+        return proj @ e_loss.T, targets, backward
 
     def val_map(params: ProjectionParams) -> float:
         proj, _ = project_batch(val_emb, params, mode="eval")
-        logits = proj @ e_val.T
-        aps = []
-        for j, cid in enumerate(val_ids):
-            labels = np.array([1 if cid in r.tags else 0 for r in val_records])
-            if labels.sum() == 0:
-                continue
-            aps.append(average_precision(logits[:, j], labels))
-        if not aps:
-            raise ValueError("no validation class has positives in the val split")
-        return float(np.mean(aps))
+        return mean_ap([average_precision(s, y) for s, y in
+                        zip((proj @ e_val.T).T, val_labels.T)])[0]
 
-    history = {"per_epoch_loss": [], "val_map": [], "val_classes": val_ids}
-    best = (-np.inf, p.copy(), -1)
-    for epoch in range(epochs):
-        lr = lr_at(epoch, cfg)
-        losses = []
-        for _ in range(steps_per_epoch):
-            ids = [next(sampler) for _ in range(cfg.batch_size)]
-            a = np.stack([train_emb[c] for c in ids])
-            y = np.zeros((len(ids), len(loss_ids)))
-            for row, cid in enumerate(ids):
-                for t in by_id[cid].tags:
-                    if t in loss_index:
-                        y[row, loss_index[t]] = 1.0
-            proj, cache = project_batch(a, p, mode="train", rng=rng)
-            logits = proj @ e_loss.T
-            loss = bce_loss(logits, y)
-            if not np.isfinite(loss):
-                raise GradientError(f"non-finite projection loss at epoch {epoch}")
-            dlogits = bce_loss_backward(logits, y)
-            dproj = dlogits @ e_loss
-            _, grads = project_backward(dproj, p, cache)
-            adamw_step(trained, {k: grads[k] for k in trained}, opt_state, lr, cfg)
-            losses.append(loss)
+    history = {"per_epoch_loss": [], "val_map": [], "val_classes": val_ids,
+               "best_epoch": -1, "best_val_map": -np.inf}
+    best = p.copy()
+    for epoch, loss in enumerate(train_epochs(train_records, loss_ids, trained,
+                                              cfg, rng, cfg.epochs, forward)):
         vmap = val_map(p)
-        history["per_epoch_loss"].append(float(np.mean(losses)))
+        history["per_epoch_loss"].append(loss)
         history["val_map"].append(vmap)
-        if vmap > best[0]:
-            best = (vmap, p.copy(), epoch)
-    history["best_epoch"] = best[2]
-    history["best_val_map"] = best[0]
-    return best[1], history
+        if vmap > history["best_val_map"]:
+            best, history["best_epoch"], history["best_val_map"] = p.copy(), epoch, vmap
+    return best, history

@@ -72,16 +72,17 @@ class MelSpectrogram:
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    mixup_alpha: float = 0.3
+    mixup_alpha: float = 0.0            # 0 turns mixup off
     n_time_masks: int = 0
     n_freq_masks: int = 0
     max_mask_width: int = 0
     max_time_shift: int = 0
     max_freq_shift: int = 0
     gain_range_db: float = 0.0
-    mixup_enabled: bool = False
 
     def __post_init__(self):
+        if self.mixup_alpha < 0:
+            raise ValueError("mixup_alpha must be >= 0")
         for name in ("n_time_masks", "n_freq_masks", "max_mask_width",
                      "max_time_shift", "max_freq_shift"):
             if getattr(self, name) < 0:

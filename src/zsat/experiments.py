@@ -141,8 +141,8 @@ def evaluate_zero_shot(corpus: Corpus, model, proj,
     accuracy = evaluation.top1_accuracy(predictions, truths) if truths else None
 
     aps, random_aps = {}, {}
-    for c in test_ids:
-        y = np.array([1 if c in r.tags else 0 for r in test_recs])
+    labels = protocol.multi_hot([r.tags for r in test_recs], test_ids)
+    for c, y in zip(test_ids, labels.T):
         aps[c] = evaluation.average_precision(projected @ corpus.class_embeddings[c], y)
         random_aps[c] = evaluation.random_baseline_ap(int(y.sum()), len(y))
     m_ap, skipped = evaluation.mean_ap(list(aps.values()))

@@ -133,6 +133,18 @@ def exclude_overlap(all_classes: dict, exclusion: list, synonyms: dict | None = 
     return remaining, removed
 
 
+def multi_hot(tag_lists, class_ids) -> np.ndarray:
+    """(N, K) float64 targets: row i is 1 in column k when class_ids[k] is
+    one of tag_lists[i]; tags outside `class_ids` are ignored."""
+    index = {c: k for k, c in enumerate(class_ids)}
+    y = np.zeros((len(tag_lists), len(class_ids)))
+    for row, tags in enumerate(tag_lists):
+        for t in tags:
+            if t in index:
+                y[row, index[t]] = 1.0
+    return y
+
+
 def balanced_sampler(records, class_ids, seed: int):
     """Infinite deterministic clip-id stream with per-class shuffled queues,
     cycled round-robin; clips with no tag in `class_ids` never appear."""

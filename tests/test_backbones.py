@@ -233,11 +233,23 @@ def test_pretrain_deterministic_for_fixed_seed():
         head = ClassifierHead.init(len(class_ids), 5, rng)
         model, head, history = backbones.pretrain_backbone(
             model, head, records, class_ids, specs, _pretrain_cfg(),
-            dsp.AugmentConfig(mixup_enabled=True, mixup_alpha=0.3), rng)
+            dsp.AugmentConfig(mixup_alpha=0.3), rng)
         outs.append((history, {k: v.copy() for k, v in model.params.items()}))
     assert outs[0][0] == outs[1][0]
     for k in outs[0][1]:
         assert np.array_equal(outs[0][1][k], outs[1][1][k])
+
+
+def test_pretrain_divergence_is_reported_with_its_epoch():
+    records, specs, class_ids = _toy_pretrain_inputs()
+    rng = np.random.default_rng(0)
+    model = small_transformer(dtype=np.float32)
+    head = ClassifierHead.init(len(class_ids), 5, rng)
+    cfg = dataclasses.replace(_pretrain_cfg(), initial_lr=1e300)
+    with np.errstate(all="ignore"), pytest.raises(crossmodal.DivergenceError) as err:
+        backbones.pretrain_backbone(model, head, records, class_ids, specs, cfg,
+                                    dsp.AugmentConfig(), rng)
+    assert err.value.epoch == 0
 
 
 def test_pretrain_empty_class_set_raises():

@@ -32,8 +32,12 @@ def test_override_nested_field():
 
 
 def test_unknown_override_key_raises():
-    with pytest.raises(ConfigError):
-        resolve_config("toy", {"no_such_field": 1})
+    # the last two name knobs that were removed: mixup is on when
+    # mixup_alpha > 0, and nothing read the training config's seed
+    for overrides in ({"no_such_field": 1}, {"augment": {"mixup_enabled": True}},
+                      {"pretrain": {"seed": 0}}):
+        with pytest.raises(ConfigError):
+            resolve_config("toy", overrides)
 
 
 def test_unknown_backbone_kind_is_a_config_error(tmp_path):
@@ -48,6 +52,17 @@ def test_unknown_backbone_kind_is_a_config_error(tmp_path):
     for cmd in (["train-projection", "--out", str(tmp_path / "p")],
                 ["evaluate", "--projection", missing, "--out", str(tmp_path / "r")]):
         assert cli.main([*cmd, *common, "--backbone", missing]) == 2
+
+
+def test_zero_epochs_is_a_config_error(tmp_path):
+    missing = str(tmp_path / "missing")
+    for stage, cmd in (("pretrain", ["pretrain"]),
+                       ("projection", ["train-projection", "--backbone", missing])):
+        cfg_path = tmp_path / f"{stage}.json"
+        cfg_path.write_text(json.dumps({"preset": "toy", stage: {"epochs": 0}}))
+        # rejected before any corpus is read, so the missing corpus never matters
+        assert cli.main([*cmd, "--config", str(cfg_path), "--corpus", missing,
+                         "--out", str(tmp_path / f"{stage}.ckpt")]) == 2
 
 
 def test_config_file_loading(tmp_path):
@@ -135,10 +150,15 @@ def _untrained_artifacts(cli_env, root):
     return cfg, bb, proj
 
 
-def test_backbone_checked_against_config_on_load(cli_env, tmp_path):
+def test_backbone_checked_against_config_on_load(cli_env, tmp_path, monkeypatch):
     """A transformer checkpoint run under another kind or embed dim is a
-    data error, in train-projection and evaluate alike."""
+    data error, in train-projection and evaluate alike, found before the
+    corpus is read."""
     _, bb, proj = _untrained_artifacts(cli_env, tmp_path)
+
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("corpus read before the backbone was checked")
+    monkeypatch.setattr(experiments, "load_corpus", no_corpus)
     base = json.loads(open(cli_env["config"]).read())
     for name, override in (("kind", {"backbone": "cnn14"}),
                            ("dim", {"transformer": {"embed_dim": 16}})):

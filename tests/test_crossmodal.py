@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,8 @@ def test_train_config_validation():
         TrainConfig(final_lr=1.0, initial_lr=1e-5)
     with pytest.raises(ValueError):
         TrainConfig(warmup_epochs=60, decay_start_epoch=50)
+    with pytest.raises(ValueError, match="epochs"):
+        TrainConfig(epochs=0)
 
 
 # --- optimizer --------------------------------------------------------------------
@@ -165,6 +169,58 @@ def test_adamw_rejects_nonfinite_gradient():
     state = crossmodal.init_adamw_state(params)
     with pytest.raises(crossmodal.GradientError, match="w"):
         crossmodal.adamw_step(params, {"w": np.array([np.nan, 0.0])}, state, 1.0, cfg)
+
+
+# --- the shared training loop ------------------------------------------------------
+
+def test_train_epochs_batches_targets_updates_and_divergence(monkeypatch):
+    recs = [protocol.ClipRecord(cid, f"{cid}.wav", tags, "train") for cid, tags in
+            (("a1", ("A",)), ("a2", ("A", "X")), ("b1", ("B",)),
+             ("ab", ("A", "B")), ("b2", ("B",)))]
+    want = {"a1": [1, 0], "a2": [1, 0], "b1": [0, 1], "ab": [1, 1], "b2": [0, 1]}
+    cfg = TrainConfig(initial_lr=1e-2, warmup_epochs=1, decay_start_epoch=2,
+                      decay_end_epoch=3, final_lr=1e-4, batch_size=2)
+    steps = []
+    real_adamw = crossmodal.adamw_step
+
+    def counting_adamw(params, grads, state, lr, cfg):
+        steps.append((lr, state["step"]))
+        real_adamw(params, grads, state, lr, cfg)
+    monkeypatch.setattr(crossmodal, "adamw_step", counting_adamw)
+
+    batches, backwards = [], []
+
+    def forward(ids, targets):
+        batches.append((list(ids), targets.copy()))
+        logits = np.full_like(targets, np.nan if len(batches) == 7 else 0.0)
+
+        def backward(dlogits):
+            backwards.append(dlogits.shape)
+            return {"w": np.ones(3)}
+        return logits, targets, backward
+
+    params = {"w": np.zeros(3)}
+    losses = crossmodal.train_epochs(recs, ["A", "B"], params, cfg,
+                                     np.random.default_rng(4), 4, forward)
+    # 5 clips in batches of 2: two steps per epoch, one AdamW update per step
+    assert next(losses) == pytest.approx(np.log(2.0))
+    assert next(losses) == pytest.approx(np.log(2.0))
+    assert len(batches) == 4 and all(len(ids) == 2 for ids, _ in batches)
+    assert backwards == [(2, 2)] * 4
+    assert steps == [(crossmodal.lr_at(e, cfg), k) for k, e in enumerate((0, 0, 1, 1))]
+    assert np.all(params["w"] < 0)
+    # the sampler's seed is the first draw from the generator
+    sampler = protocol.balanced_sampler(
+        recs, ["A", "B"], seed=int(np.random.default_rng(4).integers(2 ** 31)))
+    for ids, targets in batches:
+        assert ids == [next(sampler) for _ in ids]
+        assert np.array_equal(targets, [want[c] for c in ids])
+    # a non-finite loss stops the loop before its backward pass or update
+    next(losses)
+    with pytest.raises(crossmodal.DivergenceError) as err:
+        next(losses)
+    assert err.value.epoch == 3
+    assert len(batches) == 7 and len(backwards) == 6 and len(steps) == 6
 
 
 # --- checkpoint round trip ----------------------------------------------------------
@@ -265,6 +321,16 @@ def test_val_fraction_zero_classes_raises():
         crossmodal.train_projection(IdentityBackbone(), records, specs,
                                     class_ids, class_emb, cfg,
                                     np.random.default_rng(0), hidden=8)
+
+
+def test_train_projection_divergence_is_reported_with_its_epoch():
+    records, specs, class_ids, class_emb = _toy_training_setup()
+    cfg = dataclasses.replace(_proj_cfg(), initial_lr=1e300)
+    with np.errstate(all="ignore"), pytest.raises(crossmodal.DivergenceError) as err:
+        crossmodal.train_projection(IdentityBackbone(), records, specs, class_ids,
+                                    class_emb, cfg, np.random.default_rng(0),
+                                    hidden=8, dropout_rate=0.0)
+    assert err.value.epoch == 0
 
 
 def test_best_checkpoint_validation_map_beats_random():

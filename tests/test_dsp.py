@@ -114,6 +114,12 @@ def test_mixup_is_convex_combination():
     assert np.allclose(y, [0.25, 0.75])
 
 
+def test_negative_mixup_alpha_raises():
+    dsp.AugmentConfig(mixup_alpha=0.0)
+    with pytest.raises(ValueError, match="mixup_alpha"):
+        dsp.AugmentConfig(mixup_alpha=-0.1)
+
+
 def test_mixup_shape_mismatch():
     with pytest.raises(ValueError):
         dsp.mixup(_spec((8, 8)), _spec((8, 9)), np.zeros(2), np.zeros(2), 0.5)
