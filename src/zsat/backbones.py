@@ -12,6 +12,7 @@ import numpy as np
 
 from . import nn
 from .dsp import MelSpectrogram
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -32,9 +33,9 @@ class TransformerConfig:
 
     def __post_init__(self):
         if self.d % self.n_heads != 0:
-            raise ValueError("d must be divisible by n_heads")
+            raise ConfigError("d must be divisible by n_heads")
         if self.n_freq_drop < 0 or self.n_time_drop < 0:
-            raise ValueError("drop counts must be >= 0")
+            raise ConfigError("drop counts must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -141,10 +142,10 @@ class TransformerBackbone(Backbone):
         pf, pt = self.cfg.patch_f, self.cfg.patch_t
         n, f, t = x.shape
         if f < pf or t < pt:
-            raise ValueError(f"input {f}x{t} smaller than one {pf}x{pt} patch")
+            raise DataError(f"input {f}x{t} smaller than one {pf}x{pt} patch")
         fp, tp = f // pf, t // pt
         if fp > self.cfg.max_f_patches or tp > self.cfg.max_t_patches:
-            raise ValueError("input grid exceeds configured positional tables")
+            raise DataError("input grid exceeds configured positional tables")
         v = x[:, :fp * pf, :tp * pt].reshape(n, fp, pf, tp, pt)
         return v.transpose(0, 1, 3, 2, 4).reshape(n, fp, tp, pf * pt), (fp, tp)
 
@@ -155,7 +156,7 @@ class TransformerBackbone(Backbone):
         patches, (fp, tp) = self._patches(x)
         if train and (cfg.n_freq_drop or cfg.n_time_drop):
             if cfg.n_freq_drop >= fp or cfg.n_time_drop >= tp:
-                raise ValueError("patchout drops must be smaller than the grid")
+                raise DataError("patchout drops must be smaller than the grid")
             rows = _choose_drops(fp, cfg.n_freq_drop, rng)
             cols = _choose_drops(tp, cfg.n_time_drop, rng)
         else:
@@ -275,7 +276,7 @@ class Cnn14Backbone(Backbone):
         """x: (N, f, t) -> (embeddings (N, m), cache). `train` normalizes
         batch norm by batch statistics; nothing here draws from `rng`."""
         if x.shape[2] < self.min_frames():
-            raise ValueError(f"input has {x.shape[2]} frames; "
+            raise DataError(f"input has {x.shape[2]} frames; "
                              f"needs at least {self.min_frames()}")
         p, st = self.params, self.stats
         h = x[:, None, :, :]
@@ -349,7 +350,7 @@ class VggishBackbone(Backbone):
         self.cfg = cfg
         ch = cfg.channels
         if len(ch) != 6:
-            raise ValueError("vggish preset needs 6 conv channel counts")
+            raise ConfigError("vggish preset needs 6 conv channel counts")
         p, stats = {}, {}
         cin = 1
         for i, cout in enumerate(ch):
@@ -399,9 +400,9 @@ class VggishBackbone(Backbone):
         tlen = self.cfg.vggish_time
         f, t = x.shape
         if f != self.cfg.vggish_mels:
-            raise ValueError(f"expected {self.cfg.vggish_mels} mel bins, got {f}")
+            raise DataError(f"expected {self.cfg.vggish_mels} mel bins, got {f}")
         if t < tlen:
-            raise ValueError(f"need at least {tlen} frames, got {t}")
+            raise DataError(f"need at least {tlen} frames, got {t}")
         k = t // tlen
         return x[:, :k * tlen].T.reshape(k, tlen, f)
 
@@ -474,11 +475,13 @@ def pretrain_backbone(model, head: ClassifierHead, manifest, class_ids: list,
     from .dsp import apply_spec_augmentations, mixup
 
     if not class_ids:
-        raise ValueError("empty class set")
+        raise DataError("empty class set")
     train_records = [r for r in manifest if r.split == "train"
                      and any(t in class_ids for t in r.tags)]
     if not train_records:
-        raise ValueError("no training clips tagged with the given classes")
+        raise DataError("no training clips tagged with the given classes")
+    if len({spectrograms[r.clip_id].n_frames for r in train_records}) > 1:
+        raise DataError("pretraining batches need training clips of one length")
     dtype = next(iter(model.params.values())).dtype
     params = {**{f"bb.{k}": v for k, v in model.params.items()},
               "head.weight": head.weight, "head.bias": head.bias}

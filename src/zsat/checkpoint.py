@@ -15,12 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import DataError
+
 MAGIC = b"ZSCK"
 VERSION = 1
-
-
-class CheckpointError(ValueError):
-    pass
 
 
 def save_checkpoint(path, kind: str, hyperparams: dict, tensors: dict) -> None:
@@ -53,23 +51,23 @@ def save_checkpoint(path, kind: str, hyperparams: dict, tensors: dict) -> None:
 def _read_exact(fh, n: int, what: str) -> bytes:
     data = fh.read(n)
     if len(data) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
+        raise DataError(f"truncated checkpoint while reading {what}")
     return data
 
 
 def load_checkpoint(path, expected_kind: str | None = None):
-    """Returns (kind, hyperparams, tensors as float32 arrays)."""
+    """Returns (kind, hyperparams, tensors as float32 arrays); every tensor
+    is checked to be finite."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+            raise DataError(f"{path}: not a checkpoint (bad magic)")
         (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
         if version != VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
+            raise DataError(f"{path}: unsupported version {version}")
         (klen,) = struct.unpack("<I", _read_exact(fh, 4, "kind length"))
         kind = _read_exact(fh, klen, "kind").decode("utf-8")
         if expected_kind is not None and kind != expected_kind:
-            raise CheckpointError(
-                f"{path}: checkpoint kind {kind!r} where {expected_kind!r} expected")
+            raise DataError(f"{path}: checkpoint kind {kind!r}, expected {expected_kind!r}")
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "hyperparam length"))
         hyperparams = json.loads(_read_exact(fh, hlen, "hyperparams").decode("utf-8"))
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
@@ -82,6 +80,8 @@ def load_checkpoint(path, expected_kind: str | None = None):
             n_elem = int(np.prod(dims)) if rank else 1
             data = np.frombuffer(_read_exact(fh, 4 * n_elem, f"tensor {name}"),
                                  dtype="<f4")
+            if not np.all(np.isfinite(data)):
+                raise DataError(f"{path}: non-finite values in tensor {name!r}")
             tensors[name] = data.reshape(dims).copy()
     return kind, hyperparams, tensors
 
@@ -95,5 +95,5 @@ def load_backbone(path, expected_kind: str | None = None):
     from .backbones import BACKBONE_KINDS
     kind, hp, tensors = load_checkpoint(path, expected_kind)
     if kind not in BACKBONE_KINDS:
-        raise CheckpointError(f"{path}: unknown backbone kind {kind!r}")
+        raise DataError(f"{path}: unknown backbone kind {kind!r}")
     return BACKBONE_KINDS[kind].from_hyperparams(hp, tensors)

@@ -13,9 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_NUMERIC = 4
+from .errors import ConfigError, DataError, NumericalError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,27 +126,22 @@ def cmd_fold_split(args) -> int:
 def _select_train_ids(args, corpus):
     """C_trn from the corpus metadata, a held-out fold, or an exclusion list."""
     from . import protocol
-    from .experiments import DataError
     train_ids = list(corpus.train_ids)
-    if (args.folds is None) != (args.fold_id is None):
-        raise DataError("--folds and --fold-id must be given together")
     if args.folds:
-        with open(args.folds, "r", encoding="utf-8") as fh:
-            split = json.load(fh)
+        split = protocol.load_json(args.folds, dict, ("folds",))
         folds = split["folds"]
         if not 0 <= args.fold_id < len(folds):
             raise DataError(f"fold id {args.fold_id} out of range "
                             f"(have {len(folds)} folds)")
         held_out = set(folds[args.fold_id])
         all_ids = [c for f in folds for c in f] + list(split.get("pinned", []))
+        unknown = sorted(set(all_ids) - set(corpus.labels))
+        if unknown:
+            raise DataError(f"{args.folds}: classes {unknown} are not in the corpus")
         train_ids = [c for c in all_ids if c not in held_out]
     if args.exclude:
-        with open(args.exclude, "r", encoding="utf-8") as fh:
-            exclusion = json.load(fh)
-        synonyms = None
-        if args.synonyms:
-            with open(args.synonyms, "r", encoding="utf-8") as fh:
-                synonyms = json.load(fh)
+        exclusion = protocol.load_json(args.exclude, list)
+        synonyms = protocol.load_json(args.synonyms) if args.synonyms else None
         labels = {c: corpus.labels[c] for c in train_ids}
         train_ids, removed = protocol.exclude_overlap(labels, exclusion, synonyms)
         print(f"excluded {len(removed)} classes: "
@@ -159,8 +152,10 @@ def _select_train_ids(args, corpus):
 def cmd_pretrain(args) -> int:
     import dataclasses
 
-    from . import backbones, checkpoint, experiments
+    from . import backbones, checkpoint, experiments, protocol
     cfg, seeds = _resolve(args)
+    if (args.folds is None) != (args.fold_id is None):
+        raise ConfigError("--folds and --fold-id must be given together")
     corpus = experiments.load_corpus(args.corpus, cfg.mel)
     train_ids = _select_train_ids(args, corpus)
     corpus = dataclasses.replace(corpus, train_ids=train_ids)
@@ -173,13 +168,13 @@ def cmd_pretrain(args) -> int:
         done, history = 0, []
         if args.resume:
             if not out.exists():
-                raise experiments.DataError(f"--resume: no checkpoint at {out}")
+                raise DataError(f"--resume: no checkpoint at {out}")
             model = _load_backbone(out, cfg)
             _, hp, tensors = checkpoint.load_checkpoint(str(head_path), "head")
             head = backbones.ClassifierHead(weight=tensors["weight"],
                                             bias=tensors["bias"])
-            with open(info_path, "r", encoding="utf-8") as fh:
-                prev = json.load(fh)
+            prev = protocol.load_json(info_path, dict,
+                                      ("epochs_done", "loss_history"))
             done, history = prev["epochs_done"], prev["loss_history"]
         remaining = cfg.pretrain.epochs - done
         if remaining > 0:
@@ -206,9 +201,8 @@ def _load_backbone(path, cfg):
     model = checkpoint.load_backbone(str(path), expected_kind=cfg.backbone)
     m = experiments.embed_dim(cfg)
     if model.cfg.embed_dim != m:
-        raise experiments.DataError(
-            f"backbone {path} embeds into {model.cfg.embed_dim} dims but the "
-            f"config expects {m}")
+        raise DataError(f"backbone {path} embeds into {model.cfg.embed_dim} dims but the "
+                        f"config expects {m}")
     return model
 
 
@@ -246,25 +240,24 @@ def cmd_train_projection(args) -> int:
 def cmd_evaluate(args) -> int:
     import numpy as np
 
-    from . import crossmodal, experiments
+    from . import crossmodal, experiments, protocol
     cfg, seeds = _resolve(args)
     multi = len(seeds) > 1
-    # the first seed's backbone is checked before the corpus is read
+    # the first seed's backbone and the category map are read before the corpus
     model = _load_backbone(_seed_path(args.backbone, seeds[0], multi), cfg)
+    category_map = (protocol.load_json(args.category_map)
+                    if args.category_map else None)
     corpus = experiments.load_corpus(args.corpus, cfg.mel)
-    category_map = None
-    if args.category_map:
-        with open(args.category_map, "r", encoding="utf-8") as fh:
-            category_map = json.load(fh)
     results = []
     for i, seed in enumerate(seeds):
         if i:
             model = _load_backbone(_seed_path(args.backbone, seed, multi), cfg)
-        proj = crossmodal.load_projection(str(_seed_path(args.projection, seed, multi)))
+        path = _seed_path(args.projection, seed, multi)
+        proj = crossmodal.load_projection(str(path))
         n = next(iter(corpus.class_embeddings.values())).shape[0]
-        if proj.w2.shape[0] != n:
-            raise experiments.DataError(
-                f"projection output dim {proj.w2.shape[0]} != word-vector dim {n}")
+        if (proj.m, proj.n) != (model.cfg.embed_dim, n):
+            raise DataError(f"projection {path} maps {proj.m} -> {proj.n} dims; the "
+                            f"backbone and word vectors need {model.cfg.embed_dim} -> {n}")
         r = experiments.evaluate_zero_shot(corpus, model, proj, category_map)
         r["seed"] = seed
         results.append(r)
@@ -295,28 +288,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     _limit_threads(1 if args.deterministic else max(1, args.threads))
 
-    from . import checkpoint, dsp, protocol, semantics
-    from .config import ConfigError
-    from .crossmodal import DivergenceError, GradientError
-    from .experiments import DataError
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DataError, protocol.ExclusionError, semantics.VectorFileError,
-            semantics.UnembeddableLabel, checkpoint.CheckpointError,
-            dsp.AudioFormatError, dsp.SampleRateMismatch, OSError,
-            json.JSONDecodeError, KeyError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (GradientError, DivergenceError, FloatingPointError,
-            ZeroDivisionError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (ConfigError, DataError, NumericalError) as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # an input file that cannot be read or decoded
+        print(f"{DataError.label}: {exc}", file=sys.stderr)
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

@@ -11,11 +11,8 @@ from . import __version__
 from .backbones import BACKBONE_KINDS, ConvConfig, TransformerConfig
 from .crossmodal import TrainConfig
 from .dsp import AugmentConfig, MelConfig
+from .errors import ConfigError
 from .protocol import SyntheticSpec
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -39,6 +36,9 @@ class ExperimentConfig:
         if self.backbone not in BACKBONE_KINDS:
             raise ConfigError(f"unknown backbone kind {self.backbone!r}; choose "
                               f"from {sorted(BACKBONE_KINDS)}")
+        if not (isinstance(self.seeds, tuple) and self.seeds
+                and all(isinstance(s, int) for s in self.seeds)):
+            raise ConfigError(f"seeds must be a non-empty list of integers: {self.seeds!r}")
 
     def echo(self) -> dict:
         """Resolved config + version string, embedded in output artifacts."""
@@ -151,14 +151,15 @@ def resolve_config(preset: str, overrides: dict | None = None) -> ExperimentConf
             continue
         if key not in {f.name for f in dataclasses.fields(cfg)}:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in _SUBCONFIG_TYPES and isinstance(value, dict):
+        if key in _SUBCONFIG_TYPES:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key} must be an object of settings, not {value!r}")
             sub = getattr(cfg, key)
-            if key == "synthetic" and "mel" in value and isinstance(value["mel"], dict):
-                value = dict(value)
-                value["mel"] = dataclasses.replace(sub.mel, **value["mel"])
             try:
+                if key == "synthetic" and isinstance(value.get("mel"), dict):
+                    value = {**value, "mel": dataclasses.replace(sub.mel, **value["mel"])}
                 value = dataclasses.replace(sub, **_tupled(value))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ConfigError) as exc:
                 raise ConfigError(f"bad override for {key}: {exc}") from exc
         elif isinstance(value, list):
             value = tuple(value)
@@ -177,8 +178,8 @@ def load_config_file(path) -> ExperimentConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if "preset" not in data:
-        raise ConfigError(f"config file {path} must name a preset")
+    if not isinstance(data, dict) or "preset" not in data:
+        raise ConfigError(f"config file {path} must be a JSON object naming a preset")
     return resolve_config(data["preset"], data)

@@ -12,17 +12,8 @@ import numpy as np
 
 from . import nn, protocol
 from .checkpoint import load_checkpoint, save_checkpoint
+from .errors import ConfigError, DataError, DivergenceError, NumericalError
 from .evaluation import average_precision, mean_ap
-
-
-class GradientError(RuntimeError):
-    pass
-
-
-class DivergenceError(RuntimeError):
-    def __init__(self, epoch: int):
-        super().__init__(f"non-finite training loss at epoch {epoch}")
-        self.epoch = epoch
 
 
 @dataclass
@@ -39,13 +30,11 @@ class ProjectionParams:
     TENSORS = ("mean", "std", "w1", "b1", "w2", "b2")
 
     def __post_init__(self):
+        # training floors the std at 1e-8, so only a projection file holds less
         if np.any(self.std <= 0):
-            raise ValueError("normalizer std must be strictly positive")
+            raise DataError("normalizer std must be strictly positive")
         if not (0 <= self.dropout_rate < 1):
-            raise ValueError("dropout_rate must be in [0, 1)")
-        for name in self.TENSORS:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"non-finite values in {name}")
+            raise ConfigError("dropout_rate must be in [0, 1)")
 
     @property
     def m(self) -> int:
@@ -73,7 +62,7 @@ def project_batch(a: np.ndarray, p: ProjectionParams, mode: str = "eval",
     if a.shape[-1] != p.m:
         raise ValueError(f"embedding dim {a.shape[-1]} != projection input {p.m}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite audio embedding")
+        raise NumericalError("non-finite audio embedding")
     z = (a - p.mean) / p.std
     pre = nn.linear(z, p.w1, p.b1)
     h = nn.gelu(pre)
@@ -154,13 +143,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if not (0 < self.final_lr <= self.initial_lr):
-            raise ValueError("require 0 < final_lr <= initial_lr")
+            raise ConfigError("require 0 < final_lr <= initial_lr")
         if not (self.warmup_epochs <= self.decay_start_epoch < self.decay_end_epoch):
-            raise ValueError("require warmup <= decay_start < decay_end")
+            raise ConfigError("require warmup <= decay_start < decay_end")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ConfigError("epochs must be >= 1")
 
 
 def lr_at(epoch: float, cfg: TrainConfig) -> float:
@@ -194,7 +183,7 @@ def adamw_step(params: dict, grads: dict, state: dict, lr: float,
     for name, theta in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
-            raise GradientError(f"non-finite gradient for parameter {name!r}")
+            raise NumericalError(f"non-finite gradient for parameter {name!r}")
         m = state["m"][name]
         v = state["v"][name]
         m *= b1
@@ -265,10 +254,10 @@ def split_validation_classes(class_ids: list, fraction: float,
     """Held-out model-selection classes; errors if the fraction covers none."""
     n_val = int(round(fraction * len(class_ids)))
     if n_val == 0:
-        raise ValueError(
+        raise DataError(
             f"val_class_fraction={fraction} selects zero of {len(class_ids)} classes")
     if n_val >= len(class_ids):
-        raise ValueError("validation classes would cover the whole training set")
+        raise DataError("validation classes would cover the whole training set")
     ordered = sorted(class_ids)
     val = sorted(rng.choice(len(ordered), size=n_val, replace=False).tolist())
     val_ids = [ordered[i] for i in val]
@@ -294,9 +283,9 @@ def train_projection(backbone, manifest, spectrograms: dict, class_ids: list,
                      and any(t in loss_ids for t in r.tags)]
     val_records = [r for r in manifest if r.split == "val"]
     if not train_records:
-        raise ValueError("no training clips tagged with the loss classes")
+        raise DataError("no training clips tagged with the loss classes")
     if not val_records:
-        raise ValueError("empty validation split")
+        raise DataError("empty validation split")
     train_emb = dict(zip([r.clip_id for r in train_records], backbone.embed(
         [spectrograms[r.clip_id] for r in train_records])))
     val_emb = backbone.embed([spectrograms[r.clip_id] for r in val_records])

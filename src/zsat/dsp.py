@@ -8,13 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class AudioFormatError(ValueError):
-    """Raised for unsupported or malformed audio files."""
-
-
-class SampleRateMismatch(ValueError):
-    """Raised when a file's sample rate disagrees with the configured rate."""
+from .errors import ConfigError, DataError
 
 
 @dataclass
@@ -25,9 +19,9 @@ class Waveform:
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.size == 0:
-            raise ValueError("empty waveform")
+            raise DataError("empty waveform")
         if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+            raise DataError("sample_rate must be positive")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("non-finite samples")
 
@@ -44,13 +38,13 @@ class MelConfig:
 
     def __post_init__(self):
         if not (self.window_len >= self.hop_len > 0):
-            raise ValueError("require window_len >= hop_len > 0")
+            raise ConfigError("require window_len >= hop_len > 0")
         if not (0 <= self.fmin < self.fmax <= self.sample_rate / 2):
-            raise ValueError("require 0 <= fmin < fmax <= sample_rate/2")
+            raise ConfigError("require 0 <= fmin < fmax <= sample_rate/2")
         if self.n_mels <= 0:
-            raise ValueError("n_mels must be positive")
+            raise ConfigError("n_mels must be positive")
         if self.log_floor <= 0:
-            raise ValueError("log_floor must be positive")
+            raise ConfigError("log_floor must be positive")
 
 
 @dataclass
@@ -82,19 +76,19 @@ class AugmentConfig:
 
     def __post_init__(self):
         if self.mixup_alpha < 0:
-            raise ValueError("mixup_alpha must be >= 0")
+            raise ConfigError("mixup_alpha must be >= 0")
         for name in ("n_time_masks", "n_freq_masks", "max_mask_width",
                      "max_time_shift", "max_freq_shift"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ConfigError(f"{name} must be >= 0")
         if self.gain_range_db < 0:
-            raise ValueError("gain_range_db must be >= 0")
+            raise ConfigError("gain_range_db must be >= 0")
 
 
 def n_frames(n_samples: int, window_len: int, hop_len: int) -> int:
     """Frame count of a hopped analysis: floor((N - window)/hop) + 1."""
     if n_samples < window_len:
-        raise ValueError("input shorter than one analysis window")
+        raise DataError("input shorter than one analysis window")
     return (n_samples - window_len) // hop_len + 1
 
 
@@ -108,15 +102,15 @@ def load_wav(path, expected_rate: int | None = None) -> Waveform:
             rate = wf.getframerate()
             raw = wf.readframes(wf.getnframes())
     except (wave.Error, EOFError, struct.error) as exc:
-        raise AudioFormatError(f"malformed WAV file {path}: {exc}") from exc
+        raise DataError(f"malformed WAV file {path}: {exc}") from exc
     if comptype != "NONE":
-        raise AudioFormatError(f"unsupported encoding {comptype!r} in {path}")
+        raise DataError(f"unsupported encoding {comptype!r} in {path}")
     if sampwidth != 2:
-        raise AudioFormatError(f"expected 16-bit PCM, got {8 * sampwidth}-bit in {path}")
+        raise DataError(f"expected 16-bit PCM, got {8 * sampwidth}-bit in {path}")
     if n_channels != 1:
-        raise AudioFormatError(f"expected mono, got {n_channels} channels in {path}")
+        raise DataError(f"expected mono, got {n_channels} channels in {path}")
     if expected_rate is not None and rate != expected_rate:
-        raise SampleRateMismatch(
+        raise DataError(
             f"{path}: sample rate {rate} != configured {expected_rate} (no resampling)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return Waveform(samples=samples, sample_rate=rate)
@@ -165,7 +159,7 @@ def mel_center_frequencies(cfg: MelConfig) -> np.ndarray:
 def compute_logmel(w: Waveform, cfg: MelConfig) -> MelSpectrogram:
     """Hann-window power STFT -> mel filterbank -> log(x + log_floor)."""
     if w.sample_rate != cfg.sample_rate:
-        raise SampleRateMismatch(
+        raise ValueError(
             f"waveform rate {w.sample_rate} != config rate {cfg.sample_rate}")
     n = w.samples.size
     t = n_frames(n, cfg.window_len, cfg.hop_len)
@@ -202,7 +196,7 @@ def apply_spec_augmentations(x: MelSpectrogram, cfg: AugmentConfig,
     v = x.values.copy()
     f, t = v.shape
     if cfg.max_mask_width >= min(f, t) and (cfg.n_time_masks or cfg.n_freq_masks):
-        raise ValueError("mask width must be smaller than both dimensions")
+        raise DataError("mask width must be smaller than both dimensions")
     if cfg.max_time_shift > 0:
         v = np.roll(v, int(rng.integers(-cfg.max_time_shift, cfg.max_time_shift + 1)), axis=1)
     if cfg.max_freq_shift > 0:

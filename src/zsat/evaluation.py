@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
 from .semantics import cosine
 
 
@@ -36,7 +37,7 @@ def mean_ap(per_class) -> tuple:
     kept = [a for a in per_class if a is not None]
     skipped = len(per_class) - len(kept)
     if not kept:
-        raise ValueError("every class was skipped (no positives anywhere)")
+        raise DataError("every class was skipped (no positives anywhere)")
     return float(np.mean(kept)), skipped
 
 
@@ -88,7 +89,7 @@ def proximity_correlation(test_aps: dict, test_random_aps: dict,
     """Correlate AP improvement over the random baseline with cosine proximity
     to the nearest training-class embedding."""
     if len(test_aps) < 3:
-        raise ValueError("need at least 3 test classes")
+        raise DataError("need at least 3 test classes")
     rows = []
     for cid in sorted(test_aps):
         vec = test_embeddings[cid]

@@ -4,7 +4,6 @@ zero-shot evaluation, each driven by an ExperimentConfig."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,15 +11,12 @@ import numpy as np
 
 from . import backbones, crossmodal, dsp, evaluation, protocol, semantics
 from .config import ExperimentConfig
+from .errors import DataError
 
 # Each pipeline phase draws from its own seeded stream, so running phases as
 # separate processes gives the same results as running them in one chain.
 PHASE_PRETRAIN = 1
 PHASE_PROJECTION = 2
-
-
-class DataError(ValueError):
-    pass
 
 
 def phase_rng(seed: int, phase: int) -> np.random.Generator:
@@ -49,10 +45,12 @@ def load_corpus(corpus_dir, mel: dsp.MelConfig) -> Corpus:
         if not p.exists():
             raise DataError(f"corpus is missing {p.name} (looked in {root})")
     records = protocol.load_manifest(manifest_path)
-    with open(classes_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    store = semantics.load_word_vectors(vec_path)
+    meta = protocol.load_json(classes_path, dict, ("labels", "train", "test"))
     labels = meta["labels"]
+    unknown = sorted((set(meta["train"]) | set(meta["test"])) - set(labels))
+    if unknown:
+        raise DataError(f"{classes_path}: classes {unknown} have no label")
+    store = semantics.load_word_vectors(vec_path)
     class_embeddings = {}
     for cid, label in labels.items():
         desc = semantics.ClassDescriptor(cid, label)
@@ -63,10 +61,10 @@ def load_corpus(corpus_dir, mel: dsp.MelConfig) -> Corpus:
         if not path.is_absolute():
             path = root / path
         try:
-            w = dsp.load_wav(path, expected_rate=mel.sample_rate)
-        except (OSError, dsp.AudioFormatError, dsp.SampleRateMismatch) as exc:
+            spectrograms[r.clip_id] = dsp.compute_logmel(
+                dsp.load_wav(path, expected_rate=mel.sample_rate), mel)
+        except (OSError, DataError) as exc:
             raise DataError(f"clip {r.clip_id}: {exc}") from exc
-        spectrograms[r.clip_id] = dsp.compute_logmel(w, mel)
     return Corpus(root=str(root), records=records, labels=labels,
                   train_ids=list(meta["train"]), test_ids=list(meta["test"]),
                   class_embeddings=class_embeddings, spectrograms=spectrograms)

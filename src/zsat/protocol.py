@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, semantics
+from .errors import ConfigError, DataError
 
 
 @dataclass(frozen=True)
@@ -34,8 +35,17 @@ class FoldSplit:
                 "pinned": list(self.pinned)}
 
 
-class ExclusionError(ValueError):
-    pass
+def load_json(path, shape: type = dict, keys=()):
+    """An input JSON file whose top level must be a `shape` (dict or list);
+    a dict must hold every key in `keys`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, shape):
+        raise DataError(f"{path}: expected a JSON {'object' if shape is dict else 'array'}")
+    for key in keys:
+        if key not in data:
+            raise DataError(f"{path}: missing key {key!r}")
+    return data
 
 
 def load_manifest(path) -> list:
@@ -46,13 +56,16 @@ def load_manifest(path) -> list:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            if rec["id"] in seen and seen[rec["id"]] != rec["path"]:
-                raise ValueError(f"{path}:{lineno}: clip id {rec['id']} reused "
-                                 f"with a different path")
-            seen[rec["id"]] = rec["path"]
-            records.append(ClipRecord(clip_id=rec["id"], path=rec["path"],
-                                      tags=tuple(rec["tags"]), split=rec["split"]))
+            try:
+                rec = json.loads(line)
+                r = ClipRecord(clip_id=rec["id"], path=rec["path"],
+                               tags=tuple(rec["tags"]), split=rec["split"])
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DataError(f"{path}:{lineno}: bad manifest record: {exc!r}") from exc
+            if seen.setdefault(r.clip_id, r.path) != r.path:
+                raise DataError(f"{path}:{lineno}: clip id {r.clip_id} reused "
+                                f"with a different path")
+            records.append(r)
     return records
 
 
@@ -67,10 +80,14 @@ def load_tag_counts(path) -> dict:
     """CSV "class_id,label,count" -> {class_id: (label, count)}."""
     out = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
+        for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0] == "class_id":
                 continue
-            out[row[0]] = (row[1], int(row[2]))
+            try:
+                out[row[0]] = (row[1], int(row[2]))
+            except (IndexError, ValueError):
+                raise DataError(f"{path}:{lineno}: expected "
+                                f"class_id,label,integer count, got {row}") from None
     return out
 
 
@@ -83,13 +100,13 @@ def balance_folds(counts: dict, k: int, pinned=()) -> FoldSplit:
     classes are never assigned to any fold.
     """
     if k < 2:
-        raise ValueError("need at least 2 folds")
+        raise ConfigError("need at least 2 folds")
     pinned = sorted(set(pinned))
     eligible = {c: n for c, n in counts.items() if c not in pinned}
     if not eligible:
-        raise ValueError("no classes left after removing pinned classes")
+        raise DataError("no classes left after removing pinned classes")
     if k > len(eligible):
-        raise ValueError(f"fold count {k} exceeds class count {len(eligible)}")
+        raise DataError(f"fold count {k} exceeds class count {len(eligible)}")
     order = sorted(eligible, key=lambda c: (-eligible[c], c))
     folds = [[] for _ in range(k)]
     totals = [0] * k
@@ -119,12 +136,11 @@ def exclude_overlap(all_classes: dict, exclusion: list, synonyms: dict | None = 
         hits = list(by_label.get(entry.lower(), []))
         for cid in synonyms.get(entry, []):
             if cid not in all_classes:
-                raise ExclusionError(
-                    f"synonym map for {entry!r} names unknown class {cid!r}")
+                raise DataError(f"synonym map for {entry!r} names unknown class {cid!r}")
             hits.append(cid)
         if not hits:
-            raise ExclusionError(f"exclusion entry {entry!r} matches no class "
-                                 f"and has no synonym entry")
+            raise DataError(f"exclusion entry {entry!r} matches no class "
+                            f"and has no synonym entry")
         for cid in hits:
             if cid not in removed_ids:
                 removed_ids.add(cid)
@@ -152,7 +168,7 @@ def balanced_sampler(records, class_ids, seed: int):
     per_class = {c: [r.clip_id for r in records if c in r.tags] for c in class_ids}
     for c, clips in per_class.items():
         if not clips:
-            raise ValueError(f"class {c!r} has no clips in the given records")
+            raise DataError(f"class {c!r} has no clips in the given records")
 
     class_pos = {c: i for i, c in enumerate(class_ids)}
 
@@ -231,7 +247,7 @@ def synthetic_word_vector(spec: SyntheticSpec, i: int) -> np.ndarray:
         0.3 * harmonics[1], 0.3 * harmonics[2],
     ])
     if spec.semantic_dim != feats.size:
-        raise ValueError(f"semantic_dim must be {feats.size} for this generator")
+        raise ConfigError(f"semantic_dim must be {feats.size} for this generator")
     return feats / np.linalg.norm(feats)
 
 
@@ -265,8 +281,8 @@ def generate_synthetic_corpus(spec: SyntheticSpec, out_dir, seed: int):
     f0s = [_class_signature(spec, i)[0] for i in range(spec.n_classes)]
     bins = [int(np.argmin(np.abs(centers - f))) for f in f0s]
     if len(set(bins)) != len(bins):
-        raise ValueError("class fundamentals closer than one mel bin; "
-                         "widen [fmin_hz, fmax_hz] or reduce n_classes")
+        raise ConfigError("class fundamentals closer than one mel bin; "
+                          "widen [fmin_hz, fmax_hz] or reduce n_classes")
 
     rng = np.random.default_rng(seed)
     records = []

@@ -8,15 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DataError
+
 _TOKEN_SPLIT = re.compile(r"[\s,\-]+")
-
-
-class VectorFileError(ValueError):
-    pass
-
-
-class UnembeddableLabel(ValueError):
-    pass
 
 
 @dataclass
@@ -44,7 +38,7 @@ class ClassDescriptor:
         toks = [t.strip("()") for t in toks]
         toks = [t for t in toks if t]
         if not toks:
-            raise ValueError(f"label {self.label!r} produced no tokens")
+            raise DataError(f"label {self.label!r} produced no tokens")
         return toks
 
 
@@ -76,20 +70,19 @@ def load_word_vectors(path, source: str = "") -> VectorStore:
             try:
                 vec = np.array([float(p) for p in parts[1:]], dtype=np.float64)
             except ValueError as exc:
-                raise VectorFileError(f"{path}:{lineno}: unparsable float") from exc
+                raise DataError(f"{path}:{lineno}: unparsable float") from exc
             if vec.size == 0:
-                raise VectorFileError(f"{path}:{lineno}: no vector components")
+                raise DataError(f"{path}:{lineno}: no vector components")
             if dim is None:
                 dim = vec.size
             elif vec.size != dim:
-                raise VectorFileError(
-                    f"{path}:{lineno}: dimension {vec.size} != {dim}")
+                raise DataError(f"{path}:{lineno}: dimension {vec.size} != {dim}")
             if word in vocab:
-                raise VectorFileError(f"{path}:{lineno}: duplicate word {word!r}")
+                raise DataError(f"{path}:{lineno}: duplicate word {word!r}")
             vocab[word] = len(rows)
             rows.append(vec)
     if not rows:
-        raise VectorFileError(f"{path}: empty vector file")
+        raise DataError(f"{path}: empty vector file")
     return VectorStore(vocab=vocab, vectors=np.vstack(rows), dim=dim, source=source)
 
 
@@ -105,8 +98,7 @@ def embed_label(c: ClassDescriptor, store: VectorStore) -> SemanticEmbedding:
     for tok in c.tokens:
         (in_vocab if tok in store else oov).append(tok)
     if not in_vocab:
-        raise UnembeddableLabel(
-            f"no token of label {c.label!r} is in the vector vocabulary")
+        raise DataError(f"no token of label {c.label!r} is in the vector vocabulary")
     vec = np.mean([store.vector(t) for t in in_vocab], axis=0)
     return SemanticEmbedding(vector=vec, class_id=c.class_id, oov_tokens=oov)
 
@@ -114,5 +106,5 @@ def embed_label(c: ClassDescriptor, store: VectorStore) -> SemanticEmbedding:
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0 or nb == 0:
-        raise ValueError("zero-norm vector in cosine similarity")
+        raise DataError("zero-norm vector in cosine similarity")
     return float(np.dot(a, b) / (na * nb))

@@ -6,6 +6,7 @@ import pytest
 from conftest import fd_gradcheck
 from zsat import backbones, checkpoint, crossmodal, dsp, protocol
 from zsat.backbones import ClassifierHead, ConvConfig, TransformerConfig
+from zsat.errors import ConfigError, DataError
 
 
 def small_transformer(dtype=np.float64, seed=0, n_freq_drop=0, n_time_drop=0):
@@ -67,12 +68,12 @@ def test_patchout_eval_mode_is_identity():
 
 
 def test_patchout_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="drop counts"):
         TransformerConfig(n_freq_drop=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="drop counts"):
         TransformerConfig(n_time_drop=-1)
     model = small_transformer(n_freq_drop=3)
-    with pytest.raises(ValueError, match="smaller than the grid"):
+    with pytest.raises(DataError, match="smaller than the grid"):
         model.embed_batch(np.zeros((1, 12, 16)), train=True,
                           rng=np.random.default_rng(0))
 
@@ -143,7 +144,7 @@ def test_vggish_too_short_input_raises():
     cfg = ConvConfig(channels=(4, 4, 8, 8, 8, 8), fc_units=16,
                      embed_dim=6, vggish_time=16, vggish_mels=32)
     model = backbones.VggishBackbone(cfg, np.random.default_rng(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="need at least 16 frames"):
         model.embed([spec_of(np.zeros((32, 10)))])
 
 
@@ -256,7 +257,7 @@ def test_pretrain_empty_class_set_raises():
     records, specs, _ = _toy_pretrain_inputs()
     model = small_transformer()
     head = ClassifierHead.init(1, 5, np.random.default_rng(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="empty class set"):
         backbones.pretrain_backbone(model, head, records, [], specs,
                                     _pretrain_cfg(), dsp.AugmentConfig(),
                                     np.random.default_rng(0))
@@ -322,7 +323,7 @@ def test_checkpoint_kind_mismatch(tmp_path):
     model = small_transformer(dtype=np.float32)
     path = tmp_path / "bb.ckpt"
     checkpoint.save_backbone(path, model)
-    with pytest.raises(checkpoint.CheckpointError):
+    with pytest.raises(DataError, match="checkpoint kind 'transformer'"):
         checkpoint.load_checkpoint(path, expected_kind="cnn14")
 
 
@@ -345,7 +346,7 @@ def test_interrupted_checkpoint_write_keeps_previous(tmp_path):
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"JUNKJUNKJUNK")
-    with pytest.raises(checkpoint.CheckpointError):
+    with pytest.raises(DataError, match="bad magic"):
         checkpoint.load_checkpoint(path)
 
 

@@ -1,11 +1,17 @@
 import hashlib
+import importlib
+import inspect
 import json
+import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zsat
 from zsat import checkpoint, cli, crossmodal, experiments
-from zsat.config import ConfigError, PRESETS, load_config_file, resolve_config
+from zsat.config import PRESETS, load_config_file, resolve_config
+from zsat.errors import ConfigError, DataError, NumericalError
 
 
 # --- config resolution -----------------------------------------------------------
@@ -234,23 +240,141 @@ def test_fold_split_command(tmp_path):
     assert sorted(c for f in data["folds"] for c in f) == ["A", "B", "C", "D"]
 
 
-def test_exit_code_config_error(tmp_path):
-    assert cli.main(["synth", "--preset", "nope",
-                     "--out", str(tmp_path / "x")]) == 2
+# --- exit codes ---------------------------------------------------------------------
+
+def _corpus_variant(cli_env, root, keep):
+    """A copy of the test corpus whose manifest holds `keep(records)`; clip
+    paths point back at the original audio."""
+    src = Path(cli_env["corpus"])
+    root.mkdir()
+    for name in ("classes.json", "word_vectors.txt"):
+        (root / name).write_bytes((src / name).read_bytes())
+    recs = [json.loads(line) for line in
+            (src / "manifest.jsonl").read_text().splitlines()]
+    for r in recs:
+        r["path"] = str(src / r["path"])
+    (root / "manifest.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in keep(recs)))
+    return str(root)
 
 
-def test_exit_code_data_error(tmp_path, cli_env):
-    assert cli.main(["pretrain", "--config", cli_env["config"],
-                     "--corpus", str(tmp_path / "missing"),
-                     "--out", str(tmp_path / "x.ckpt")]) == 3
+def _exit_code_cases(cli_env, tmp_path):
+    """(case, argv, expected exit code, fails before the corpus is read)."""
+    cfg, corpus = cli_env["config"], cli_env["corpus"]
+    base = json.loads(Path(cfg).read_text())
+    _, bb, proj = _untrained_artifacts(cli_env, tmp_path)
+    nan_bb = tmp_path / "nan_bb.ckpt"
+    model = checkpoint.load_backbone(bb)
+    model.params["proj_w"][0, 0] = np.nan
+    checkpoint.save_backbone(nan_bb, model)
+
+    def write(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    def config(name, override):
+        return write(f"{name}.json", json.dumps(
+            override if not isinstance(override, dict) else {**base, **override}))
+
+    dup = _corpus_variant(cli_env, tmp_path / "dup", lambda recs: recs + [
+        {**recs[0], "path": recs[1]["path"]}])
+    no_val = _corpus_variant(cli_env, tmp_path / "no_val", lambda recs: [
+        r for r in recs if r["split"] != "val"])
+    out = str(tmp_path / "out")
+    pretrain = ["pretrain", "--out", out]
+    project = ["train-projection", "--backbone", str(bb), "--out", out]
+    evaluate = ["evaluate", "--backbone", str(bb), "--projection", str(proj),
+                "--out", out]
+    fold_split = ["fold-split", "--config", cfg, "--out", out, "--counts"]
+    return [
+        ("duplicate clip id", [*pretrain, "--config", cfg, "--corpus", dup], 3, False),
+        ("empty val split", [*project, "--config", cfg, "--corpus", no_val], 3, False),
+        ("NaN backbone checkpoint", ["train-projection", "--backbone", str(nan_bb),
+                                     "--out", out, "--config", cfg, "--corpus", corpus],
+         3, True),
+        ("short CSV row", [*fold_split, write("short.csv", "A,Alpha,3\nB,Bravo\n")],
+         3, False),
+        ("non-integer count", [*fold_split, write("count.csv", "A,Alpha,many\n")],
+         3, False),
+        ("settings block not an object",
+         [*pretrain, "--config", config("block", {"pretrain": 5}), "--corpus", corpus],
+         2, True),
+        ("seeds not a list", [*pretrain, "--config", config("seeds", {"seeds": 5}),
+                              "--corpus", corpus], 2, True),
+        ("config file not an object", [*pretrain, "--config", config("five", 5),
+                                       "--corpus", corpus], 2, True),
+        ("category map a list", [*evaluate, "--config", cfg, "--corpus", corpus,
+                                 "--category-map", write("cats.json", '["c02"]')],
+         3, True),
+        ("missing corpus", [*pretrain, "--config", cfg,
+                            "--corpus", str(tmp_path / "missing")], 3, False),
+        ("unknown preset", ["synth", "--preset", "nope", "--out", out], 2, False),
+        ("fold id out of range",
+         [*pretrain, "--config", cfg, "--corpus", corpus, "--fold-id", "7",
+          "--folds", write("folds.json", '{"folds": [["c00"], ["c01"]]}')], 3, False),
+        ("backbone kind mismatch",
+         [*project, "--config", config("kind", {"backbone": "cnn14"}),
+          "--corpus", corpus], 3, True),
+        ("backbone dim mismatch",
+         [*evaluate, "--config", config("dim", {"transformer": {"embed_dim": 16}}),
+          "--corpus", corpus], 3, True),
+        ("zero pretrain epochs",
+         [*pretrain, "--config", config("e0", {"pretrain": {"epochs": 0}}),
+          "--corpus", corpus], 2, True),
+        ("zero projection epochs",
+         [*project, "--config", config("p0", {"projection": {"epochs": 0}}),
+          "--corpus", corpus], 2, True),
+        ("divergence",
+         [*pretrain, "--config", config("lr", {"pretrain": {"initial_lr": 1e300}}),
+          "--corpus", corpus], 4, False),
+    ]
 
 
-def test_exit_code_fold_id_out_of_range(cli_env, tmp_path):
-    folds = tmp_path / "folds.json"
-    folds.write_text(json.dumps({"folds": [["c00"], ["c01"]], "pinned": []}))
-    assert cli.main(["pretrain", "--config", cli_env["config"],
-                     "--corpus", cli_env["corpus"], "--folds", str(folds),
-                     "--fold-id", "7", "--out", str(tmp_path / "x.ckpt")]) == 3
+def test_exit_code_names_the_kind_of_failure(cli_env, tmp_path, monkeypatch, capsys):
+    """Each failure exits with its kind's code and prints one stderr line
+    under its kind's label, with no traceback; a case marked early fails
+    before the corpus is read."""
+    labels = {k.exit_code: k.label for k in (ConfigError, DataError, NumericalError)}
+    load_corpus = experiments.load_corpus
+
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("corpus read")
+    for case, argv, code, early in _exit_code_cases(cli_env, tmp_path):
+        capsys.readouterr()
+        monkeypatch.setattr(experiments, "load_corpus",
+                            no_corpus if early else load_corpus)
+        with np.errstate(all="ignore"):
+            assert cli.main(argv) == code, case
+        err = capsys.readouterr().err
+        assert err.startswith(f"{labels[code]}: ") and err.count("\n") == 1, (case, err)
+        assert "Traceback" not in err, case
+
+
+def test_a_bug_is_not_reported_as_a_kind_of_failure(cli_env, tmp_path, monkeypatch):
+    """An exception outside the three kinds propagates out of `cli.main`."""
+    _, bb, proj = _untrained_artifacts(cli_env, tmp_path)
+    for exc in (KeyError("c02"), ValueError("shapes differ")):
+        def bug(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(experiments, "evaluate_zero_shot", bug)
+        with pytest.raises(type(exc)):
+            cli.main(["evaluate", "--config", cli_env["config"],
+                      "--corpus", cli_env["corpus"], "--backbone", str(bb),
+                      "--projection", str(proj), "--out", str(tmp_path / "r.json")])
+
+
+def test_every_error_class_is_one_of_the_three_kinds():
+    kinds = (ConfigError, DataError, NumericalError)
+    assert [k.exit_code for k in kinds] == [2, 3, 4]
+    defined = set()
+    for info in pkgutil.iter_modules(zsat.__path__):
+        module = importlib.import_module(f"zsat.{info.name}")
+        for obj in vars(module).values():
+            if (inspect.isclass(obj) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                defined.add(obj)
+                assert issubclass(obj, kinds), obj
+    assert set(kinds) <= defined
 
 
 def _tree_hash(root):

@@ -9,6 +9,7 @@ from conftest import fd_gradcheck
 from zsat import crossmodal, protocol
 from zsat.backbones import Backbone
 from zsat.crossmodal import ProjectionParams, TrainConfig
+from zsat.errors import ConfigError, DataError, NumericalError
 
 
 def make_params(m=6, n=4, hidden=8, seed=0, dropout=0.0):
@@ -51,7 +52,7 @@ def test_project_rejects_dim_mismatch():
 def test_project_rejects_nonfinite_input():
     p = make_params()
     bad = np.full((1, 6), np.nan)
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError, match="non-finite audio embedding"):
         crossmodal.project_batch(bad, p)
 
 
@@ -131,11 +132,11 @@ def test_lr_negative_epoch_raises():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="final_lr"):
         TrainConfig(final_lr=1.0, initial_lr=1e-5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="warmup"):
         TrainConfig(warmup_epochs=60, decay_start_epoch=50)
-    with pytest.raises(ValueError, match="epochs"):
+    with pytest.raises(ConfigError, match="epochs"):
         TrainConfig(epochs=0)
 
 
@@ -167,7 +168,7 @@ def test_adamw_rejects_nonfinite_gradient():
                       decay_end_epoch=2, final_lr=1.0)
     params = {"w": np.ones(2)}
     state = crossmodal.init_adamw_state(params)
-    with pytest.raises(crossmodal.GradientError, match="w"):
+    with pytest.raises(NumericalError, match="non-finite gradient for parameter 'w'"):
         crossmodal.adamw_step(params, {"w": np.array([np.nan, 0.0])}, state, 1.0, cfg)
 
 
@@ -317,7 +318,7 @@ def test_val_fraction_zero_classes_raises():
     cfg = TrainConfig(initial_lr=1e-2, warmup_epochs=1, decay_start_epoch=2,
                       decay_end_epoch=3, final_lr=1e-4, epochs=1, batch_size=4,
                       val_class_fraction=0.01)
-    with pytest.raises(ValueError, match="zero"):
+    with pytest.raises(DataError, match="zero"):
         crossmodal.train_projection(IdentityBackbone(), records, specs,
                                     class_ids, class_emb, cfg,
                                     np.random.default_rng(0), hidden=8)

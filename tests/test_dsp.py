@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zsat import dsp
+from zsat.errors import ConfigError, DataError
 
 
 # --- framing ---------------------------------------------------------------
@@ -21,7 +22,7 @@ def frames_oracle(n, window, hop):
 @settings(max_examples=200)
 def test_n_frames_matches_counting_oracle(n, window, hop):
     if n < window:
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="shorter than one analysis window"):
             dsp.n_frames(n, window, hop)
     else:
         assert dsp.n_frames(n, window, hop) == frames_oracle(n, window, hop)
@@ -44,7 +45,7 @@ def test_wav_round_trip(tmp_path):
 def test_wav_sample_rate_mismatch(tmp_path):
     path = tmp_path / "x.wav"
     dsp.save_wav(path, dsp.Waveform(np.zeros(100), 16000))
-    with pytest.raises(dsp.SampleRateMismatch):
+    with pytest.raises(DataError, match="sample rate 16000 != configured 32000"):
         dsp.load_wav(path, expected_rate=32000)
 
 
@@ -56,7 +57,7 @@ def test_wav_rejects_stereo(tmp_path):
         wf.setsampwidth(2)
         wf.setframerate(32000)
         wf.writeframes(b"\x00\x00" * 200)
-    with pytest.raises(dsp.AudioFormatError):
+    with pytest.raises(DataError, match="expected mono, got 2 channels"):
         dsp.load_wav(path)
 
 
@@ -116,7 +117,7 @@ def test_mixup_is_convex_combination():
 
 def test_negative_mixup_alpha_raises():
     dsp.AugmentConfig(mixup_alpha=0.0)
-    with pytest.raises(ValueError, match="mixup_alpha"):
+    with pytest.raises(ConfigError, match="mixup_alpha"):
         dsp.AugmentConfig(mixup_alpha=-0.1)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zsat import crossmodal, dsp, evaluation, experiments, protocol
+from zsat.errors import DataError
 
 
 # --- average precision ---------------------------------------------------------
@@ -73,7 +74,7 @@ def test_mean_ap_skips():
 
 
 def test_mean_ap_all_skipped_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="every class was skipped"):
         evaluation.mean_ap([None, None])
 
 
@@ -164,7 +165,7 @@ def test_proximity_correlation_sign():
 
 
 def test_proximity_needs_three_classes():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="at least 3 test classes"):
         evaluation.proximity_correlation({"a": 0.5, "b": 0.5}, {"a": 0.1, "b": 0.1},
                                          {"t": np.ones(2)},
                                          {"a": np.ones(2), "b": np.ones(2)})

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zsat import dsp, protocol, semantics
+from zsat.errors import ConfigError, DataError
 
 
 # --- fold balancing ----------------------------------------------------------
@@ -34,7 +35,7 @@ def test_balance_folds_pinned_never_assigned():
 
 
 def test_balance_folds_k_too_large():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="fold count 3 exceeds class count 2"):
         protocol.balance_folds({"A": 1, "B": 2}, 3)
 
 
@@ -67,7 +68,7 @@ def test_exclude_overlap_synonym():
 
 
 def test_exclude_overlap_unmatched_entry_raises():
-    with pytest.raises(protocol.ExclusionError, match="zither"):
+    with pytest.raises(DataError, match="zither"):
         protocol.exclude_overlap({"a": "Cat"}, ["zither"])
 
 
@@ -113,7 +114,7 @@ def test_sampler_deterministic():
 
 
 def test_sampler_empty_class_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="class 'B' has no clips"):
         protocol.balanced_sampler(_records({"x": ["A"]}), ["A", "B"], seed=0)
 
 
@@ -132,7 +133,7 @@ def test_manifest_rejects_conflicting_duplicate_id(tmp_path):
                     + "\n" +
                     json.dumps({"id": "a", "path": "2.wav", "tags": [], "split": "train"})
                     + "\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match=r":2: clip id a reused"):
         protocol.load_manifest(path)
 
 
@@ -192,5 +193,5 @@ def test_word_vector_similarity_decays_with_pitch_distance():
 def test_overlapping_fundamentals_rejected(tmp_path):
     spec = protocol.SyntheticSpec(n_classes=40, fmin_hz=300.0, fmax_hz=400.0,
                                   mel=dsp.MelConfig(n_mels=16))
-    with pytest.raises(ValueError, match="mel bin"):
+    with pytest.raises(ConfigError, match="mel bin"):
         protocol.generate_synthetic_corpus(spec, tmp_path / "x", seed=0)

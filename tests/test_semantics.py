@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from zsat import semantics
+from zsat.errors import DataError
 
 
 def write_vectors(tmp_path, text, name="vecs.txt"):
@@ -27,19 +28,19 @@ def test_load_with_count_header(tmp_path):
 
 def test_dim_mismatch_names_line(tmp_path):
     path = write_vectors(tmp_path, "a 1 2\nb 1 2 3\n")
-    with pytest.raises(semantics.VectorFileError, match=r":2:"):
+    with pytest.raises(DataError, match=r":2:"):
         semantics.load_word_vectors(path)
 
 
 def test_duplicate_word_names_line(tmp_path):
     path = write_vectors(tmp_path, "a 1 2\na 3 4\n")
-    with pytest.raises(semantics.VectorFileError, match=r":2:"):
+    with pytest.raises(DataError, match=r":2:"):
         semantics.load_word_vectors(path)
 
 
 def test_unparsable_coordinate_names_line(tmp_path):
     path = write_vectors(tmp_path, "a 1 2\nb x 4\n")
-    with pytest.raises(semantics.VectorFileError, match=r":2:"):
+    with pytest.raises(DataError, match=r":2:"):
         semantics.load_word_vectors(path)
 
 
@@ -80,7 +81,7 @@ def test_embed_label_skips_oov(tmp_path):
 def test_embed_label_all_oov_raises(tmp_path):
     path = write_vectors(tmp_path, "guitar 0 1\n")
     store = semantics.load_word_vectors(path)
-    with pytest.raises(semantics.UnembeddableLabel):
+    with pytest.raises(DataError, match="no token of label 'zzqx qqzz'"):
         semantics.embed_label(semantics.ClassDescriptor("x", "zzqx qqzz"), store)
 
 
