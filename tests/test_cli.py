@@ -306,12 +306,6 @@ def _exit_code_cases(cli_env, tmp_path):
         ("category map a list", [*evaluate, "--config", cfg, "--corpus", corpus,
                                  "--category-map", write("cats.json", '["c02"]')],
          3, True),
-        ("missing corpus", [*pretrain, "--config", cfg,
-                            "--corpus", str(tmp_path / "missing")], 3, False),
-        ("unknown preset", ["synth", "--preset", "nope", "--out", out], 2, False),
-        ("fold id out of range",
-         [*pretrain, "--config", cfg, "--corpus", corpus, "--fold-id", "7",
-          "--folds", write("folds.json", '{"folds": [["c00"], ["c01"]]}')], 3, False),
         ("backbone kind mismatch",
          [*project, "--config", config("kind", {"backbone": "cnn14"}),
           "--corpus", corpus], 3, True),
@@ -330,24 +324,49 @@ def _exit_code_cases(cli_env, tmp_path):
     ]
 
 
+def _assert_exits(argv, code, capsys, case=None):
+    """`cli.main(argv)` returns `code` and prints one stderr line under that
+    kind's label, with no traceback."""
+    labels = {k.exit_code: k.label for k in (ConfigError, DataError, NumericalError)}
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert cli.main(argv) == code, case
+    err = capsys.readouterr().err
+    assert err.startswith(f"{labels[code]}: ") and err.count("\n") == 1, (case, err)
+    assert "Traceback" not in err, case
+
+
+def test_exit_code_config_error(tmp_path, capsys):
+    _assert_exits(["synth", "--preset", "nope", "--out", str(tmp_path / "x")],
+                  2, capsys)
+
+
+def test_exit_code_data_error(tmp_path, cli_env, capsys):
+    _assert_exits(["pretrain", "--config", cli_env["config"],
+                   "--corpus", str(tmp_path / "missing"),
+                   "--out", str(tmp_path / "x.ckpt")], 3, capsys)
+
+
+def test_exit_code_fold_id_out_of_range(cli_env, tmp_path, capsys):
+    folds = tmp_path / "folds.json"
+    folds.write_text(json.dumps({"folds": [["c00"], ["c01"]], "pinned": []}))
+    _assert_exits(["pretrain", "--config", cli_env["config"],
+                   "--corpus", cli_env["corpus"], "--folds", str(folds),
+                   "--fold-id", "7", "--out", str(tmp_path / "x.ckpt")], 3, capsys)
+
+
 def test_exit_code_names_the_kind_of_failure(cli_env, tmp_path, monkeypatch, capsys):
     """Each failure exits with its kind's code and prints one stderr line
     under its kind's label, with no traceback; a case marked early fails
     before the corpus is read."""
-    labels = {k.exit_code: k.label for k in (ConfigError, DataError, NumericalError)}
     load_corpus = experiments.load_corpus
 
     def no_corpus(*args, **kwargs):
         raise AssertionError("corpus read")
     for case, argv, code, early in _exit_code_cases(cli_env, tmp_path):
-        capsys.readouterr()
         monkeypatch.setattr(experiments, "load_corpus",
                             no_corpus if early else load_corpus)
-        with np.errstate(all="ignore"):
-            assert cli.main(argv) == code, case
-        err = capsys.readouterr().err
-        assert err.startswith(f"{labels[code]}: ") and err.count("\n") == 1, (case, err)
-        assert "Traceback" not in err, case
+        _assert_exits(argv, code, capsys, case)
 
 
 def test_a_bug_is_not_reported_as_a_kind_of_failure(cli_env, tmp_path, monkeypatch):
