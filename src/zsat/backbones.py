@@ -235,38 +235,77 @@ class TransformerBackbone(Backbone):
         return grads
 
 
-class Cnn14Backbone(Backbone):
+class ConvBackbone(Backbone):
+    """A stack of 3x3 conv -> batch norm -> ReLU -> optional 2x2 pooling.
+    A subclass lists its layers in `layers()` as (name suffix, output
+    channels, pooling "avg" | "max" | None) and adds its own heads."""
+
+    config_type = ConvConfig
+    config_key = "conv"
+
+    def _init_stack(self, rng: np.random.Generator, dtype):
+        """Parameters and running statistics of the conv layers."""
+        p, stats = {}, {}
+        cin = 1
+        for sfx, cout, _ in self.layers():
+            bound = 1.0 / np.sqrt(cin * 9)
+            p[f"conv_w{sfx}"] = rng.uniform(-bound, bound, size=(cout, cin, 3, 3)).astype(dtype)
+            p[f"conv_b{sfx}"] = np.zeros(cout, dtype)
+            p[f"bn_g{sfx}"] = np.ones(cout, dtype)
+            p[f"bn_b{sfx}"] = np.zeros(cout, dtype)
+            stats[f"bn_mean{sfx}"] = np.zeros(cout, np.float64)
+            stats[f"bn_var{sfx}"] = np.ones(cout, np.float64)
+            cin = cout
+        return p, stats
+
+    def _stack_forward(self, h: np.ndarray, train: bool):
+        """h: (N, 1, f, t) -> (feature map, per-layer caches). `train`
+        normalizes batch norm by batch statistics."""
+        p, st = self.params, self.stats
+        caches = []
+        for sfx, _, pool in self.layers():
+            h, c_conv = nn.conv2d(h, p[f"conv_w{sfx}"], p[f"conv_b{sfx}"])
+            h, c_bn = nn.batch_norm2d(h, p[f"bn_g{sfx}"], p[f"bn_b{sfx}"],
+                                      st[f"bn_mean{sfx}"], st[f"bn_var{sfx}"], train)
+            pre = h
+            h = nn.relu(h)
+            c_pool = None
+            if pool:
+                # looked up per call, so a wrapper installed on `nn` sees it
+                h, c_pool = getattr(nn, f"{pool}_pool2d")(h)
+            caches.append((c_conv, c_bn, pre, c_pool))
+        return h, caches
+
+    def _stack_backward(self, dh: np.ndarray, caches: list, grads: dict) -> dict:
+        """Adds the conv layers' gradients to `grads` and returns it."""
+        for (sfx, _, pool), (c_conv, c_bn, pre, c_pool) in zip(
+                reversed(self.layers()), reversed(caches)):
+            if pool:
+                dh = getattr(nn, f"{pool}_pool2d_backward")(dh, c_pool)
+            dh = nn.relu_backward(dh, pre)
+            dh, grads[f"bn_g{sfx}"], grads[f"bn_b{sfx}"] = nn.batch_norm2d_backward(dh, c_bn)
+            dh, grads[f"conv_w{sfx}"], grads[f"conv_b{sfx}"] = nn.conv2d_backward(dh, c_conv)
+        return grads
+
+
+class Cnn14Backbone(ConvBackbone):
     """Deep convnet: 6 blocks of two 3x3 convs with batch norm and ReLU,
     2x2 average pooling between blocks; pooled features pass a wide
     fully-connected layer and an embedding head. Accepts any input length."""
 
     kind = "cnn14"
-    config_type = ConvConfig
-    config_key = "conv"
     POOLED_BLOCKS = 5  # no pooling after the last block
 
     def __init__(self, cfg: ConvConfig, rng: np.random.Generator, dtype=np.float32):
         self.cfg = cfg
-        ch = cfg.channels
-        p = {}
-        stats = {}
-        cin = 1
-        for i, cout in enumerate(ch):
-            for j in range(2):
-                fan_in = cin * 9
-                bound = 1.0 / np.sqrt(fan_in)
-                p[f"conv_w{i}_{j}"] = rng.uniform(
-                    -bound, bound, size=(cout, cin, 3, 3)).astype(dtype)
-                p[f"conv_b{i}_{j}"] = np.zeros(cout, dtype)
-                p[f"bn_g{i}_{j}"] = np.ones(cout, dtype)
-                p[f"bn_b{i}_{j}"] = np.zeros(cout, dtype)
-                stats[f"bn_mean{i}_{j}"] = np.zeros(cout, np.float64)
-                stats[f"bn_var{i}_{j}"] = np.ones(cout, np.float64)
-                cin = cout
-        p["fc_w"], p["fc_b"] = nn.init_linear(rng, cfg.fc_units, ch[-1], dtype)
+        self.params, self.stats = self._init_stack(rng, dtype)
+        p = self.params
+        p["fc_w"], p["fc_b"] = nn.init_linear(rng, cfg.fc_units, cfg.channels[-1], dtype)
         p["head_w"], p["head_b"] = nn.init_linear(rng, cfg.embed_dim, cfg.fc_units, dtype)
-        self.params = p
-        self.stats = stats
+
+    def layers(self) -> list:
+        return [(f"{i}_{j}", cout, "avg" if j == 1 and i < self.POOLED_BLOCKS else None)
+                for i, cout in enumerate(self.cfg.channels) for j in range(2)]
 
     def min_frames(self) -> int:
         return 2 ** self.POOLED_BLOCKS
@@ -278,22 +317,8 @@ class Cnn14Backbone(Backbone):
         if x.shape[2] < self.min_frames():
             raise DataError(f"input has {x.shape[2]} frames; "
                              f"needs at least {self.min_frames()}")
-        p, st = self.params, self.stats
-        h = x[:, None, :, :]
-        caches = []
-        for i in range(len(self.cfg.channels)):
-            for j in range(2):
-                h, c_conv = nn.conv2d(h, p[f"conv_w{i}_{j}"], p[f"conv_b{i}_{j}"])
-                h, c_bn = nn.batch_norm2d(h, p[f"bn_g{i}_{j}"], p[f"bn_b{i}_{j}"],
-                                          st[f"bn_mean{i}_{j}"], st[f"bn_var{i}_{j}"],
-                                          train)
-                pre = h
-                h = nn.relu(h)
-                caches.append((c_conv, c_bn, pre))
-            if i < self.POOLED_BLOCKS:
-                h, c_pool = nn.avg_pool2d(h)
-                caches.append(("pool", c_pool))
-        fmap = h                                   # (N, C, f', t')
+        p = self.params
+        fmap, caches = self._stack_forward(x[:, None, :, :], train)  # (N, C, f', t')
         over_f = fmap.mean(axis=2)                 # (N, C, t')
         mean_t = over_f.mean(axis=2)
         arg_t = over_f.argmax(axis=2)
@@ -317,83 +342,34 @@ class Cnn14Backbone(Backbone):
                           np.take_along_axis(dover, arg_t[:, :, None], axis=2)
                           + dfeat[:, :, None], axis=2)
         dfmap = np.broadcast_to(dover[:, :, None, :] / fshape[2], fshape).astype(demb.dtype)
-        dh = dfmap
-        k = len(caches) - 1
-        for i in reversed(range(len(self.cfg.channels))):
-            if i < self.POOLED_BLOCKS:
-                tag, c_pool = caches[k]
-                k -= 1
-                dh = nn.avg_pool2d_backward(dh, c_pool)
-            for j in (1, 0):
-                c_conv, c_bn, pre = caches[k]
-                k -= 1
-                dh = nn.relu_backward(dh, pre)
-                dh, grads[f"bn_g{i}_{j}"], grads[f"bn_b{i}_{j}"] = \
-                    nn.batch_norm2d_backward(dh, c_bn)
-                dh, grads[f"conv_w{i}_{j}"], grads[f"conv_b{i}_{j}"] = \
-                    nn.conv2d_backward(dh, c_conv)
-        return grads
+        return self._stack_backward(dfmap, caches, grads)
 
 
-class VggishBackbone(Backbone):
+class VggishBackbone(ConvBackbone):
     """Fixed-window convnet: 6 conv layers with batch norm and ReLU, max
     pooling, two wide fully-connected layers. Longer inputs are split into
     fixed-length chunks whose embeddings are averaged."""
 
     kind = "vggish"
-    config_type = ConvConfig
-    config_key = "conv"
     # max pooling after these conv layer indices (0-based)
     POOL_AFTER = (0, 1, 3, 5)
 
     def __init__(self, cfg: ConvConfig, rng: np.random.Generator, dtype=np.float32):
         self.cfg = cfg
-        ch = cfg.channels
-        if len(ch) != 6:
+        if len(cfg.channels) != 6:
             raise ConfigError("vggish preset needs 6 conv channel counts")
-        p, stats = {}, {}
-        cin = 1
-        for i, cout in enumerate(ch):
-            bound = 1.0 / np.sqrt(cin * 9)
-            p[f"conv_w{i}"] = rng.uniform(-bound, bound, size=(cout, cin, 3, 3)).astype(dtype)
-            p[f"conv_b{i}"] = np.zeros(cout, dtype)
-            p[f"bn_g{i}"] = np.ones(cout, dtype)
-            p[f"bn_b{i}"] = np.zeros(cout, dtype)
-            stats[f"bn_mean{i}"] = np.zeros(cout, np.float64)
-            stats[f"bn_var{i}"] = np.ones(cout, np.float64)
-            cin = cout
+        self.params, self.stats = self._init_stack(rng, dtype)
+        p = self.params
         ht = cfg.vggish_time // (2 ** len(self.POOL_AFTER))
         wf = cfg.vggish_mels // (2 ** len(self.POOL_AFTER))
-        flat_dim = ch[-1] * ht * wf
+        flat_dim = cfg.channels[-1] * ht * wf
         p["fc1_w"], p["fc1_b"] = nn.init_linear(rng, cfg.fc_units, flat_dim, dtype)
         p["fc2_w"], p["fc2_b"] = nn.init_linear(rng, cfg.fc_units, cfg.fc_units, dtype)
         p["head_w"], p["head_b"] = nn.init_linear(rng, cfg.embed_dim, cfg.fc_units, dtype)
-        self.params = p
-        self.stats = stats
 
-    def _embed_chunks(self, chunks: np.ndarray, train: bool):
-        """chunks: (K, t_chunk, f) -> (embeddings (K, m), cache)."""
-        p, st = self.params, self.stats
-        h = chunks[:, None, :, :]
-        caches = []
-        for i in range(6):
-            h, c_conv = nn.conv2d(h, p[f"conv_w{i}"], p[f"conv_b{i}"])
-            h, c_bn = nn.batch_norm2d(h, p[f"bn_g{i}"], p[f"bn_b{i}"],
-                                      st[f"bn_mean{i}"], st[f"bn_var{i}"], train)
-            pre = h
-            h = nn.relu(h)
-            pooled = None
-            if i in self.POOL_AFTER:
-                h, pooled = nn.max_pool2d(h)
-            caches.append((c_conv, c_bn, pre, pooled))
-        shape = h.shape
-        flat = h.reshape(h.shape[0], -1)
-        f1 = nn.linear(flat, p["fc1_w"], p["fc1_b"])
-        r1 = nn.relu(f1)
-        f2 = nn.linear(r1, p["fc2_w"], p["fc2_b"])
-        r2 = nn.relu(f2)
-        emb = nn.linear(r2, p["head_w"], p["head_b"])
-        return emb, (caches, shape, flat, f1, r1, f2, r2)
+    def layers(self) -> list:
+        return [(f"{i}", cout, "max" if i in self.POOL_AFTER else None)
+                for i, cout in enumerate(self.cfg.channels)]
 
     def _chunk(self, x: np.ndarray) -> np.ndarray:
         """x: (f, t) -> (K, t_chunk, f); trailing remainder discarded."""
@@ -410,36 +386,31 @@ class VggishBackbone(Backbone):
                     rng: np.random.Generator | None = None):
         """x: (N, f, t); every clip contributes t//chunk chunks. `train`
         normalizes batch norm by batch statistics; `rng` is unused."""
+        p = self.params
         n = x.shape[0]
         chunks = np.concatenate([self._chunk(x[i]) for i in range(n)], axis=0)
         per = x.shape[2] // self.cfg.vggish_time
-        emb, cache = self._embed_chunks(chunks, train)
+        h, caches = self._stack_forward(chunks[:, None, :, :], train)
+        flat = h.reshape(h.shape[0], -1)
+        f1 = nn.linear(flat, p["fc1_w"], p["fc1_b"])
+        r1 = nn.relu(f1)
+        f2 = nn.linear(r1, p["fc2_w"], p["fc2_b"])
+        r2 = nn.relu(f2)
+        emb = nn.linear(r2, p["head_w"], p["head_b"])
         emb = emb.reshape(n, per, -1).mean(axis=1)
-        return emb, (cache, n, per)
+        return emb, (caches, h.shape, flat, f1, r1, f2, r2, per)
 
     def backward(self, demb: np.ndarray, cache) -> dict:
-        inner, n, per = cache
-        dchunks = np.repeat(demb / per, per, axis=0)
-        return self._backward_chunks(dchunks, inner)
-
-    def _backward_chunks(self, demb: np.ndarray, cache) -> dict:
         p = self.params
-        caches, shape, flat, f1, r1, f2, r2 = cache
+        caches, shape, flat, f1, r1, f2, r2, per = cache
+        dchunks = np.repeat(demb / per, per, axis=0)
         grads = {}
-        dr2, grads["head_w"], grads["head_b"] = nn.linear_backward(demb, r2, p["head_w"])
+        dr2, grads["head_w"], grads["head_b"] = nn.linear_backward(dchunks, r2, p["head_w"])
         df2 = nn.relu_backward(dr2, f2)
         dr1, grads["fc2_w"], grads["fc2_b"] = nn.linear_backward(df2, r1, p["fc2_w"])
         df1 = nn.relu_backward(dr1, f1)
         dflat, grads["fc1_w"], grads["fc1_b"] = nn.linear_backward(df1, flat, p["fc1_w"])
-        dh = dflat.reshape(shape)
-        for i in reversed(range(6)):
-            c_conv, c_bn, pre, pooled = caches[i]
-            if pooled is not None:
-                dh = nn.max_pool2d_backward(dh, pooled)
-            dh = nn.relu_backward(dh, pre)
-            dh, grads[f"bn_g{i}"], grads[f"bn_b{i}"] = nn.batch_norm2d_backward(dh, c_bn)
-            dh, grads[f"conv_w{i}"], grads[f"conv_b{i}"] = nn.conv2d_backward(dh, c_conv)
-        return grads
+        return self._stack_backward(dflat.reshape(shape), caches, grads)
 
 
 BACKBONE_KINDS = {cls.kind: cls for cls in

@@ -247,6 +247,8 @@ def cmd_evaluate(args) -> int:
     model = _load_backbone(_seed_path(args.backbone, seeds[0], multi), cfg)
     category_map = (protocol.load_json(args.category_map)
                     if args.category_map else None)
+    if category_map and not all(isinstance(v, str) for v in category_map.values()):
+        raise DataError(f"{args.category_map}: every category must be a string")
     corpus = experiments.load_corpus(args.corpus, cfg.mel)
     results = []
     for i, seed in enumerate(seeds):

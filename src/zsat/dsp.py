@@ -134,10 +134,9 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(cfg: MelConfig, n_fft: int | None = None) -> np.ndarray:
+def mel_filterbank(cfg: MelConfig) -> np.ndarray:
     """Triangular mel filters, peak-normalized to 1, shape (n_mels, n_fft//2+1)."""
-    if n_fft is None:
-        n_fft = cfg.window_len
+    n_fft = cfg.window_len
     fft_freqs = np.arange(n_fft // 2 + 1) * (cfg.sample_rate / n_fft)
     mel_pts = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
     hz_pts = mel_to_hz(mel_pts)
@@ -158,9 +157,6 @@ def mel_center_frequencies(cfg: MelConfig) -> np.ndarray:
 
 def compute_logmel(w: Waveform, cfg: MelConfig) -> MelSpectrogram:
     """Hann-window power STFT -> mel filterbank -> log(x + log_floor)."""
-    if w.sample_rate != cfg.sample_rate:
-        raise ValueError(
-            f"waveform rate {w.sample_rate} != config rate {cfg.sample_rate}")
     n = w.samples.size
     t = n_frames(n, cfg.window_len, cfg.hop_len)
     window = np.hanning(cfg.window_len)

@@ -87,11 +87,13 @@ class ProximityReport:
 def proximity_correlation(test_aps: dict, test_random_aps: dict,
                           train_embeddings: dict, test_embeddings: dict) -> ProximityReport:
     """Correlate AP improvement over the random baseline with cosine proximity
-    to the nearest training-class embedding."""
-    if len(test_aps) < 3:
-        raise DataError("need at least 3 test classes")
+    to the nearest training-class embedding. Classes whose AP is None (no
+    positive test clip) are skipped, as in `mean_ap`."""
+    kept = sorted(c for c, ap in test_aps.items() if ap is not None)
+    if len(kept) < 3:
+        raise DataError("need at least 3 test classes with a positive test clip")
     rows = []
-    for cid in sorted(test_aps):
+    for cid in kept:
         vec = test_embeddings[cid]
         prox = max(cosine(vec, train_embeddings[t]) for t in sorted(train_embeddings))
         rows.append({"class_id": cid, "ap": test_aps[cid],

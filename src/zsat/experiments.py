@@ -171,17 +171,6 @@ def evaluate_zero_shot(corpus: Corpus, model, proj,
     return result
 
 
-def run_experiment(cfg: ExperimentConfig, corpus: Corpus, seed: int) -> dict:
-    """Full per-seed pipeline: pretrain, projection, zero-shot evaluation."""
-    model, head, history = run_pretrain(cfg, corpus, seed)
-    proj, report = run_projection(cfg, corpus, model, seed)
-    result = evaluate_zero_shot(corpus, model, proj)
-    result["seed"] = seed
-    result["pretrain_loss"] = history
-    result["projection_selection"] = report
-    return result
-
-
 def aggregate_results(results: list) -> dict:
     """Mean metrics over seeds; per-class precision averaged before any
     cross-seed analysis so class-level noise is damped."""

@@ -238,6 +238,17 @@ def test_criterion_4_structural_invariants(report):
 # 5 & 6. Synthetic zero-shot end to end
 
 
+def run_experiment(cfg, corpus, seed: int) -> dict:
+    """Full per-seed pipeline: pretrain, projection, zero-shot evaluation."""
+    model, head, history = experiments.run_pretrain(cfg, corpus, seed)
+    proj, selection = experiments.run_projection(cfg, corpus, model, seed)
+    result = experiments.evaluate_zero_shot(corpus, model, proj)
+    result["seed"] = seed
+    result["pretrain_loss"] = history
+    result["projection_selection"] = selection
+    return result
+
+
 @pytest.fixture(scope="module")
 def toy_results(tmp_path_factory):
     cfg = resolve_config("toy")
@@ -245,7 +256,7 @@ def toy_results(tmp_path_factory):
     protocol.generate_synthetic_corpus(cfg.synthetic, root, seed=0)
     corpus = experiments.load_corpus(root, cfg.mel)
     t0 = time.perf_counter()
-    results = [experiments.run_experiment(cfg, corpus, s) for s in cfg.seeds]
+    results = [run_experiment(cfg, corpus, s) for s in cfg.seeds]
     return {"cfg": cfg, "results": results,
             "elapsed": time.perf_counter() - t0}
 
@@ -256,13 +267,13 @@ def graded_results(tmp_path_factory):
     root = tmp_path_factory.mktemp("graded_corpus")
     protocol.generate_synthetic_corpus(cfg.synthetic, root, seed=0)
     corpus = experiments.load_corpus(root, cfg.mel)
-    results = [experiments.run_experiment(cfg, corpus, s) for s in cfg.seeds]
+    results = [run_experiment(cfg, corpus, s) for s in cfg.seeds]
     # the ablation removes the training classes acoustically and semantically
     # nearest the held-out block c01/c04-c06
     near = ("c00", "c02", "c03", "c07")
     ablated = dataclasses.replace(
         corpus, train_ids=[c for c in corpus.train_ids if c not in near])
-    ab_results = [experiments.run_experiment(cfg, ablated, s) for s in cfg.seeds]
+    ab_results = [run_experiment(cfg, ablated, s) for s in cfg.seeds]
     return {"cfg": cfg, "results": results, "ablated": ab_results}
 
 

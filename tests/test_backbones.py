@@ -171,8 +171,10 @@ def test_transformer_gradients_match_finite_differences():
     assert fd_gradcheck(model.params, forward, grads, n_coords=60) < 1e-4
 
 
-def test_cnn14_gradients_match_finite_differences():
-    model = small_conv("cnn14", dtype=np.float64)
+def _conv_gradient_error(kind):
+    """Max relative error of a conv backbone's train-mode gradients against
+    finite differences."""
+    model = small_conv(kind, dtype=np.float64)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 32, 32))
     w = rng.standard_normal(4)
@@ -187,7 +189,15 @@ def test_cnn14_gradients_match_finite_differences():
         emb, cache = model.embed_batch(x, train=True)
         return model.backward((w + emb).astype(np.float64), cache)
 
-    assert fd_gradcheck(model.params, forward, grads, n_coords=40) < 1e-4
+    return fd_gradcheck(model.params, forward, grads, n_coords=40)
+
+
+def test_cnn14_gradients_match_finite_differences():
+    assert _conv_gradient_error("cnn14") < 1e-4
+
+
+def test_vggish_gradients_match_finite_differences():
+    assert _conv_gradient_error("vggish") < 1e-4
 
 
 # --- classification head and pretraining ----------------------------------------

@@ -306,6 +306,9 @@ def _exit_code_cases(cli_env, tmp_path):
         ("category map a list", [*evaluate, "--config", cfg, "--corpus", corpus,
                                  "--category-map", write("cats.json", '["c02"]')],
          3, True),
+        ("category map value a list",
+         [*evaluate, "--config", cfg, "--corpus", corpus,
+          "--category-map", write("cat_list.json", '{"c02": ["a"]}')], 3, True),
         ("backbone kind mismatch",
          [*project, "--config", config("kind", {"backbone": "cnn14"}),
           "--corpus", corpus], 3, True),

@@ -164,6 +164,20 @@ def test_proximity_correlation_sign():
     assert rep.r > 0.5  # gain tracks proximity by construction
 
 
+def test_proximity_skips_classes_without_positives():
+    rng = np.random.default_rng(0)
+    train = {"t": rng.standard_normal(4)}
+    test = {c: rng.standard_normal(4) for c in "abcd"}
+    aps = {"a": 0.9, "b": 0.5, "c": None, "d": 0.1}
+    rand = {c: 0.1 for c in aps}
+    rep = evaluation.proximity_correlation(aps, rand, train, test)
+    assert [row["class_id"] for row in rep.per_class] == ["a", "b", "d"]
+    kept = {c: aps[c] for c in "abd"}
+    assert rep.r == evaluation.proximity_correlation(kept, rand, train, test).r
+    with pytest.raises(DataError, match="at least 3 test classes"):
+        evaluation.proximity_correlation({**aps, "d": None}, rand, train, test)
+
+
 def test_proximity_needs_three_classes():
     with pytest.raises(DataError, match="at least 3 test classes"):
         evaluation.proximity_correlation({"a": 0.5, "b": 0.5}, {"a": 0.1, "b": 0.1},
