@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .dsp import MelSpectrogram
+from .checkpoint import check_tensor_names
 from .errors import ConfigError, DataError
 
 
@@ -69,11 +69,10 @@ class Backbone:
     kind: str
     config_type: type
     config_key: str
-    STAT_PREFIXES = ("bn_mean", "bn_var")
 
-    def embed(self, specs: list[MelSpectrogram]) -> np.ndarray:
-        """Eval-mode embeddings (N, m) in float64 of a list of clips. Each
-        clip is its own `embed_batch` call, so lengths may differ."""
+    def embed(self, specs: list[np.ndarray]) -> np.ndarray:
+        """Eval-mode embeddings (N, m) in float64 of a list of (f, t) clips.
+        Each clip is its own `embed_batch` call, so lengths may differ."""
         out = []
         for s in specs:
             # `_` holds this clip's cache until the next call has allocated
@@ -81,7 +80,7 @@ class Backbone:
             # which malloc trims and faults back in on the next clip: in
             # some processes the toy transformer's projection phase took
             # ~180k minor page faults and about 1.5x the time.
-            emb, _ = self.embed_batch(s.values[None])
+            emb, _ = self.embed_batch(s[None])
             out.append(emb[0].astype(np.float64))
         return np.stack(out)
 
@@ -90,17 +89,22 @@ class Backbone:
 
     @classmethod
     def from_hyperparams(cls, hp: dict, tensors: dict):
+        """The model that `hp` builds, holding `tensors`, whose names and
+        shapes must be those of the built `params` and `stats`."""
         # conv checkpoints written while ConvConfig had a `kind` field still
         # carry it; the checkpoint header's kind tag is the one that counts
         hp = {k: tuple(v) if isinstance(v, list) else v
               for k, v in hp.items() if k != "kind"}
-        obj = cls.__new__(cls)
-        obj.cfg = cls.config_type(**hp)
-        obj.params = {k: v for k, v in tensors.items()
-                      if not k.startswith(cls.STAT_PREFIXES)}
-        obj.stats = {k: v.astype(np.float64) for k, v in tensors.items()
-                     if k.startswith(cls.STAT_PREFIXES)}
-        return obj
+        model = cls(cls.config_type(**hp), np.random.default_rng(0))
+        built = {**model.params, **model.stats}
+        check_tensor_names(f"{cls.kind} checkpoint", tensors, built)
+        wrong = sorted(k for k, v in built.items() if tensors[k].shape != v.shape)
+        if wrong:
+            raise DataError(f"{cls.kind} checkpoint: tensors {wrong} have other "
+                            f"shapes than its hyperparameters build")
+        model.params = {k: tensors[k] for k in model.params}
+        model.stats = {k: tensors[k].astype(np.float64) for k in model.stats}
+        return model
 
 
 class TransformerBackbone(Backbone):
@@ -438,7 +442,7 @@ def pretrain_backbone(model, head: ClassifierHead, manifest, class_ids: list,
     """Multi-label BCE pretraining of a backbone plus classification head.
 
     `manifest` is a list of records with .clip_id/.tags/.split; `spectrograms`
-    maps clip id -> MelSpectrogram. Mixup runs when `aug_cfg.mixup_alpha > 0`.
+    maps clip id -> (f, t) log-mel array. Mixup runs when `aug_cfg.mixup_alpha > 0`.
     Returns per-epoch mean loss history. Deterministic for a fixed rng seed
     (single-threaded).
     """
@@ -451,23 +455,19 @@ def pretrain_backbone(model, head: ClassifierHead, manifest, class_ids: list,
                      and any(t in class_ids for t in r.tags)]
     if not train_records:
         raise DataError("no training clips tagged with the given classes")
-    if len({spectrograms[r.clip_id].n_frames for r in train_records}) > 1:
+    if len({spectrograms[r.clip_id].shape[1] for r in train_records}) > 1:
         raise DataError("pretraining batches need training clips of one length")
     dtype = next(iter(model.params.values())).dtype
     params = {**{f"bb.{k}": v for k, v in model.params.items()},
               "head.weight": head.weight, "head.bias": head.bias}
 
     def forward(ids, targets):
-        specs = [apply_spec_augmentations(spectrograms[c], aug_cfg, rng) for c in ids]
-        if aug_cfg.mixup_alpha > 0 and len(specs) >= 2:
+        batch = np.stack([apply_spec_augmentations(spectrograms[c], aug_cfg, rng)
+                          for c in ids])
+        if aug_cfg.mixup_alpha > 0 and len(ids) >= 2:
             lam = float(rng.beta(aug_cfg.mixup_alpha, aug_cfg.mixup_alpha))
-            perm = rng.permutation(len(specs))
-            mixed = [mixup(specs[i], specs[int(j)], targets[i], targets[int(j)], lam)
-                     for i, j in enumerate(perm)]
-            specs = [m[0] for m in mixed]
-            targets = np.stack([m[1] for m in mixed])
-        batch = np.stack([s.values for s in specs]).astype(dtype)
-        emb, cache = model.embed_batch(batch, train=True, rng=rng)
+            batch, targets = mixup(batch, targets, lam, rng.permutation(len(ids)))
+        emb, cache = model.embed_batch(batch.astype(dtype), train=True, rng=rng)
 
         def backward(dlogits):
             demb, dw, db = nn.linear_backward(dlogits, emb, head.weight)

@@ -86,6 +86,16 @@ def load_checkpoint(path, expected_kind: str | None = None):
     return kind, hyperparams, tensors
 
 
+def check_tensor_names(what: str, tensors: dict, names) -> None:
+    """DataError naming each of `names` that `tensors` lacks and each
+    tensor it holds beyond them."""
+    missing = sorted(set(names) - set(tensors))
+    unexpected = sorted(set(tensors) - set(names))
+    if missing or unexpected:
+        raise DataError(f"{what}: missing tensors {missing}, "
+                        f"unexpected tensors {unexpected}")
+
+
 def save_backbone(path, model) -> None:
     save_checkpoint(path, model.kind, model.hyperparams(),
                     {**model.params, **model.stats})

@@ -27,8 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", required=True, help="output path")
     common.add_argument("--threads", type=int, default=1,
                         help="BLAS/OpenMP thread cap")
-    common.add_argument("--deterministic", action="store_true",
-                        help="force single-threaded numerics")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", parents=[common],
@@ -169,12 +167,15 @@ def cmd_pretrain(args) -> int:
         if args.resume:
             if not out.exists():
                 raise DataError(f"--resume: no checkpoint at {out}")
+            prev = protocol.load_json(info_path, dict, ("epochs_done", "loss_history",
+                                                        "train_classes"))
+            if prev["train_classes"] != train_ids:
+                raise DataError(f"--resume: {info_path} trained on classes "
+                                f"{prev['train_classes']}, this run selects {train_ids}")
             model = _load_backbone(out, cfg)
             _, hp, tensors = checkpoint.load_checkpoint(str(head_path), "head")
-            head = backbones.ClassifierHead(weight=tensors["weight"],
-                                            bias=tensors["bias"])
-            prev = protocol.load_json(info_path, dict,
-                                      ("epochs_done", "loss_history"))
+            checkpoint.check_tensor_names(head_path, tensors, ("weight", "bias"))
+            head = backbones.ClassifierHead(**tensors)
             done, history = prev["epochs_done"], prev["loss_history"]
         remaining = cfg.pretrain.epochs - done
         if remaining > 0:
@@ -288,7 +289,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _limit_threads(1 if args.deterministic else max(1, args.threads))
+    _limit_threads(max(1, args.threads))
 
     try:
         return _COMMANDS[args.command](args)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn, protocol
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import check_tensor_names, load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, DivergenceError, NumericalError
 from .evaluation import average_precision, mean_ap
 
@@ -244,6 +244,9 @@ def save_projection(path, p: ProjectionParams) -> None:
 
 def load_projection(path) -> ProjectionParams:
     _, hp, tensors = load_checkpoint(path, expected_kind="projection")
+    check_tensor_names(path, tensors, ProjectionParams.TENSORS)
+    if "dropout_rate" not in hp:
+        raise DataError(f"{path}: missing hyperparameter 'dropout_rate'")
     return ProjectionParams(dropout_rate=hp["dropout_rate"],
                             **{k: tensors[k].astype(np.float64) for k in
                                ProjectionParams.TENSORS})

@@ -11,21 +11,6 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 
-@dataclass
-class Waveform:
-    samples: np.ndarray  # float in [-1, 1]
-    sample_rate: int
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.size == 0:
-            raise DataError("empty waveform")
-        if self.sample_rate <= 0:
-            raise DataError("sample_rate must be positive")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("non-finite samples")
-
-
 @dataclass(frozen=True)
 class MelConfig:
     sample_rate: int = 32000
@@ -45,23 +30,6 @@ class MelConfig:
             raise ConfigError("n_mels must be positive")
         if self.log_floor <= 0:
             raise ConfigError("log_floor must be positive")
-
-
-@dataclass
-class MelSpectrogram:
-    values: np.ndarray  # (n_mels, frames) log-energies
-    config: MelConfig
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values)
-        if self.values.ndim != 2 or self.values.shape[0] != self.config.n_mels:
-            raise ValueError("values must be (n_mels, frames)")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite spectrogram values")
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -92,8 +60,8 @@ def n_frames(n_samples: int, window_len: int, hop_len: int) -> int:
     return (n_samples - window_len) // hop_len + 1
 
 
-def load_wav(path, expected_rate: int | None = None) -> Waveform:
-    """Read a RIFF/WAVE file (PCM 16-bit mono) and scale samples by 1/32768."""
+def load_wav(path, expected_rate: int | None = None) -> np.ndarray:
+    """Read a RIFF/WAVE file (PCM 16-bit mono) as float64 samples / 32768."""
     try:
         with wave.open(str(path), "rb") as wf:
             n_channels = wf.getnchannels()
@@ -112,17 +80,18 @@ def load_wav(path, expected_rate: int | None = None) -> Waveform:
     if expected_rate is not None and rate != expected_rate:
         raise DataError(
             f"{path}: sample rate {rate} != configured {expected_rate} (no resampling)")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return Waveform(samples=samples, sample_rate=rate)
+    if not raw:
+        raise DataError(f"empty waveform in {path}")
+    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 
-def save_wav(path, w: Waveform) -> None:
+def save_wav(path, samples: np.ndarray, sample_rate: int) -> None:
     """Write a PCM16 mono WAV; samples are clipped to [-1, 1)."""
-    ints = np.clip(np.round(w.samples * 32768.0), -32768, 32767).astype("<i2")
+    ints = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
-        wf.setframerate(w.sample_rate)
+        wf.setframerate(sample_rate)
         wf.writeframes(ints.tobytes())
 
 
@@ -155,41 +124,32 @@ def mel_center_frequencies(cfg: MelConfig) -> np.ndarray:
     return mel_to_hz(mel_pts)[1:-1]
 
 
-def compute_logmel(w: Waveform, cfg: MelConfig) -> MelSpectrogram:
-    """Hann-window power STFT -> mel filterbank -> log(x + log_floor)."""
-    n = w.samples.size
-    t = n_frames(n, cfg.window_len, cfg.hop_len)
+def compute_logmel(samples: np.ndarray, cfg: MelConfig) -> np.ndarray:
+    """Hann-window power STFT -> mel filterbank -> log(x + log_floor): (n_mels, t)."""
+    t = n_frames(samples.size, cfg.window_len, cfg.hop_len)
     window = np.hanning(cfg.window_len)
     idx = np.arange(cfg.window_len)[None, :] + cfg.hop_len * np.arange(t)[:, None]
-    frames = w.samples[idx] * window
+    frames = samples[idx] * window
     power = np.abs(np.fft.rfft(frames, n=cfg.window_len, axis=1)) ** 2
     fb = mel_filterbank(cfg)
     mel = power @ fb.T  # (t, n_mels)
-    return MelSpectrogram(values=np.log(mel.T + cfg.log_floor), config=cfg)
+    return np.log(mel.T + cfg.log_floor)
 
 
-def mixup(a: MelSpectrogram, b: MelSpectrogram, ya: np.ndarray, yb: np.ndarray,
-          lam: float):
-    """Convex combination of two spectrograms and their multi-hot targets."""
-    if a.values.shape != b.values.shape:
-        raise ValueError("mixup requires equal spectrogram shapes")
-    ya = np.asarray(ya, dtype=np.float64)
-    yb = np.asarray(yb, dtype=np.float64)
-    if ya.shape != yb.shape:
-        raise ValueError("mixup requires equal target shapes")
-    out = MelSpectrogram(values=lam * a.values + (1.0 - lam) * b.values,
-                         config=a.config)
-    return out, lam * ya + (1.0 - lam) * yb
+def mixup(x: np.ndarray, y: np.ndarray, lam: float, perm: np.ndarray):
+    """Convex combination of each clip of the batch `x` (N, f, t) and its
+    multi-hot targets `y` (N, K) with the clip `perm` pairs it with."""
+    return lam * x + (1.0 - lam) * x[perm], lam * y + (1.0 - lam) * y[perm]
 
 
-def apply_spec_augmentations(x: MelSpectrogram, cfg: AugmentConfig,
-                             rng: np.random.Generator) -> MelSpectrogram:
+def apply_spec_augmentations(x: np.ndarray, cfg: AugmentConfig,
+                             rng: np.random.Generator) -> np.ndarray:
     """Time/freq rolls, specaugment stripes filled with the mean, log-domain gain.
 
     Deterministic given the generator state; order is fixed: time roll,
     frequency roll, time masks, frequency masks, gain.
     """
-    v = x.values.copy()
+    v = x.copy()
     f, t = v.shape
     if cfg.max_mask_width >= min(f, t) and (cfg.n_time_masks or cfg.n_freq_masks):
         raise DataError("mask width must be smaller than both dimensions")
@@ -210,4 +170,4 @@ def apply_spec_augmentations(x: MelSpectrogram, cfg: AugmentConfig,
     if cfg.gain_range_db > 0:
         gain_db = rng.uniform(-cfg.gain_range_db, cfg.gain_range_db)
         v = v + gain_db * (np.log(10.0) / 10.0)
-    return MelSpectrogram(values=v, config=x.config)
+    return v

@@ -3,8 +3,6 @@ baseline, and the AP-vs-semantic-proximity correlation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DataError
@@ -75,20 +73,12 @@ def pearson_r(x, y) -> float | None:
     return float((xc * yc).mean() / (sx * sy))
 
 
-@dataclass
-class ProximityReport:
-    per_class: list      # dicts: class id, ap, random_ap, proximity
-    r: float | None      # None when undefined (zero variance)
-
-    def to_json(self) -> dict:
-        return {"per_class": self.per_class, "pearson_r": self.r}
-
-
 def proximity_correlation(test_aps: dict, test_random_aps: dict,
-                          train_embeddings: dict, test_embeddings: dict) -> ProximityReport:
+                          train_embeddings: dict, test_embeddings: dict) -> dict:
     """Correlate AP improvement over the random baseline with cosine proximity
     to the nearest training-class embedding. Classes whose AP is None (no
-    positive test clip) are skipped, as in `mean_ap`."""
+    positive test clip) are skipped, as in `mean_ap`. Returns the "per_class"
+    rows and "pearson_r", None when either variable has zero variance."""
     kept = sorted(c for c, ap in test_aps.items() if ap is not None)
     if len(kept) < 3:
         raise DataError("need at least 3 test classes with a positive test clip")
@@ -100,4 +90,4 @@ def proximity_correlation(test_aps: dict, test_random_aps: dict,
                      "random_ap": test_random_aps[cid], "proximity": prox})
     improvements = [r["ap"] - r["random_ap"] for r in rows]
     proximities = [r["proximity"] for r in rows]
-    return ProximityReport(per_class=rows, r=pearson_r(improvements, proximities))
+    return {"per_class": rows, "pearson_r": pearson_r(improvements, proximities)}

@@ -31,7 +31,7 @@ class Corpus:
     train_ids: list
     test_ids: list
     class_embeddings: dict        # class id -> semantic vector
-    spectrograms: dict            # clip id -> MelSpectrogram
+    spectrograms: dict            # clip id -> (n_mels, frames) log-mel array
 
 
 def load_corpus(corpus_dir, mel: dsp.MelConfig) -> Corpus:
@@ -50,11 +50,9 @@ def load_corpus(corpus_dir, mel: dsp.MelConfig) -> Corpus:
     unknown = sorted((set(meta["train"]) | set(meta["test"])) - set(labels))
     if unknown:
         raise DataError(f"{classes_path}: classes {unknown} have no label")
-    store = semantics.load_word_vectors(vec_path)
-    class_embeddings = {}
-    for cid, label in labels.items():
-        desc = semantics.ClassDescriptor(cid, label)
-        class_embeddings[cid] = semantics.embed_label(desc, store).vector
+    vectors = semantics.load_word_vectors(vec_path)
+    class_embeddings = {cid: semantics.embed_label(label, vectors)
+                        for cid, label in labels.items()}
     spectrograms = {}
     for r in records:
         path = Path(r.path)
@@ -147,7 +145,6 @@ def evaluate_zero_shot(corpus: Corpus, model, proj,
     baseline = float(np.mean(list(random_aps.values())))
     train_emb = {c: corpus.class_embeddings[c] for c in corpus.train_ids}
     held_emb = {c: corpus.class_embeddings[c] for c in test_ids}
-    prox = evaluation.proximity_correlation(aps, random_aps, train_emb, held_emb)
     result = {
         "n_test_clips": len(test_recs),
         "n_classified": len(truths),
@@ -158,7 +155,8 @@ def evaluate_zero_shot(corpus: Corpus, model, proj,
         "mean_ap": m_ap,
         "skipped_classes": skipped,
         "random_mean_ap": baseline,
-        "proximity": prox.to_json(),
+        "proximity": evaluation.proximity_correlation(aps, random_aps,
+                                                      train_emb, held_emb),
     }
     if category_map:
         per_category = {}

@@ -1,10 +1,9 @@
-"""Label-side embeddings: plain-text word-vector store with multi-word
+"""Label-side embeddings: plain-text word vectors, multi-word label
 averaging and cosine similarity."""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,46 +12,21 @@ from .errors import DataError
 _TOKEN_SPLIT = re.compile(r"[\s,\-]+")
 
 
-@dataclass
-class VectorStore:
-    vocab: dict            # word -> row index
-    vectors: np.ndarray    # (v, n)
-    dim: int
-    source: str = ""
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.vocab
-
-    def vector(self, word: str) -> np.ndarray:
-        return self.vectors[self.vocab[word]]
+def tokenize(label: str) -> list:
+    """Lower-cased words of a label, split at spaces, commas and hyphens,
+    with parentheses stripped."""
+    toks = [t for t in _TOKEN_SPLIT.split(label.lower()) if t]
+    toks = [t.strip("()") for t in toks]
+    toks = [t for t in toks if t]
+    if not toks:
+        raise DataError(f"label {label!r} produced no tokens")
+    return toks
 
 
-@dataclass(frozen=True)
-class ClassDescriptor:
-    class_id: str
-    label: str
-
-    @property
-    def tokens(self) -> list:
-        toks = [t for t in _TOKEN_SPLIT.split(self.label.lower()) if t]
-        toks = [t.strip("()") for t in toks]
-        toks = [t for t in toks if t]
-        if not toks:
-            raise DataError(f"label {self.label!r} produced no tokens")
-        return toks
-
-
-@dataclass
-class SemanticEmbedding:
-    vector: np.ndarray
-    class_id: str
-    oov_tokens: list = field(default_factory=list)
-
-
-def load_word_vectors(path, source: str = "") -> VectorStore:
+def load_word_vectors(path) -> dict:
     """Parse the plain-text vector format: 'word f1 f2 ... fn' per line,
-    with an optional 'count dim' header line."""
-    vocab, rows = {}, []
+    with an optional 'count dim' header line, into {word: float64 vector}."""
+    vectors = {}
     dim = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -77,13 +51,12 @@ def load_word_vectors(path, source: str = "") -> VectorStore:
                 dim = vec.size
             elif vec.size != dim:
                 raise DataError(f"{path}:{lineno}: dimension {vec.size} != {dim}")
-            if word in vocab:
+            if word in vectors:
                 raise DataError(f"{path}:{lineno}: duplicate word {word!r}")
-            vocab[word] = len(rows)
-            rows.append(vec)
-    if not rows:
+            vectors[word] = vec
+    if not vectors:
         raise DataError(f"{path}: empty vector file")
-    return VectorStore(vocab=vocab, vectors=np.vstack(rows), dim=dim, source=source)
+    return vectors
 
 
 def save_word_vectors(path, words: list, vectors: np.ndarray) -> None:
@@ -92,15 +65,12 @@ def save_word_vectors(path, words: list, vectors: np.ndarray) -> None:
             fh.write(w + " " + " ".join(repr(float(x)) for x in v) + "\n")
 
 
-def embed_label(c: ClassDescriptor, store: VectorStore) -> SemanticEmbedding:
-    """Mean of in-vocabulary token vectors; OOV tokens are skipped and recorded."""
-    in_vocab, oov = [], []
-    for tok in c.tokens:
-        (in_vocab if tok in store else oov).append(tok)
+def embed_label(label: str, vectors: dict) -> np.ndarray:
+    """Mean of the label's in-vocabulary token vectors; OOV tokens are skipped."""
+    in_vocab = [t for t in tokenize(label) if t in vectors]
     if not in_vocab:
-        raise DataError(f"no token of label {c.label!r} is in the vector vocabulary")
-    vec = np.mean([store.vector(t) for t in in_vocab], axis=0)
-    return SemanticEmbedding(vector=vec, class_id=c.class_id, oov_tokens=oov)
+        raise DataError(f"no token of label {label!r} is in the vector vocabulary")
+    return np.mean([vectors[t] for t in in_vocab], axis=0)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -26,8 +26,7 @@ def small_conv(kind, dtype=np.float32):
 
 
 def spec_of(values):
-    return dsp.MelSpectrogram(np.asarray(values, dtype=np.float64),
-                              dsp.MelConfig(n_mels=values.shape[0]))
+    return np.asarray(values, dtype=np.float64)
 
 
 # --- patching ---------------------------------------------------------------
@@ -105,7 +104,7 @@ def test_embed_matches_per_clip_embed_batch_for_every_kind():
         assert emb.dtype == np.float64
         assert emb.shape == (len(specs), model.cfg.embed_dim)
         for row, s in zip(emb, specs):
-            one, _ = model.embed_batch(s.values[None])
+            one, _ = model.embed_batch(s[None])
             assert np.array_equal(row, one[0].astype(np.float64))
 
 
@@ -211,7 +210,7 @@ def _toy_pretrain_inputs(n_classes=3, n_clips=6, shape=(12, 16), seed=0):
             cid = f"{c}_{j}"
             records.append(protocol.ClipRecord(cid, f"{cid}.wav", (c,), "train"))
             v = rng.standard_normal(shape) + 2.0 * (i == 0)
-            specs[cid] = dsp.MelSpectrogram(v, dsp.MelConfig(n_mels=shape[0]))
+            specs[cid] = v
     return records, specs, class_ids
 
 
@@ -261,6 +260,23 @@ def test_pretrain_divergence_is_reported_with_its_epoch():
         backbones.pretrain_backbone(model, head, records, class_ids, specs, cfg,
                                     dsp.AugmentConfig(), rng)
     assert err.value.epoch == 0
+
+
+def test_pretrain_clips_of_two_lengths_raise_before_any_step():
+    records, specs, class_ids = _toy_pretrain_inputs()
+    specs[records[-1].clip_id] = specs[records[-1].clip_id][:, :12]
+    rng = np.random.default_rng(0)
+    model = small_transformer(dtype=np.float32)
+    head = ClassifierHead.init(len(class_ids), 5, rng)
+    before = {k: v.copy() for k, v in model.params.items()}
+    state = rng.bit_generator.state
+    with pytest.raises(DataError, match="training clips of one length"):
+        backbones.pretrain_backbone(model, head, records, class_ids, specs,
+                                    _pretrain_cfg(), dsp.AugmentConfig(mixup_alpha=0.3),
+                                    rng)
+    # nothing was drawn and no parameter moved
+    assert rng.bit_generator.state == state
+    assert all(np.array_equal(before[k], model.params[k]) for k in before)
 
 
 def test_pretrain_empty_class_set_raises():
@@ -327,6 +343,27 @@ def test_v1_checkpoints_still_load(tmp_path):
         path = tmp_path / f"{kind}_v1.ckpt"
         checkpoint.save_checkpoint(path, kind, hp, {**model.params, **model.stats})
         _assert_same_backbone(checkpoint.load_backbone(path), model, x)
+
+
+def test_backbone_checkpoint_tensors_checked_against_hyperparameters(tmp_path):
+    """A backbone checkpoint that lacks a tensor its hyperparameters build,
+    holds one they do not, or holds one in another shape is a data error
+    naming that tensor."""
+    for kind, (model, _) in _small_backbones().items():
+        tensors = {**model.params, **model.stats}
+        missing = "cls" if kind == "transformer" else sorted(model.stats)[0]
+        cases = {
+            "missing": ({k: v for k, v in tensors.items() if k != missing},
+                        rf"missing tensors \['{missing}'\]"),
+            "unexpected": ({**tensors, "extra": np.zeros(2)},
+                           r"unexpected tensors \['extra'\]"),
+            "shape": ({**tensors, "head_w": tensors["head_w"].T}, "head_w"),
+        }
+        for case, (bad, match) in cases.items():
+            path = tmp_path / f"{kind}_{case}.ckpt"
+            checkpoint.save_checkpoint(path, kind, model.hyperparams(), bad)
+            with pytest.raises(DataError, match=match):
+                checkpoint.load_backbone(path)
 
 
 def test_checkpoint_kind_mismatch(tmp_path):

@@ -99,8 +99,7 @@ def cli_env(tmp_path_factory):
         "seeds": [0],
     }))
     corpus = root / "corpus"
-    rc = cli.main(["synth", "--config", str(cfg_path), "--out", str(corpus),
-                   "--deterministic"])
+    rc = cli.main(["synth", "--config", str(cfg_path), "--out", str(corpus)])
     assert rc == 0
     return {"root": root, "config": str(cfg_path), "corpus": str(corpus)}
 
@@ -116,8 +115,7 @@ def test_pretrain_then_projection_then_evaluate(cli_env):
     root = cli_env["root"]
     bb = root / "bb.ckpt"
     rc = cli.main(["pretrain", "--config", cli_env["config"],
-                   "--corpus", cli_env["corpus"], "--out", str(bb),
-                   "--deterministic"])
+                   "--corpus", cli_env["corpus"], "--out", str(bb)])
     assert rc == 0
     model = checkpoint.load_backbone(str(bb))
     assert model.kind == "transformer"
@@ -128,7 +126,7 @@ def test_pretrain_then_projection_then_evaluate(cli_env):
     proj = root / "proj.ckpt"
     rc = cli.main(["train-projection", "--config", cli_env["config"],
                    "--corpus", cli_env["corpus"], "--backbone", str(bb),
-                   "--out", str(proj), "--deterministic"])
+                   "--out", str(proj)])
     assert rc == 0
     sel = json.loads((root / "proj.ckpt.json").read_text())
     assert "best_epoch" in sel["selection"]
@@ -137,7 +135,7 @@ def test_pretrain_then_projection_then_evaluate(cli_env):
     rc = cli.main(["evaluate", "--config", cli_env["config"],
                    "--corpus", cli_env["corpus"], "--backbone", str(bb),
                    "--projection", str(proj),
-                   "--out", str(report), "--deterministic"])
+                   "--out", str(report)])
     assert rc == 0
     data = json.loads(report.read_text())
     assert data["per_seed"][0]["mean_ap"] is not None
@@ -202,7 +200,7 @@ def test_evaluate_category_map(cli_env, tmp_path):
     hits = []
     for r in corpus.records:
         if r.split == "test" and len(r.tags) == 1 and r.tags[0] in ids:
-            emb, _ = model.embed_batch(corpus.spectrograms[r.clip_id].values[None])
+            emb, _ = model.embed_batch(corpus.spectrograms[r.clip_id][None])
             out, _ = crossmodal.project_batch(emb.astype(np.float64), params)
             logits = [float(out[0] @ corpus.class_embeddings[c]) for c in ids]
             hits.append(ids[int(np.argmax(logits))] == r.tags[0])
@@ -217,11 +215,10 @@ def test_pretrain_resume_continues_epoch_counter(cli_env, tmp_path):
     cfg1.write_text(json.dumps(base))
     bb = tmp_path / "bb_r.ckpt"
     assert cli.main(["pretrain", "--config", str(cfg1), "--corpus",
-                     cli_env["corpus"], "--out", str(bb), "--deterministic"]) == 0
+                     cli_env["corpus"], "--out", str(bb)]) == 0
     assert json.loads((tmp_path / "bb_r.ckpt.json").read_text())["epochs_done"] == 1
     assert cli.main(["pretrain", "--config", cli_env["config"], "--corpus",
-                     cli_env["corpus"], "--out", str(bb), "--resume",
-                     "--deterministic"]) == 0
+                     cli_env["corpus"], "--out", str(bb), "--resume"]) == 0
     info = json.loads((tmp_path / "bb_r.ckpt.json").read_text())
     assert info["epochs_done"] == 2
     assert len(info["loss_history"]) == 2
@@ -233,7 +230,7 @@ def test_fold_split_command(tmp_path):
                       "C,Charlie,6\nD,Delta,4\nE,Speech,2\n")
     out = tmp_path / "folds.json"
     assert cli.main(["fold-split", "--counts", str(counts), "--preset", "toy",
-                     "--out", str(out), "--deterministic"]) == 0
+                     "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["pinned"] == ["E"]
     assert data["pinned_labels"] == ["Speech"]
@@ -262,15 +259,37 @@ def _exit_code_cases(cli_env, tmp_path):
     """(case, argv, expected exit code, fails before the corpus is read)."""
     cfg, corpus = cli_env["config"], cli_env["corpus"]
     base = json.loads(Path(cfg).read_text())
-    _, bb, proj = _untrained_artifacts(cli_env, tmp_path)
-    nan_bb = tmp_path / "nan_bb.ckpt"
+    cfg_obj, bb, proj = _untrained_artifacts(cli_env, tmp_path)
     model = checkpoint.load_backbone(bb)
+    no_cls_bb = tmp_path / "no_cls_bb.ckpt"
+    checkpoint.save_checkpoint(no_cls_bb, model.kind, model.hyperparams(),
+                               {k: v for k, v in model.params.items() if k != "cls"})
+    nan_bb = tmp_path / "nan_bb.ckpt"
     model.params["proj_w"][0, 0] = np.nan
     checkpoint.save_backbone(nan_bb, model)
+    no_w2_proj = tmp_path / "no_w2_proj.ckpt"
+    params = crossmodal.load_projection(proj)
+    checkpoint.save_checkpoint(no_w2_proj, "projection", {"dropout_rate": 0.0},
+                               {k: getattr(params, k) for k in params.TENSORS
+                                if k != "w2"})
 
     def write(name, text):
         (tmp_path / name).write_text(text)
         return str(tmp_path / name)
+
+    def resumable(name, head_tensors):
+        """A backbone checkpoint at `name` with a one-epoch info file and a
+        head holding `head_tensors`, ready for `pretrain --resume`."""
+        out = tmp_path / name
+        out.write_bytes(bb.read_bytes())
+        checkpoint.save_checkpoint(f"{out}.head", "head", {}, head_tensors)
+        write(f"{name}.json", json.dumps({"epochs_done": 1, "loss_history": [0.7],
+                                          "train_classes": train}))
+        return str(out)
+
+    train = json.loads((Path(corpus) / "classes.json").read_text())["train"]
+    head = {"weight": np.zeros((len(train), experiments.embed_dim(cfg_obj))),
+            "bias": np.zeros(len(train))}
 
     def config(name, override):
         return write(f"{name}.json", json.dumps(
@@ -312,6 +331,19 @@ def _exit_code_cases(cli_env, tmp_path):
         ("backbone kind mismatch",
          [*project, "--config", config("kind", {"backbone": "cnn14"}),
           "--corpus", corpus], 3, True),
+        ("backbone missing a tensor",
+         ["evaluate", "--backbone", str(no_cls_bb), "--projection", str(proj),
+          "--out", out, "--config", cfg, "--corpus", corpus], 3, True),
+        ("projection missing a tensor",
+         ["evaluate", "--backbone", str(bb), "--projection", str(no_w2_proj),
+          "--out", out, "--config", cfg, "--corpus", corpus], 3, False),
+        ("resume with other training classes",
+         ["pretrain", "--config", cfg, "--corpus", corpus, "--resume",
+          "--out", resumable("other.ckpt", head),
+          "--exclude", write("exclude.json", json.dumps([train[0]]))], 3, False),
+        ("resume head missing a tensor",
+         ["pretrain", "--config", cfg, "--corpus", corpus, "--resume",
+          "--out", resumable("no_bias.ckpt", {"weight": head["weight"]})], 3, False),
         ("backbone dim mismatch",
          [*evaluate, "--config", config("dim", {"transformer": {"embed_dim": 16}}),
           "--corpus", corpus], 3, True),
@@ -413,6 +445,6 @@ def test_synth_is_hash_identical_across_runs(cli_env, tmp_path):
     for name in ("a", "b"):
         out = tmp_path / name
         assert cli.main(["synth", "--config", cli_env["config"],
-                         "--out", str(out), "--deterministic"]) == 0
+                         "--out", str(out)]) == 0
         outs.append(_tree_hash(out))
     assert outs[0] == outs[1]

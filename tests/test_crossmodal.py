@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_gradcheck
-from zsat import crossmodal, protocol
+from zsat import checkpoint, crossmodal, protocol
 from zsat.backbones import Backbone
 from zsat.crossmodal import ProjectionParams, TrainConfig
 from zsat.errors import ConfigError, DataError, NumericalError
@@ -237,6 +237,19 @@ def test_projection_checkpoint_round_trip(tmp_path):
     assert back.dropout_rate == 0.15
 
 
+def test_projection_checkpoint_missing_entry_is_a_data_error(tmp_path):
+    p = make_params()
+    path = tmp_path / "p.ckpt"
+    tensors = {k: getattr(p, k) for k in ProjectionParams.TENSORS}
+    checkpoint.save_checkpoint(path, "projection", {"dropout_rate": 0.0},
+                               {k: v for k, v in tensors.items() if k != "w2"})
+    with pytest.raises(DataError, match=r"missing tensors \['w2'\]"):
+        crossmodal.load_projection(path)
+    checkpoint.save_checkpoint(path, "projection", {}, tensors)
+    with pytest.raises(DataError, match="missing hyperparameter 'dropout_rate'"):
+        crossmodal.load_projection(path)
+
+
 # --- training ----------------------------------------------------------------------
 
 class IdentityBackbone(Backbone):
@@ -260,9 +273,7 @@ def _toy_training_setup(n_classes=6, m=5, n=4, seed=0):
             records.append(protocol.ClipRecord(cid, f"{cid}.wav", (c,), split))
             base = np.zeros(m)
             base[i % m] = 3.0
-            fake = type("S", (), {})()
-            fake.values = base + 0.1 * rng.standard_normal(m)
-            specs[cid] = fake
+            specs[cid] = base + 0.1 * rng.standard_normal(m)
     return records, specs, class_ids, class_emb
 
 
@@ -303,9 +314,7 @@ def test_train_projection_leaves_backbone_untouched():
                                       embed_dim=6)
     model = backbones.TransformerBackbone(cfg, rng)
     for cid in specs:
-        fake = type("S", (), {})()
-        fake.values = np.random.default_rng(1).standard_normal((8, 1))
-        specs[cid] = fake
+        specs[cid] = np.random.default_rng(1).standard_normal((8, 1))
     before = {k: v.copy() for k, v in model.params.items()}
     crossmodal.train_projection(model, records, specs, class_ids, class_emb,
                                 _proj_cfg(), rng, hidden=8, dropout_rate=0.0)

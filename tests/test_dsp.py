@@ -32,19 +32,20 @@ def test_n_frames_matches_counting_oracle(n, window, hop):
 
 def test_wav_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    w = dsp.Waveform(rng.uniform(-0.9, 0.9, 4000), 32000)
+    samples = rng.uniform(-0.9, 0.9, 4000)
     path = tmp_path / "x.wav"
-    dsp.save_wav(path, w)
+    dsp.save_wav(path, samples, 32000)
+    # the file's rate must equal expected_rate, or load_wav raises
     back = dsp.load_wav(path, expected_rate=32000)
-    assert back.sample_rate == 32000
+    assert back.dtype == np.float64
     # 16-bit quantization bounds the round-trip error
-    assert np.max(np.abs(back.samples - w.samples)) < 1.0 / 32768 + 1e-9
-    assert np.max(np.abs(back.samples)) <= 1.0
+    assert np.max(np.abs(back - samples)) < 1.0 / 32768 + 1e-9
+    assert np.max(np.abs(back)) <= 1.0
 
 
 def test_wav_sample_rate_mismatch(tmp_path):
     path = tmp_path / "x.wav"
-    dsp.save_wav(path, dsp.Waveform(np.zeros(100), 16000))
+    dsp.save_wav(path, np.zeros(100), 16000)
     with pytest.raises(DataError, match="sample rate 16000 != configured 32000"):
         dsp.load_wav(path, expected_rate=32000)
 
@@ -59,6 +60,13 @@ def test_wav_rejects_stereo(tmp_path):
         wf.writeframes(b"\x00\x00" * 200)
     with pytest.raises(DataError, match="expected mono, got 2 channels"):
         dsp.load_wav(path)
+
+
+def test_wav_without_samples_is_a_data_error(tmp_path):
+    path = tmp_path / "empty.wav"
+    dsp.save_wav(path, np.zeros(0), 32000)
+    with pytest.raises(DataError, match="empty waveform"):
+        dsp.load_wav(path, expected_rate=32000)
 
 
 # --- mel scale and filterbank ------------------------------------------------
@@ -84,35 +92,33 @@ def test_pure_tone_peaks_at_nearest_mel_band():
     centers = dsp.mel_center_frequencies(cfg)
     for freq in (440.0, 1000.0, 3000.0):
         t = np.arange(32000) / 32000
-        w = dsp.Waveform(0.5 * np.sin(2 * np.pi * freq * t), 32000)
-        spec = dsp.compute_logmel(w, cfg)
-        band = int(np.argmax(spec.values.mean(axis=1)))
+        spec = dsp.compute_logmel(0.5 * np.sin(2 * np.pi * freq * t), cfg)
+        band = int(np.argmax(spec.mean(axis=1)))
         assert band == int(np.argmin(np.abs(centers - freq)))
 
 
 def test_logmel_shape_and_finiteness():
     cfg = dsp.MelConfig(n_mels=64)
-    w = dsp.Waveform(np.zeros(32000), 32000)
-    spec = dsp.compute_logmel(w, cfg)
+    spec = dsp.compute_logmel(np.zeros(32000), cfg)
     t = dsp.n_frames(32000, cfg.window_len, cfg.hop_len)
-    assert spec.values.shape == (64, t)
-    assert np.all(np.isfinite(spec.values))  # log floor prevents -inf
+    assert spec.shape == (64, t)
+    assert np.all(np.isfinite(spec))  # log floor prevents -inf
 
 
 # --- augmentation -------------------------------------------------------------
 
 def _spec(shape=(16, 20), seed=0):
     rng = np.random.default_rng(seed)
-    return dsp.MelSpectrogram(rng.standard_normal(shape), dsp.MelConfig(n_mels=shape[0]))
+    return rng.standard_normal(shape)
 
 
 def test_mixup_is_convex_combination():
     a, b = _spec(seed=1), _spec(seed=2)
-    ya = np.array([1.0, 0.0])
-    yb = np.array([0.0, 1.0])
-    out, y = dsp.mixup(a, b, ya, yb, 0.25)
-    assert np.allclose(out.values, 0.25 * a.values + 0.75 * b.values)
-    assert np.allclose(y, [0.25, 0.75])
+    y = np.array([[1.0, 0.0], [0.0, 1.0]])
+    out, y_mix = dsp.mixup(np.stack([a, b]), y, 0.25, np.array([1, 0]))
+    assert np.allclose(out[0], 0.25 * a + 0.75 * b)
+    assert np.allclose(out[1], 0.25 * b + 0.75 * a)
+    assert np.allclose(y_mix, [[0.25, 0.75], [0.75, 0.25]])
 
 
 def test_negative_mixup_alpha_raises():
@@ -121,20 +127,15 @@ def test_negative_mixup_alpha_raises():
         dsp.AugmentConfig(mixup_alpha=-0.1)
 
 
-def test_mixup_shape_mismatch():
-    with pytest.raises(ValueError):
-        dsp.mixup(_spec((8, 8)), _spec((8, 9)), np.zeros(2), np.zeros(2), 0.5)
-
-
 def test_augment_preserves_shape_and_is_deterministic():
     cfg = dsp.AugmentConfig(n_time_masks=2, n_freq_masks=1, max_mask_width=3,
                             max_time_shift=4, max_freq_shift=2, gain_range_db=6.0)
     x = _spec()
     a = dsp.apply_spec_augmentations(x, cfg, np.random.default_rng(7))
     b = dsp.apply_spec_augmentations(x, cfg, np.random.default_rng(7))
-    assert a.values.shape == x.values.shape
-    assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, x.values)
+    assert a.shape == x.shape
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, x)
 
 
 def test_masks_filled_with_mean():
@@ -142,9 +143,9 @@ def test_masks_filled_with_mean():
                             max_time_shift=0, max_freq_shift=0, gain_range_db=0.0)
     x = _spec()
     out = dsp.apply_spec_augmentations(x, cfg, np.random.default_rng(0))
-    changed = np.where(np.any(out.values != x.values, axis=0))[0]
+    changed = np.where(np.any(out != x, axis=0))[0]
     assert changed.size >= 1
-    assert np.allclose(out.values[:, changed], x.values.mean())
+    assert np.allclose(out[:, changed], x.mean())
 
 
 def test_gain_is_constant_log_offset():
@@ -152,7 +153,7 @@ def test_gain_is_constant_log_offset():
                             max_freq_shift=0, n_time_masks=0, n_freq_masks=0)
     x = _spec()
     out = dsp.apply_spec_augmentations(x, cfg, np.random.default_rng(3))
-    diff = out.values - x.values
+    diff = out - x
     assert np.allclose(diff, diff[0, 0])
     assert abs(diff[0, 0]) <= 6.0 * np.log(10.0) / 10.0
 
@@ -162,4 +163,4 @@ def test_rolls_permute_values():
                             n_time_masks=0, n_freq_masks=0, gain_range_db=0.0)
     x = _spec()
     out = dsp.apply_spec_augmentations(x, cfg, np.random.default_rng(11))
-    assert np.allclose(np.sort(out.values.ravel()), np.sort(x.values.ravel()))
+    assert np.allclose(np.sort(out.ravel()), np.sort(x.ravel()))

@@ -172,9 +172,9 @@ def test_corpus_same_seed_byte_identical(tmp_path):
 
 
 def test_adjacent_classes_are_mutual_nearest_neighbor_vectors(tiny_corpus):
-    store = semantics.load_word_vectors(tiny_corpus["vec_path"])
+    vectors = semantics.load_word_vectors(tiny_corpus["vec_path"])
     spec = tiny_corpus["spec"]
-    vecs = [store.vector(spec.class_id(i)) for i in range(spec.n_classes)]
+    vecs = [vectors[spec.class_id(i)] for i in range(spec.n_classes)]
     for i in (0, 1):
         sims = [semantics.cosine(vecs[i], vecs[j])
                 for j in range(spec.n_classes) if j != i]

@@ -13,17 +13,17 @@ def write_vectors(tmp_path, text, name="vecs.txt"):
 
 def test_load_basic(tmp_path):
     path = write_vectors(tmp_path, "cat 1.0 0.0\ndog 0.0 1.0\n")
-    store = semantics.load_word_vectors(path)
-    assert "cat" in store and "dog" in store
-    assert store.dim == 2
-    assert np.allclose(store.vector("cat"), [1.0, 0.0])
+    vectors = semantics.load_word_vectors(path)
+    assert "cat" in vectors and "dog" in vectors
+    assert all(v.shape == (2,) for v in vectors.values())
+    assert np.allclose(vectors["cat"], [1.0, 0.0])
 
 
 def test_load_with_count_header(tmp_path):
     path = write_vectors(tmp_path, "2 3\na 1 2 3\nb 4 5 6\n")
-    store = semantics.load_word_vectors(path)
-    assert store.dim == 3
-    assert np.allclose(store.vector("b"), [4, 5, 6])
+    vectors = semantics.load_word_vectors(path)
+    assert all(v.shape == (3,) for v in vectors.values())
+    assert np.allclose(vectors["b"], [4, 5, 6])
 
 
 def test_dim_mismatch_names_line(tmp_path):
@@ -49,40 +49,37 @@ def test_save_round_trip(tmp_path):
     vecs = np.array([[1.5, -2.0], [0.25, 0.75]])
     path = tmp_path / "out.txt"
     semantics.save_word_vectors(path, words, vecs)
-    store = semantics.load_word_vectors(path)
+    vectors = semantics.load_word_vectors(path)
     for w, v in zip(words, vecs):
-        assert np.allclose(store.vector(w), v)
+        assert np.allclose(vectors[w], v)
 
 
 # --- label tokenization and embedding ---------------------------------------
 
 def test_tokenize_rules():
-    d = semantics.ClassDescriptor("x", "Electric guitar, twelve-string (acoustic)")
-    assert d.tokens == ["electric", "guitar", "twelve", "string", "acoustic"]
+    tokens = semantics.tokenize("Electric guitar, twelve-string (acoustic)")
+    assert tokens == ["electric", "guitar", "twelve", "string", "acoustic"]
 
 
 def test_embed_label_averages_tokens(tmp_path):
     path = write_vectors(tmp_path, "electric 1 0\nguitar 0 1\n")
-    store = semantics.load_word_vectors(path)
-    e = semantics.embed_label(semantics.ClassDescriptor("x", "Electric guitar"), store)
-    assert np.allclose(e.vector, [0.5, 0.5])
-    assert e.oov_tokens == []
+    vectors = semantics.load_word_vectors(path)
+    e = semantics.embed_label("Electric guitar", vectors)
+    assert np.allclose(e, [0.5, 0.5])
 
 
 def test_embed_label_skips_oov(tmp_path):
     path = write_vectors(tmp_path, "guitar 0 1\n")
-    store = semantics.load_word_vectors(path)
-    e = semantics.embed_label(
-        semantics.ClassDescriptor("x", "zzqx guitar"), store)
-    assert np.allclose(e.vector, [0, 1])
-    assert e.oov_tokens == ["zzqx"]
+    vectors = semantics.load_word_vectors(path)
+    e = semantics.embed_label("zzqx guitar", vectors)
+    assert np.array_equal(e, vectors["guitar"])
 
 
 def test_embed_label_all_oov_raises(tmp_path):
     path = write_vectors(tmp_path, "guitar 0 1\n")
-    store = semantics.load_word_vectors(path)
+    vectors = semantics.load_word_vectors(path)
     with pytest.raises(DataError, match="no token of label 'zzqx qqzz'"):
-        semantics.embed_label(semantics.ClassDescriptor("x", "zzqx qqzz"), store)
+        semantics.embed_label("zzqx qqzz", vectors)
 
 
 # --- similarity ---------------------------------------------------------------
