@@ -95,7 +95,11 @@ class Backbone:
         # carry it; the checkpoint header's kind tag is the one that counts
         hp = {k: tuple(v) if isinstance(v, list) else v
               for k, v in hp.items() if k != "kind"}
-        model = cls(cls.config_type(**hp), np.random.default_rng(0))
+        try:
+            model = cls(cls.config_type(**hp), np.random.default_rng(0))
+        except (TypeError, ConfigError) as e:
+            raise DataError(f"{cls.kind} checkpoint: its hyperparameters build "
+                            f"no model: {e}") from e
         built = {**model.params, **model.stats}
         check_tensor_names(f"{cls.kind} checkpoint", tensors, built)
         wrong = sorted(k for k, v in built.items() if tensors[k].shape != v.shape)

@@ -25,7 +25,6 @@ def phase_rng(seed: int, phase: int) -> np.random.Generator:
 
 @dataclass
 class Corpus:
-    root: str
     records: list                 # ClipRecord
     labels: dict                  # class id -> display label
     train_ids: list
@@ -63,7 +62,7 @@ def load_corpus(corpus_dir, mel: dsp.MelConfig) -> Corpus:
                 dsp.load_wav(path, expected_rate=mel.sample_rate), mel)
         except (OSError, DataError) as exc:
             raise DataError(f"clip {r.clip_id}: {exc}") from exc
-    return Corpus(root=str(root), records=records, labels=labels,
+    return Corpus(records=records, labels=labels,
                   train_ids=list(meta["train"]), test_ids=list(meta["test"]),
                   class_embeddings=class_embeddings, spectrograms=spectrograms)
 

@@ -185,7 +185,7 @@ def conv2d(x, w, b, pad=1):
     n = x.shape[0]
     cout, cin, kh, kw = w.shape
     cols, (ho, wo) = _im2col(x, kh, kw, pad)
-    out = np.einsum("oc,ncl->nol", w.reshape(cout, -1), cols) + b[None, :, None]
+    out = np.matmul(w.reshape(cout, -1), cols) + b[None, :, None]
     return out.reshape(n, cout, ho, wo), (x, cols, w, pad, ho, wo)
 
 
@@ -194,9 +194,9 @@ def conv2d_backward(dout, cache):
     n, c, h, wd = x.shape
     cout, cin, kh, kw = w.shape
     dflat = dout.reshape(n, cout, -1)
-    dw = np.einsum("nol,ncl->oc", dflat, cols).reshape(w.shape)
+    dw = np.matmul(dflat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     db = dflat.sum(axis=(0, 2))
-    dcols = np.einsum("oc,nol->ncl", w.reshape(cout, -1), dflat)
+    dcols = np.matmul(w.reshape(cout, -1).T, dflat)
     dcols = dcols.reshape(n, c, kh, kw, ho, wo)
     dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=dout.dtype)
     for i in range(kh):

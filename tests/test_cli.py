@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -10,6 +11,7 @@ import pytest
 
 import zsat
 from zsat import checkpoint, cli, crossmodal, experiments
+from zsat.backbones import ConvConfig
 from zsat.config import PRESETS, load_config_file, resolve_config
 from zsat.errors import ConfigError, DataError, NumericalError
 
@@ -264,6 +266,12 @@ def _exit_code_cases(cli_env, tmp_path):
     no_cls_bb = tmp_path / "no_cls_bb.ckpt"
     checkpoint.save_checkpoint(no_cls_bb, model.kind, model.hyperparams(),
                                {k: v for k, v in model.params.items() if k != "cls"})
+    bogus_bb = tmp_path / "bogus_bb.ckpt"
+    checkpoint.save_checkpoint(bogus_bb, model.kind, {**model.hyperparams(), "bogus": 1},
+                               {**model.params, **model.stats})
+    vggish5_bb = tmp_path / "vggish5_bb.ckpt"
+    checkpoint.save_checkpoint(vggish5_bb, "vggish", dataclasses.asdict(
+        ConvConfig(channels=(2, 2, 3, 3, 4))), {})
     nan_bb = tmp_path / "nan_bb.ckpt"
     model.params["proj_w"][0, 0] = np.nan
     checkpoint.save_backbone(nan_bb, model)
@@ -334,6 +342,13 @@ def _exit_code_cases(cli_env, tmp_path):
         ("backbone missing a tensor",
          ["evaluate", "--backbone", str(no_cls_bb), "--projection", str(proj),
           "--out", out, "--config", cfg, "--corpus", corpus], 3, True),
+        ("backbone block with an unknown field",
+         ["evaluate", "--backbone", str(bogus_bb), "--projection", str(proj),
+          "--out", out, "--config", cfg, "--corpus", corpus], 3, True),
+        ("vggish block with 5 channels",
+         ["evaluate", "--backbone", str(vggish5_bb), "--projection", str(proj),
+          "--out", out, "--config", config("vggish", {"backbone": "vggish"}),
+          "--corpus", corpus], 3, True),
         ("projection missing a tensor",
          ["evaluate", "--backbone", str(bb), "--projection", str(no_w2_proj),
           "--out", out, "--config", cfg, "--corpus", corpus], 3, False),

@@ -107,7 +107,7 @@ def test_random_baseline_classification():
             specs[cid] = rng.standard_normal((4, 3))
     all_ids = test_ids + ["r0"]
     corpus = experiments.Corpus(
-        root="", records=records, labels={c: c for c in all_ids},
+        records=records, labels={c: c for c in all_ids},
         train_ids=["r0"], test_ids=test_ids,
         class_embeddings={c: rng.standard_normal(3) for c in all_ids},
         spectrograms=specs)

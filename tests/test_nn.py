@@ -1,0 +1,66 @@
+import numpy as np
+import pytest
+
+from zsat import nn
+
+
+def reference_conv2d(x, w, b, pad):
+    """Stride-1 convolution one output position at a time."""
+    n, c, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho, wo = h + 2 * pad - kh + 1, wd + 2 * pad - kw + 1
+    out = np.zeros((n, cout, ho, wo))
+    for i in range(n):
+        for o in range(cout):
+            for y in range(ho):
+                for z in range(wo):
+                    out[i, o, y, z] = b[o] + (xp[i, :, y:y + kh, z:z + kw] * w[o]).sum()
+    return out
+
+
+def reference_conv2d_backward(dout, x, w, pad):
+    n, c, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    dxp, dw, db = np.zeros_like(xp), np.zeros_like(w), np.zeros(cout)
+    for i in range(n):
+        for o in range(cout):
+            for y in range(dout.shape[2]):
+                for z in range(dout.shape[3]):
+                    g = dout[i, o, y, z]
+                    db[o] += g
+                    dw[o] += g * xp[i, :, y:y + kh, z:z + kw]
+                    dxp[i, :, y:y + kh, z:z + kw] += g * w[o]
+    return dxp[:, :, pad:pad + h, pad:pad + wd], dw, db
+
+
+@pytest.mark.parametrize("pad", [0, 1])
+def test_conv2d_matches_nested_loop_reference(pad):
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2, 3, 5, 7))
+    w = rng.standard_normal((4, 3, 3, 3))
+    b = rng.standard_normal(4)
+    out, cache = nn.conv2d(x, w, b, pad=pad)
+    np.testing.assert_allclose(out, reference_conv2d(x, w, b, pad), rtol=0, atol=1e-12)
+    dout = rng.standard_normal(out.shape)
+    for got, want in zip(nn.conv2d_backward(dout, cache),
+                         reference_conv2d_backward(dout, x, w, pad)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("x_dtype, w_dtype, want", [
+    (np.float32, np.float32, np.float32),
+    (np.float64, np.float32, np.float64),
+])
+def test_conv2d_dtype(x_dtype, w_dtype, want):
+    """The output and every gradient take the promoted input dtype."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2, 3, 5, 7)).astype(x_dtype)
+    w = rng.standard_normal((4, 3, 3, 3)).astype(w_dtype)
+    b = np.zeros(4, dtype=w_dtype)
+    out, cache = nn.conv2d(x, w, b)
+    assert out.dtype == want
+    grads = nn.conv2d_backward(np.ones_like(out), cache)
+    assert [g.dtype for g in grads] == [want] * 3
