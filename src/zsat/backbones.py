@@ -5,13 +5,12 @@ classification head."""
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .checkpoint import check_tensor_names
+from .checkpoint import Module
 from .errors import ConfigError, DataError
 
 
@@ -55,19 +54,16 @@ def _choose_drops(size: int, n_drop: int, rng: np.random.Generator) -> np.ndarra
     return np.setdiff1d(np.arange(size), dropped)
 
 
-class Backbone:
+class Backbone(Module):
     """Interface shared by the embedding backbones.
 
-    A subclass sets `kind` (its checkpoint tag), `config_type` and
-    `config_key` (the ExperimentConfig field holding its settings), keeps
-    trained tensors in `params` and running statistics in `stats`, and
-    defines `embed_batch(x, train=False, rng=None)`, which maps (N, f, t)
+    Beyond the `Module` contract, a subclass sets `config_key` (the
+    ExperimentConfig field holding its settings) and defines
+    `embed_batch(x, train=False, rng=None)`, which maps (N, f, t)
     spectrograms to (embeddings (N, m), cache), and `backward(demb, cache)`,
     which returns the gradient of every tensor in `params`.
     """
 
-    kind: str
-    config_type: type
     config_key: str
 
     def embed(self, specs: list[np.ndarray]) -> np.ndarray:
@@ -83,32 +79,6 @@ class Backbone:
             emb, _ = self.embed_batch(s[None])
             out.append(emb[0].astype(np.float64))
         return np.stack(out)
-
-    def hyperparams(self) -> dict:
-        return dataclasses.asdict(self.cfg)
-
-    @classmethod
-    def from_hyperparams(cls, hp: dict, tensors: dict):
-        """The model that `hp` builds, holding `tensors`, whose names and
-        shapes must be those of the built `params` and `stats`."""
-        # conv checkpoints written while ConvConfig had a `kind` field still
-        # carry it; the checkpoint header's kind tag is the one that counts
-        hp = {k: tuple(v) if isinstance(v, list) else v
-              for k, v in hp.items() if k != "kind"}
-        try:
-            model = cls(cls.config_type(**hp), np.random.default_rng(0))
-        except (TypeError, ConfigError) as e:
-            raise DataError(f"{cls.kind} checkpoint: its hyperparameters build "
-                            f"no model: {e}") from e
-        built = {**model.params, **model.stats}
-        check_tensor_names(f"{cls.kind} checkpoint", tensors, built)
-        wrong = sorted(k for k, v in built.items() if tensors[k].shape != v.shape)
-        if wrong:
-            raise DataError(f"{cls.kind} checkpoint: tensors {wrong} have other "
-                            f"shapes than its hyperparameters build")
-        model.params = {k: tensors[k] for k in model.params}
-        model.stats = {k: tensors[k].astype(np.float64) for k in model.stats}
-        return model
 
 
 class TransformerBackbone(Backbone):
@@ -429,15 +399,24 @@ BACKBONE_KINDS = {cls.kind: cls for cls in
 # Supervised pretraining
 
 
-@dataclass
-class ClassifierHead:
-    weight: np.ndarray  # (|C_trn|, m)
-    bias: np.ndarray    # (|C_trn|,)
+@dataclass(frozen=True)
+class HeadConfig:
+    n_classes: int   # |C_trn|
+    m: int           # backbone embedding dim
 
-    @classmethod
-    def init(cls, n_classes: int, m: int, rng: np.random.Generator, dtype=np.float32):
-        w, b = nn.init_linear(rng, n_classes, m, dtype)
-        return cls(weight=w, bias=b)
+
+class ClassifierHead(Module):
+    """Linear multi-label classifier over the training classes, trained
+    with the backbone: `weight` (|C_trn|, m) and `bias` (|C_trn|,)."""
+
+    kind = "head"
+    config_type = HeadConfig
+
+    def __init__(self, cfg: HeadConfig, rng: np.random.Generator, dtype=np.float32):
+        self.cfg = cfg
+        w, b = nn.init_linear(rng, cfg.n_classes, cfg.m, dtype)
+        self.params = {"weight": w, "bias": b}
+        self.stats = {}
 
 
 def pretrain_backbone(model, head: ClassifierHead, manifest, class_ids: list,
@@ -463,7 +442,8 @@ def pretrain_backbone(model, head: ClassifierHead, manifest, class_ids: list,
         raise DataError("pretraining batches need training clips of one length")
     dtype = next(iter(model.params.values())).dtype
     params = {**{f"bb.{k}": v for k, v in model.params.items()},
-              "head.weight": head.weight, "head.bias": head.bias}
+              **{f"head.{k}": v for k, v in head.params.items()}}
+    head_w, head_b = head.params["weight"], head.params["bias"]
 
     def forward(ids, targets):
         batch = np.stack([apply_spec_augmentations(spectrograms[c], aug_cfg, rng)
@@ -474,11 +454,11 @@ def pretrain_backbone(model, head: ClassifierHead, manifest, class_ids: list,
         emb, cache = model.embed_batch(batch.astype(dtype), train=True, rng=rng)
 
         def backward(dlogits):
-            demb, dw, db = nn.linear_backward(dlogits, emb, head.weight)
+            demb, dw, db = nn.linear_backward(dlogits, emb, head_w)
             grads = model.backward(demb.astype(emb.dtype), cache)
             return {**{f"bb.{k}": v for k, v in grads.items()},
                     "head.weight": dw, "head.bias": db}
-        return nn.linear(emb, head.weight, head.bias), targets, backward
+        return nn.linear(emb, head_w, head_b), targets, backward
 
     history = list(crossmodal.train_epochs(
         train_records, class_ids, params, cfg, rng,

@@ -1,4 +1,5 @@
-"""Binary checkpoint format shared by all parameterized modules.
+"""Binary checkpoint format shared by all trained modules, and `Module`,
+the one way they are saved and loaded.
 
 Layout: magic "ZSCK", format version (u32), kind tag (u32 length + UTF-8),
 hyperparameter block (u32 length + UTF-8 JSON), tensor count (u32), then per
@@ -8,6 +9,7 @@ little-endian float32 data.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 MAGIC = b"ZSCK"
 VERSION = 1
@@ -86,24 +88,53 @@ def load_checkpoint(path, expected_kind: str | None = None):
     return kind, hyperparams, tensors
 
 
-def check_tensor_names(what: str, tensors: dict, names) -> None:
-    """DataError naming each of `names` that `tensors` lacks and each
-    tensor it holds beyond them."""
-    missing = sorted(set(names) - set(tensors))
-    unexpected = sorted(set(tensors) - set(names))
-    if missing or unexpected:
-        raise DataError(f"{what}: missing tensors {missing}, "
-                        f"unexpected tensors {unexpected}")
+class Module:
+    """A trained part of the system: a backbone, the pretraining head or the
+    projection.
 
+    A subclass sets `kind` (its checkpoint tag) and `config_type` (the
+    dataclass of its hyperparameters, `cfg`), and its `__init__(cfg, rng)`
+    builds `params` (trained tensors) and `stats` (saved tensors that are
+    not trained). Checkpoints hold all of them.
+    """
 
-def save_backbone(path, model) -> None:
-    save_checkpoint(path, model.kind, model.hyperparams(),
-                    {**model.params, **model.stats})
+    kind: str
+    config_type: type
 
+    def hyperparams(self) -> dict:
+        return dataclasses.asdict(self.cfg)
 
-def load_backbone(path, expected_kind: str | None = None):
-    from .backbones import BACKBONE_KINDS
-    kind, hp, tensors = load_checkpoint(path, expected_kind)
-    if kind not in BACKBONE_KINDS:
-        raise DataError(f"{path}: unknown backbone kind {kind!r}")
-    return BACKBONE_KINDS[kind].from_hyperparams(hp, tensors)
+    def save(self, path) -> None:
+        save_checkpoint(path, self.kind, self.hyperparams(),
+                        {**self.params, **self.stats})
+
+    @classmethod
+    def load(cls, path):
+        """The module that the checkpoint's hyperparameters build, holding its
+        tensors, whose names and shapes must be those of the built `params`
+        and `stats`. Each tensor takes the dtype of the one it replaces."""
+        _, hp, tensors = load_checkpoint(path, cls.kind)
+        # conv checkpoints written while ConvConfig had a `kind` field still
+        # carry it; the checkpoint header's kind tag is the one that counts
+        hp = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in hp.items() if k != "kind"}
+        try:
+            module = cls(cls.config_type(**hp), np.random.default_rng(0))
+        except (TypeError, ConfigError) as e:
+            raise DataError(f"{path}: its hyperparameters build no {cls.kind}: "
+                            f"{e}") from e
+        built = {**module.params, **module.stats}
+        missing = sorted(set(built) - set(tensors))
+        unexpected = sorted(set(tensors) - set(built))
+        if missing or unexpected:
+            raise DataError(f"{path}: missing tensors {missing}, "
+                            f"unexpected tensors {unexpected}")
+        wrong = sorted(k for k, v in built.items() if tensors[k].shape != v.shape)
+        if wrong:
+            raise DataError(f"{path}: tensors {wrong} have other shapes than "
+                            f"its hyperparameters build")
+        module.params = {k: tensors[k].astype(v.dtype, copy=False)
+                         for k, v in module.params.items()}
+        module.stats = {k: tensors[k].astype(v.dtype, copy=False)
+                        for k, v in module.stats.items()}
+        return module

@@ -150,7 +150,7 @@ def _select_train_ids(args, corpus):
 def cmd_pretrain(args) -> int:
     import dataclasses
 
-    from . import backbones, checkpoint, experiments, protocol
+    from . import backbones, experiments, protocol
     cfg, seeds = _resolve(args)
     if (args.folds is None) != (args.fold_id is None):
         raise ConfigError("--folds and --fold-id must be given together")
@@ -172,10 +172,13 @@ def cmd_pretrain(args) -> int:
             if prev["train_classes"] != train_ids:
                 raise DataError(f"--resume: {info_path} trained on classes "
                                 f"{prev['train_classes']}, this run selects {train_ids}")
-            model = _load_backbone(out, cfg)
-            _, hp, tensors = checkpoint.load_checkpoint(str(head_path), "head")
-            checkpoint.check_tensor_names(head_path, tensors, ("weight", "bias"))
-            head = backbones.ClassifierHead(**tensors)
+            model = _read_backbone(out, cfg)
+            head = backbones.ClassifierHead.load(head_path)
+            want = backbones.HeadConfig(len(train_ids), experiments.embed_dim(cfg))
+            if head.cfg != want:
+                raise DataError(f"--resume: head {head_path} maps {head.cfg.m} dims to "
+                                f"{head.cfg.n_classes} classes; this run needs "
+                                f"{want.m} to {want.n_classes}")
             done, history = prev["epochs_done"], prev["loss_history"]
         remaining = cfg.pretrain.epochs - done
         if remaining > 0:
@@ -183,11 +186,8 @@ def cmd_pretrain(args) -> int:
                 cfg, corpus, seed, model=model, head=head, epochs=remaining)
             history = history + hist
             done += remaining
-        checkpoint.save_backbone(str(out), model)
-        checkpoint.save_checkpoint(str(head_path), "head",
-                                   {"n_classes": int(head.weight.shape[0]),
-                                    "m": int(head.weight.shape[1])},
-                                   {"weight": head.weight, "bias": head.bias})
+        model.save(out)
+        head.save(head_path)
         _write_json(info_path, {"seed": seed, "epochs_done": done,
                                 "train_classes": train_ids,
                                 "loss_history": history}, cfg)
@@ -195,11 +195,11 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _load_backbone(path, cfg):
+def _read_backbone(path, cfg):
     """The backbone checkpoint at `path`, checked against the config's
     backbone kind and embed dim."""
-    from . import checkpoint, experiments
-    model = checkpoint.load_backbone(str(path), expected_kind=cfg.backbone)
+    from . import backbones, experiments
+    model = backbones.BACKBONE_KINDS[cfg.backbone].load(path)
     m = experiments.embed_dim(cfg)
     if model.cfg.embed_dim != m:
         raise DataError(f"backbone {path} embeds into {model.cfg.embed_dim} dims but the "
@@ -208,19 +208,19 @@ def _load_backbone(path, cfg):
 
 
 def cmd_train_projection(args) -> int:
-    from . import crossmodal, experiments
+    from . import experiments
     cfg, seeds = _resolve(args)
     multi = len(seeds) > 1
     # the first seed's backbone is checked before the corpus is read
-    model = _load_backbone(_seed_path(args.backbone, seeds[0], multi), cfg)
+    model = _read_backbone(_seed_path(args.backbone, seeds[0], multi), cfg)
     corpus = experiments.load_corpus(args.corpus, cfg.mel)
     best_maps = {}
     for i, seed in enumerate(seeds):
         if i:
-            model = _load_backbone(_seed_path(args.backbone, seed, multi), cfg)
+            model = _read_backbone(_seed_path(args.backbone, seed, multi), cfg)
         out = _seed_path(args.out, seed, multi)
         proj, report = experiments.run_projection(cfg, corpus, model, seed)
-        crossmodal.save_projection(str(out), proj)
+        proj.save(out)
         _write_json(out.with_suffix(out.suffix + ".json"),
                     {"seed": seed, "selection": report}, cfg)
         best_maps[seed] = report["best_val_map"]
@@ -245,7 +245,7 @@ def cmd_evaluate(args) -> int:
     cfg, seeds = _resolve(args)
     multi = len(seeds) > 1
     # the first seed's backbone and the category map are read before the corpus
-    model = _load_backbone(_seed_path(args.backbone, seeds[0], multi), cfg)
+    model = _read_backbone(_seed_path(args.backbone, seeds[0], multi), cfg)
     category_map = (protocol.load_json(args.category_map)
                     if args.category_map else None)
     if category_map and not all(isinstance(v, str) for v in category_map.values()):
@@ -254,13 +254,14 @@ def cmd_evaluate(args) -> int:
     results = []
     for i, seed in enumerate(seeds):
         if i:
-            model = _load_backbone(_seed_path(args.backbone, seed, multi), cfg)
+            model = _read_backbone(_seed_path(args.backbone, seed, multi), cfg)
         path = _seed_path(args.projection, seed, multi)
-        proj = crossmodal.load_projection(str(path))
+        proj = crossmodal.Projection.load(path)
         n = next(iter(corpus.class_embeddings.values())).shape[0]
-        if (proj.m, proj.n) != (model.cfg.embed_dim, n):
-            raise DataError(f"projection {path} maps {proj.m} -> {proj.n} dims; the "
-                            f"backbone and word vectors need {model.cfg.embed_dim} -> {n}")
+        if (proj.cfg.m, proj.cfg.n) != (model.cfg.embed_dim, n):
+            raise DataError(f"projection {path} maps {proj.cfg.m} -> {proj.cfg.n} dims; "
+                            f"the backbone and word vectors need "
+                            f"{model.cfg.embed_dim} -> {n}")
         r = experiments.evaluate_zero_shot(corpus, model, proj, category_map)
         r["seed"] = seed
         results.append(r)

@@ -58,7 +58,6 @@ _TOY_MEL = MelConfig(sample_rate=32000, window_len=800, hop_len=320, n_mels=64,
                      fmin=0.0, fmax=16000.0, log_floor=1e-5)
 _PAPER_MEL = MelConfig(sample_rate=32000, window_len=800, hop_len=320, n_mels=128,
                        fmin=0.0, fmax=16000.0, log_floor=1e-5)
-_PAPER_MEL_VGG = dataclasses.replace(_PAPER_MEL, n_mels=64)
 
 _PAPER_PRETRAIN = TrainConfig(initial_lr=2e-5, warmup_epochs=5, decay_start_epoch=50,
                               decay_end_epoch=100, final_lr=1e-7, epochs=130,
@@ -97,21 +96,13 @@ _TOY_CONV = ConvConfig(channels=(8, 16, 32, 32, 64, 64), fc_units=64,
                        embed_dim=32, vggish_time=96, vggish_mels=64)
 _PAPER_CNN14 = ConvConfig(channels=(64, 128, 256, 512, 1024, 2048),
                           fc_units=2048, embed_dim=768)
-_PAPER_VGGISH = ConvConfig(channels=(64, 128, 256, 256, 512, 512),
-                           fc_units=4096, embed_dim=768, vggish_time=96,
-                           vggish_mels=64)
 
 
-def _paper_preset(name: str, backbone: str = "transformer") -> ExperimentConfig:
-    mel = _PAPER_MEL_VGG if backbone == "vggish" else _PAPER_MEL
-    conv = _PAPER_VGGISH if backbone == "vggish" else _PAPER_CNN14
-    batch = 24 if backbone == "transformer" else 32
-    pre = dataclasses.replace(_PAPER_PRETRAIN, batch_size=batch)
+def _paper_preset(name: str) -> ExperimentConfig:
     return ExperimentConfig(
-        preset=name, backbone=backbone, mel=mel, augment=_PAPER_AUG,
-        transformer=_PAPER_TRANSFORMER, conv=conv, pretrain=pre,
-        projection=dataclasses.replace(_PAPER_PROJECTION, batch_size=batch),
-        projection_hidden=1024, projection_dropout=0.2,
+        preset=name, backbone="transformer", mel=_PAPER_MEL, augment=_PAPER_AUG,
+        transformer=_PAPER_TRANSFORMER, conv=_PAPER_CNN14, pretrain=_PAPER_PRETRAIN,
+        projection=_PAPER_PROJECTION, projection_hidden=1024, projection_dropout=0.2,
         synthetic=_TOY_SYNTH, fold_k=5)
 
 
@@ -132,13 +123,6 @@ PRESETS = {
     "openmic-mic": _paper_preset("openmic-mic"),
 }
 
-_SUBCONFIG_TYPES = {
-    "mel": MelConfig, "augment": AugmentConfig,
-    "transformer": TransformerConfig, "conv": ConvConfig,
-    "pretrain": TrainConfig, "projection": TrainConfig,
-    "synthetic": SyntheticSpec,
-}
-
 
 def resolve_config(preset: str, overrides: dict | None = None) -> ExperimentConfig:
     """Look up a preset and apply nested override dicts (from a config file)."""
@@ -151,10 +135,10 @@ def resolve_config(preset: str, overrides: dict | None = None) -> ExperimentConf
             continue
         if key not in {f.name for f in dataclasses.fields(cfg)}:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in _SUBCONFIG_TYPES:
+        sub = getattr(cfg, key)
+        if dataclasses.is_dataclass(sub):
             if not isinstance(value, dict):
                 raise ConfigError(f"{key} must be an object of settings, not {value!r}")
-            sub = getattr(cfg, key)
             try:
                 if key == "synthetic" and isinstance(value.get("mel"), dict):
                     value = {**value, "mel": dataclasses.replace(sub.mel, **value["mel"])}

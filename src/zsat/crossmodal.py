@@ -11,69 +11,67 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn, protocol
-from .checkpoint import check_tensor_names, load_checkpoint, save_checkpoint
+from .checkpoint import Module
 from .errors import ConfigError, DataError, DivergenceError, NumericalError
 from .evaluation import average_precision, mean_ap
 
 
-@dataclass
-class ProjectionParams:
-    mean: np.ndarray      # (m,) input normalizer
-    std: np.ndarray       # (m,) strictly positive
-    w1: np.ndarray        # (hidden, m)
-    b1: np.ndarray        # (hidden,)
-    w2: np.ndarray        # (n, hidden)
-    b2: np.ndarray        # (n,)
-    dropout_rate: float = 0.2
-
-    TRAINED = ("w1", "b1", "w2", "b2")
-    TENSORS = ("mean", "std", "w1", "b1", "w2", "b2")
+@dataclass(frozen=True)
+class ProjectionConfig:
+    m: int                # audio embedding dim
+    n: int                # semantic dim
+    hidden: int
+    dropout_rate: float
 
     def __post_init__(self):
-        # training floors the std at 1e-8, so only a projection file holds less
-        if np.any(self.std <= 0):
-            raise DataError("normalizer std must be strictly positive")
         if not (0 <= self.dropout_rate < 1):
             raise ConfigError("dropout_rate must be in [0, 1)")
 
-    @property
-    def m(self) -> int:
-        return self.w1.shape[1]
 
-    @property
-    def n(self) -> int:
-        return self.w2.shape[0]
+class Projection(Module):
+    """Two-layer GELU network from normalized audio embeddings into the
+    semantic space: `params` w1 (hidden, m), b1, w2 (n, hidden), b2; `stats`
+    the input normalizer's mean and strictly positive std, each (m,)."""
+
+    kind = "projection"
+    config_type = ProjectionConfig
+
+    def __init__(self, cfg: ProjectionConfig, rng: np.random.Generator,
+                 dtype=np.float64):
+        self.cfg = cfg
+        w1, b1 = nn.init_linear(rng, cfg.hidden, cfg.m, dtype)
+        w2, b2 = nn.init_linear(rng, cfg.n, cfg.hidden, dtype)
+        self.params = {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
+        self.stats = {"mean": np.zeros(cfg.m, dtype), "std": np.ones(cfg.m, dtype)}
 
     @classmethod
-    def init(cls, m: int, n: int, hidden: int, rng: np.random.Generator,
-             dropout_rate: float = 0.2, dtype=np.float64):
-        w1, b1 = nn.init_linear(rng, hidden, m, dtype)
-        w2, b2 = nn.init_linear(rng, n, hidden, dtype)
-        return cls(mean=np.zeros(m, dtype), std=np.ones(m, dtype),
-                   w1=w1, b1=b1, w2=w2, b2=b2, dropout_rate=dropout_rate)
-
-    def copy(self) -> "ProjectionParams":
-        return copy.deepcopy(self)
+    def load(cls, path):
+        proj = super().load(path)
+        # training floors the std at 1e-8, so only a projection file holds less
+        if np.any(proj.stats["std"] <= 0):
+            raise DataError(f"{path}: normalizer std must be strictly positive")
+        return proj
 
 
-def project_batch(a: np.ndarray, p: ProjectionParams, mode: str = "eval",
+def project_batch(a: np.ndarray, p: Projection, mode: str = "eval",
                   rng: np.random.Generator | None = None):
     """a: (N, m) -> (out (N, n), cache). Train mode applies inverted dropout."""
-    if a.shape[-1] != p.m:
-        raise ValueError(f"embedding dim {a.shape[-1]} != projection input {p.m}")
+    if a.shape[-1] != p.cfg.m:
+        raise ValueError(f"embedding dim {a.shape[-1]} != projection input {p.cfg.m}")
     if not np.all(np.isfinite(a)):
         raise NumericalError("non-finite audio embedding")
-    z = (a - p.mean) / p.std
-    pre = nn.linear(z, p.w1, p.b1)
+    w = p.params
+    z = (a - p.stats["mean"]) / p.stats["std"]
+    pre = nn.linear(z, w["w1"], w["b1"])
     h = nn.gelu(pre)
     mask = None
-    if mode == "train" and p.dropout_rate > 0:
-        h, mask = nn.dropout(h, p.dropout_rate, rng)
-    out = nn.linear(h, p.w2, p.b2)
+    if mode == "train" and p.cfg.dropout_rate > 0:
+        h, mask = nn.dropout(h, p.cfg.dropout_rate, rng)
+    out = nn.linear(h, w["w2"], w["b2"])
     return out, (a, z, pre, h, mask)
 
 
-def project_backward(dout: np.ndarray, p: ProjectionParams, cache):
+def project_backward(dout: np.ndarray, p: Projection, cache):
     """Exact backprop through the 2-layer network and the input normalizer.
 
     Returns (da, grads) with grads for every parameter tensor, including the
@@ -81,15 +79,16 @@ def project_backward(dout: np.ndarray, p: ProjectionParams, cache):
     finite differences).
     """
     a, z, pre, h, mask = cache
-    dh, dw2, db2 = nn.linear_backward(dout, h, p.w2)
+    std = p.stats["std"]
+    dh, dw2, db2 = nn.linear_backward(dout, h, p.params["w2"])
     dh = nn.dropout_backward(dh, mask)
     dpre = nn.gelu_backward(dh, pre)
-    dz, dw1, db1 = nn.linear_backward(dpre, z, p.w1)
-    da = dz / p.std
-    flat_dz = dz.reshape(-1, p.m)
-    flat_z = z.reshape(-1, p.m)
-    dmean = -(flat_dz / p.std).sum(axis=0)
-    dstd = -(flat_dz * flat_z / p.std).sum(axis=0)
+    dz, dw1, db1 = nn.linear_backward(dpre, z, p.params["w1"])
+    da = dz / std
+    flat_dz = dz.reshape(-1, p.cfg.m)
+    flat_z = z.reshape(-1, p.cfg.m)
+    dmean = -(flat_dz / std).sum(axis=0)
+    dstd = -(flat_dz * flat_z / std).sum(axis=0)
     return da, {"mean": dmean, "std": dstd, "w1": dw1, "b1": db1,
                 "w2": dw2, "b2": db2}
 
@@ -235,23 +234,6 @@ def train_epochs(records, class_ids: list, params: dict, cfg: TrainConfig,
 # Projection training with the backbone frozen
 
 
-def save_projection(path, p: ProjectionParams) -> None:
-    save_checkpoint(path, "projection",
-                    {"m": p.m, "n": p.n, "hidden": int(p.w1.shape[0]),
-                     "dropout_rate": p.dropout_rate},
-                    {k: getattr(p, k) for k in p.TENSORS})
-
-
-def load_projection(path) -> ProjectionParams:
-    _, hp, tensors = load_checkpoint(path, expected_kind="projection")
-    check_tensor_names(path, tensors, ProjectionParams.TENSORS)
-    if "dropout_rate" not in hp:
-        raise DataError(f"{path}: missing hyperparameter 'dropout_rate'")
-    return ProjectionParams(dropout_rate=hp["dropout_rate"],
-                            **{k: tensors[k].astype(np.float64) for k in
-                               ProjectionParams.TENSORS})
-
-
 def split_validation_classes(class_ids: list, fraction: float,
                              rng: np.random.Generator):
     """Held-out model-selection classes; errors if the fraction covers none."""
@@ -277,7 +259,7 @@ def train_projection(backbone, manifest, spectrograms: dict, class_ids: list,
     `class_embeddings` maps class id -> semantic vector (np.ndarray of dim n).
     Validation classes (val_class_fraction of class_ids) are removed from the
     loss entirely; after each epoch, tagging mAP on the val split over those
-    classes drives checkpoint selection. Returns (best ProjectionParams,
+    classes drives checkpoint selection. Returns (best Projection,
     selection report dict).
     """
     loss_ids, val_ids = split_validation_classes(class_ids, cfg.val_class_fraction, rng)
@@ -293,20 +275,15 @@ def train_projection(backbone, manifest, spectrograms: dict, class_ids: list,
         [spectrograms[r.clip_id] for r in train_records])))
     val_emb = backbone.embed([spectrograms[r.clip_id] for r in val_records])
 
+    n = next(iter(class_embeddings.values())).shape[0]
     # a clip listed twice in the manifest counts once in the normalizer
     amat = np.stack(list(train_emb.values()))
-    mean = amat.mean(axis=0)
-    std = np.maximum(amat.std(axis=0), 1e-8)
-
-    n = next(iter(class_embeddings.values())).shape[0]
-    m = amat.shape[1]
-    p = ProjectionParams.init(m, n, hidden, rng, dropout_rate)
-    p.mean, p.std = mean, std
+    p = Projection(ProjectionConfig(amat.shape[1], n, hidden, dropout_rate), rng)
+    p.stats = {"mean": amat.mean(axis=0), "std": np.maximum(amat.std(axis=0), 1e-8)}
 
     e_loss = np.stack([class_embeddings[c] for c in loss_ids])
     e_val = np.stack([class_embeddings[c] for c in val_ids])
     val_labels = protocol.multi_hot([r.tags for r in val_records], val_ids)
-    trained = {k: getattr(p, k) for k in ProjectionParams.TRAINED}
 
     def forward(ids, targets):
         proj, cache = project_batch(np.stack([train_emb[c] for c in ids]), p,
@@ -314,22 +291,20 @@ def train_projection(backbone, manifest, spectrograms: dict, class_ids: list,
 
         def backward(dlogits):
             _, grads = project_backward(dlogits @ e_loss, p, cache)
-            return {k: grads[k] for k in trained}
+            return {k: grads[k] for k in p.params}
         return proj @ e_loss.T, targets, backward
-
-    def val_map(params: ProjectionParams) -> float:
-        proj, _ = project_batch(val_emb, params, mode="eval")
-        return mean_ap([average_precision(s, y) for s, y in
-                        zip((proj @ e_val.T).T, val_labels.T)])[0]
 
     history = {"per_epoch_loss": [], "val_map": [], "val_classes": val_ids,
                "best_epoch": -1, "best_val_map": -np.inf}
-    best = p.copy()
-    for epoch, loss in enumerate(train_epochs(train_records, loss_ids, trained,
+    best = copy.deepcopy(p)
+    for epoch, loss in enumerate(train_epochs(train_records, loss_ids, p.params,
                                               cfg, rng, cfg.epochs, forward)):
-        vmap = val_map(p)
+        proj, _ = project_batch(val_emb, p, mode="eval")
+        vmap = mean_ap([average_precision(s, y) for s, y in
+                        zip((proj @ e_val.T).T, val_labels.T)])[0]
         history["per_epoch_loss"].append(loss)
         history["val_map"].append(vmap)
         if vmap > history["best_val_map"]:
-            best, history["best_epoch"], history["best_val_map"] = p.copy(), epoch, vmap
+            best = copy.deepcopy(p)
+            history["best_epoch"], history["best_val_map"] = epoch, vmap
     return best, history

@@ -91,8 +91,8 @@ def run_pretrain(cfg: ExperimentConfig, corpus: Corpus, seed: int,
     rng = phase_rng(seed, PHASE_PRETRAIN)
     if model is None:
         model = build_backbone(cfg, rng)
-        head = backbones.ClassifierHead.init(len(corpus.train_ids),
-                                             embed_dim(cfg), rng)
+        head = backbones.ClassifierHead(
+            backbones.HeadConfig(len(corpus.train_ids), embed_dim(cfg)), rng)
     return backbones.pretrain_backbone(
         model, head, corpus.records, corpus.train_ids, corpus.spectrograms,
         cfg.pretrain, cfg.augment, rng, epochs=epochs)
@@ -100,7 +100,7 @@ def run_pretrain(cfg: ExperimentConfig, corpus: Corpus, seed: int,
 
 def run_projection(cfg: ExperimentConfig, corpus: Corpus, model, seed: int):
     """Train the audio-to-semantic projection with the backbone frozen.
-    Returns (ProjectionParams, selection report)."""
+    Returns (Projection, selection report)."""
     rng = phase_rng(seed, PHASE_PROJECTION)
     return crossmodal.train_projection(
         model, corpus.records, corpus.spectrograms, corpus.train_ids,

@@ -87,13 +87,12 @@ def test_criterion_2_gradients(report):
     rng = np.random.default_rng(1)
 
     # projection network: all four trained tensors plus the normalizer path
-    p = crossmodal.ProjectionParams.init(6, 4, 10, rng, dropout_rate=0.0)
-    p.mean = rng.standard_normal(6)
-    p.std = 0.5 + rng.random(6)
+    p = crossmodal.Projection(crossmodal.ProjectionConfig(6, 4, 10, dropout_rate=0.0), rng)
+    p.stats = {"mean": rng.standard_normal(6), "std": 0.5 + rng.random(6)}
     a = rng.standard_normal((3, 6))
     e = rng.standard_normal((5, 4))
     y = (rng.random((3, 5)) < 0.4).astype(float)
-    tensors = {k: getattr(p, k) for k in p.TENSORS}
+    tensors = {**p.params, **p.stats}
 
     def fwd_p():
         out, _ = crossmodal.project_batch(a, p)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import fd_gradcheck
 from zsat import backbones, checkpoint, crossmodal, dsp, protocol
-from zsat.backbones import ClassifierHead, ConvConfig, TransformerConfig
+from zsat.backbones import ClassifierHead, ConvConfig, HeadConfig, TransformerConfig
 from zsat.errors import ConfigError, DataError
 
 
@@ -224,7 +224,7 @@ def test_pretrain_runs_and_updates_parameters():
     records, specs, class_ids = _toy_pretrain_inputs()
     rng = np.random.default_rng(0)
     model = small_transformer(dtype=np.float32)
-    head = ClassifierHead.init(len(class_ids), 5, rng)
+    head = ClassifierHead(HeadConfig(len(class_ids), 5), rng)
     before = {k: v.copy() for k, v in model.params.items()}
     model, head, history = backbones.pretrain_backbone(
         model, head, records, class_ids, specs, _pretrain_cfg(),
@@ -240,7 +240,7 @@ def test_pretrain_deterministic_for_fixed_seed():
         records, specs, class_ids = _toy_pretrain_inputs()
         rng = np.random.default_rng(9)
         model = small_transformer(dtype=np.float32, seed=9, n_freq_drop=1)
-        head = ClassifierHead.init(len(class_ids), 5, rng)
+        head = ClassifierHead(HeadConfig(len(class_ids), 5), rng)
         model, head, history = backbones.pretrain_backbone(
             model, head, records, class_ids, specs, _pretrain_cfg(),
             dsp.AugmentConfig(mixup_alpha=0.3), rng)
@@ -254,7 +254,7 @@ def test_pretrain_divergence_is_reported_with_its_epoch():
     records, specs, class_ids = _toy_pretrain_inputs()
     rng = np.random.default_rng(0)
     model = small_transformer(dtype=np.float32)
-    head = ClassifierHead.init(len(class_ids), 5, rng)
+    head = ClassifierHead(HeadConfig(len(class_ids), 5), rng)
     cfg = dataclasses.replace(_pretrain_cfg(), initial_lr=1e300)
     with np.errstate(all="ignore"), pytest.raises(crossmodal.DivergenceError) as err:
         backbones.pretrain_backbone(model, head, records, class_ids, specs, cfg,
@@ -267,7 +267,7 @@ def test_pretrain_clips_of_two_lengths_raise_before_any_step():
     specs[records[-1].clip_id] = specs[records[-1].clip_id][:, :12]
     rng = np.random.default_rng(0)
     model = small_transformer(dtype=np.float32)
-    head = ClassifierHead.init(len(class_ids), 5, rng)
+    head = ClassifierHead(HeadConfig(len(class_ids), 5), rng)
     before = {k: v.copy() for k, v in model.params.items()}
     state = rng.bit_generator.state
     with pytest.raises(DataError, match="training clips of one length"):
@@ -282,7 +282,7 @@ def test_pretrain_clips_of_two_lengths_raise_before_any_step():
 def test_pretrain_empty_class_set_raises():
     records, specs, _ = _toy_pretrain_inputs()
     model = small_transformer()
-    head = ClassifierHead.init(1, 5, np.random.default_rng(0))
+    head = ClassifierHead(HeadConfig(1, 5), np.random.default_rng(0))
     with pytest.raises(DataError, match="empty class set"):
         backbones.pretrain_backbone(model, head, records, [], specs,
                                     _pretrain_cfg(), dsp.AugmentConfig(),
@@ -324,8 +324,8 @@ def test_backbone_checkpoint_round_trip(tmp_path):
         for v in model.stats.values():
             v += rng.uniform(0.1, 0.5, v.shape)
         path = tmp_path / f"{kind}.ckpt"
-        checkpoint.save_backbone(path, model)
-        _assert_same_backbone(checkpoint.load_backbone(path, kind), model, x)
+        model.save(path)
+        _assert_same_backbone(backbones.BACKBONE_KINDS[kind].load(path), model, x)
 
 
 def test_v1_checkpoints_still_load(tmp_path):
@@ -342,34 +342,61 @@ def test_v1_checkpoints_still_load(tmp_path):
             hp["channels"] = list(hp["channels"])
         path = tmp_path / f"{kind}_v1.ckpt"
         checkpoint.save_checkpoint(path, kind, hp, {**model.params, **model.stats})
-        _assert_same_backbone(checkpoint.load_backbone(path), model, x)
+        _assert_same_backbone(type(model).load(path), model, x)
+
+
+def _small_modules():
+    """One small module of every checkpoint kind."""
+    rng = np.random.default_rng(0)
+    proj = crossmodal.Projection(crossmodal.ProjectionConfig(6, 4, 8, 0.1), rng)
+    proj.stats = {"mean": rng.standard_normal(6), "std": 0.5 + rng.random(6)}
+    return {**{kind: model for kind, (model, _) in _small_backbones().items()},
+            "head": ClassifierHead(HeadConfig(3, 5), rng), "projection": proj}
 
 
 def test_backbone_checkpoint_tensors_checked_against_hyperparameters(tmp_path):
-    """A backbone checkpoint that lacks a tensor its hyperparameters build,
+    """Every kind of checkpoint reloads as its float32-rounded tensors in the
+    dtypes its hyperparameters build. One that lacks a tensor they build,
     holds one they do not, or holds one in another shape is a data error
     naming that tensor."""
-    for kind, (model, _) in _small_backbones().items():
-        tensors = {**model.params, **model.stats}
-        missing = "cls" if kind == "transformer" else sorted(model.stats)[0]
+    # per kind: a tensor to leave out and a matrix to transpose
+    picks = {"transformer": ("cls", "head_w"), "cnn14": ("bn_mean0_0", "head_w"),
+             "vggish": ("bn_mean0", "head_w"), "head": ("bias", "weight"),
+             "projection": ("mean", "w1")}
+    modules = _small_modules()
+    assert set(modules) == set(picks)
+    for kind, module in modules.items():
+        path = tmp_path / f"{kind}.ckpt"
+        module.save(path)
+        back = type(module).load(path)
+        assert back.cfg == module.cfg
+        for group in ("params", "stats"):
+            want, got = getattr(module, group), getattr(back, group)
+            assert set(got) == set(want)
+            for k, v in want.items():
+                assert got[k].dtype == v.dtype, (kind, k)
+                assert np.array_equal(got[k], v.astype(np.float32)), (kind, k)
+
+        tensors = {**module.params, **module.stats}
+        missing, wrong = picks[kind]
         cases = {
             "missing": ({k: v for k, v in tensors.items() if k != missing},
                         rf"missing tensors \['{missing}'\]"),
             "unexpected": ({**tensors, "extra": np.zeros(2)},
                            r"unexpected tensors \['extra'\]"),
-            "shape": ({**tensors, "head_w": tensors["head_w"].T}, "head_w"),
+            "shape": ({**tensors, wrong: tensors[wrong].T}, wrong),
         }
         for case, (bad, match) in cases.items():
             path = tmp_path / f"{kind}_{case}.ckpt"
-            checkpoint.save_checkpoint(path, kind, model.hyperparams(), bad)
+            checkpoint.save_checkpoint(path, kind, module.hyperparams(), bad)
             with pytest.raises(DataError, match=match):
-                checkpoint.load_backbone(path)
+                type(module).load(path)
 
 
 def test_checkpoint_kind_mismatch(tmp_path):
     model = small_transformer(dtype=np.float32)
     path = tmp_path / "bb.ckpt"
-    checkpoint.save_backbone(path, model)
+    model.save(path)
     with pytest.raises(DataError, match="checkpoint kind 'transformer'"):
         checkpoint.load_checkpoint(path, expected_kind="cnn14")
 
@@ -404,6 +431,6 @@ def test_cnn14_checkpoint_round_trip_with_bn_stats(tmp_path):
         v += np.random.default_rng(2).uniform(0.1, 0.5, v.shape)
     x = spec_of(np.random.default_rng(1).standard_normal((32, 32)))
     path = tmp_path / "cnn.ckpt"
-    checkpoint.save_backbone(path, model)
-    back = checkpoint.load_backbone(path)
+    model.save(path)
+    back = backbones.Cnn14Backbone.load(path)
     assert np.allclose(model.embed([x]), back.embed([x]), atol=1e-6)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import zsat
-from zsat import checkpoint, cli, crossmodal, experiments
+from zsat import backbones, checkpoint, cli, crossmodal, experiments
 from zsat.backbones import ConvConfig
 from zsat.config import PRESETS, load_config_file, resolve_config
 from zsat.errors import ConfigError, DataError, NumericalError
@@ -119,7 +119,7 @@ def test_pretrain_then_projection_then_evaluate(cli_env):
     rc = cli.main(["pretrain", "--config", cli_env["config"],
                    "--corpus", cli_env["corpus"], "--out", str(bb)])
     assert rc == 0
-    model = checkpoint.load_backbone(str(bb))
+    model = backbones.TransformerBackbone.load(bb)
     assert model.kind == "transformer"
     info = json.loads((root / "bb.ckpt.json").read_text())
     assert info["epochs_done"] == 2
@@ -150,9 +150,9 @@ def _untrained_artifacts(cli_env, root):
     cfg = load_config_file(cli_env["config"])
     rng = np.random.default_rng(0)
     bb, proj = root / "bb0.ckpt", root / "proj0.ckpt"
-    checkpoint.save_backbone(bb, experiments.build_backbone(cfg, rng))
-    crossmodal.save_projection(proj, crossmodal.ProjectionParams.init(
-        experiments.embed_dim(cfg), cfg.synthetic.semantic_dim, 16, rng))
+    experiments.build_backbone(cfg, rng).save(bb)
+    crossmodal.Projection(crossmodal.ProjectionConfig(
+        experiments.embed_dim(cfg), cfg.synthetic.semantic_dim, 16, 0.2), rng).save(proj)
     return cfg, bb, proj
 
 
@@ -196,8 +196,8 @@ def test_evaluate_category_map(cli_env, tmp_path):
     assert got["b"] is None and got["c"] is None
 
     corpus = experiments.load_corpus(cli_env["corpus"], cfg.mel)
-    model = checkpoint.load_backbone(bb)
-    params = crossmodal.load_projection(proj)
+    model = backbones.TransformerBackbone.load(bb)
+    params = crossmodal.Projection.load(proj)
     ids = ["c02", "c05", "c08"]
     hits = []
     for r in corpus.records:
@@ -262,7 +262,7 @@ def _exit_code_cases(cli_env, tmp_path):
     cfg, corpus = cli_env["config"], cli_env["corpus"]
     base = json.loads(Path(cfg).read_text())
     cfg_obj, bb, proj = _untrained_artifacts(cli_env, tmp_path)
-    model = checkpoint.load_backbone(bb)
+    model = backbones.TransformerBackbone.load(bb)
     no_cls_bb = tmp_path / "no_cls_bb.ckpt"
     checkpoint.save_checkpoint(no_cls_bb, model.kind, model.hyperparams(),
                                {k: v for k, v in model.params.items() if k != "cls"})
@@ -274,12 +274,15 @@ def _exit_code_cases(cli_env, tmp_path):
         ConvConfig(channels=(2, 2, 3, 3, 4))), {})
     nan_bb = tmp_path / "nan_bb.ckpt"
     model.params["proj_w"][0, 0] = np.nan
-    checkpoint.save_backbone(nan_bb, model)
+    model.save(nan_bb)
+    params = crossmodal.Projection.load(proj)
     no_w2_proj = tmp_path / "no_w2_proj.ckpt"
-    params = crossmodal.load_projection(proj)
-    checkpoint.save_checkpoint(no_w2_proj, "projection", {"dropout_rate": 0.0},
-                               {k: getattr(params, k) for k in params.TENSORS
+    checkpoint.save_checkpoint(no_w2_proj, "projection", params.hyperparams(),
+                               {k: v for k, v in {**params.params, **params.stats}.items()
                                 if k != "w2"})
+    short_b1_proj = tmp_path / "short_b1_proj.ckpt"
+    checkpoint.save_checkpoint(short_b1_proj, "projection", params.hyperparams(),
+                               {**params.params, **params.stats, "b1": np.zeros(3)})
 
     def write(name, text):
         (tmp_path / name).write_text(text)
@@ -287,10 +290,13 @@ def _exit_code_cases(cli_env, tmp_path):
 
     def resumable(name, head_tensors):
         """A backbone checkpoint at `name` with a one-epoch info file and a
-        head holding `head_tensors`, ready for `pretrain --resume`."""
+        head holding `head_tensors` under the block its weight implies,
+        ready for `pretrain --resume`."""
         out = tmp_path / name
         out.write_bytes(bb.read_bytes())
-        checkpoint.save_checkpoint(f"{out}.head", "head", {}, head_tensors)
+        n_classes, m = head_tensors["weight"].shape
+        checkpoint.save_checkpoint(f"{out}.head", "head",
+                                   {"n_classes": n_classes, "m": m}, head_tensors)
         write(f"{name}.json", json.dumps({"epochs_done": 1, "loss_history": [0.7],
                                           "train_classes": train}))
         return str(out)
@@ -352,6 +358,9 @@ def _exit_code_cases(cli_env, tmp_path):
         ("projection missing a tensor",
          ["evaluate", "--backbone", str(bb), "--projection", str(no_w2_proj),
           "--out", out, "--config", cfg, "--corpus", corpus], 3, False),
+        ("projection b1 disagrees with its hidden width",
+         ["evaluate", "--backbone", str(bb), "--projection", str(short_b1_proj),
+          "--out", out, "--config", cfg, "--corpus", corpus], 3, False),
         ("resume with other training classes",
          ["pretrain", "--config", cfg, "--corpus", corpus, "--resume",
           "--out", resumable("other.ckpt", head),
@@ -359,6 +368,10 @@ def _exit_code_cases(cli_env, tmp_path):
         ("resume head missing a tensor",
          ["pretrain", "--config", cfg, "--corpus", corpus, "--resume",
           "--out", resumable("no_bias.ckpt", {"weight": head["weight"]})], 3, False),
+        ("resume head of another width",
+         ["pretrain", "--config", cfg, "--corpus", corpus, "--resume",
+          "--out", resumable("narrow.ckpt", {"weight": np.zeros((len(train), 5)),
+                                             "bias": head["bias"]})], 3, False),
         ("backbone dim mismatch",
          [*evaluate, "--config", config("dim", {"transformer": {"embed_dim": 16}}),
           "--corpus", corpus], 3, True),

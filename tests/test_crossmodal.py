@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from conftest import fd_gradcheck
 from zsat import checkpoint, crossmodal, protocol
 from zsat.backbones import Backbone
-from zsat.crossmodal import ProjectionParams, TrainConfig
+from zsat.crossmodal import Projection, ProjectionConfig, TrainConfig
 from zsat.errors import ConfigError, DataError, NumericalError
 
 
 def make_params(m=6, n=4, hidden=8, seed=0, dropout=0.0):
     rng = np.random.default_rng(seed)
-    p = ProjectionParams.init(m, n, hidden, rng, dropout)
-    p.mean = rng.standard_normal(m)
-    p.std = np.abs(rng.standard_normal(m)) + 0.5
+    p = Projection(ProjectionConfig(m, n, hidden, dropout), rng)
+    p.stats = {"mean": rng.standard_normal(m),
+               "std": np.abs(rng.standard_normal(m)) + 0.5}
     return p
 
 
@@ -28,7 +28,7 @@ def test_projection_gradients_match_finite_differences():
     a = rng.standard_normal((5, 6))
     y = rng.integers(0, 2, (5, 4)).astype(float)
     e = rng.standard_normal((4, 4))
-    tensors = {k: getattr(p, k) for k in ProjectionParams.TENSORS}
+    tensors = {**p.params, **p.stats}
 
     def forward():
         out, _ = crossmodal.project_batch(a, p)
@@ -229,25 +229,26 @@ def test_train_epochs_batches_targets_updates_and_divergence(monkeypatch):
 def test_projection_checkpoint_round_trip(tmp_path):
     p = make_params(dropout=0.15)
     path = tmp_path / "p.ckpt"
-    crossmodal.save_projection(path, p)
-    back = crossmodal.load_projection(path)
-    for name in ProjectionParams.TENSORS:
-        want = getattr(p, name).astype(np.float32)
-        assert np.array_equal(getattr(back, name), want.astype(np.float64))
-    assert back.dropout_rate == 0.15
+    p.save(path)
+    back = Projection.load(path)
+    got = {**back.params, **back.stats}
+    for name, v in {**p.params, **p.stats}.items():
+        assert np.array_equal(got[name], v.astype(np.float32))
+    assert back.cfg.dropout_rate == 0.15
 
 
 def test_projection_checkpoint_missing_entry_is_a_data_error(tmp_path):
     p = make_params()
     path = tmp_path / "p.ckpt"
-    tensors = {k: getattr(p, k) for k in ProjectionParams.TENSORS}
-    checkpoint.save_checkpoint(path, "projection", {"dropout_rate": 0.0},
+    tensors = {**p.params, **p.stats}
+    checkpoint.save_checkpoint(path, "projection", p.hyperparams(),
                                {k: v for k, v in tensors.items() if k != "w2"})
     with pytest.raises(DataError, match=r"missing tensors \['w2'\]"):
-        crossmodal.load_projection(path)
-    checkpoint.save_checkpoint(path, "projection", {}, tensors)
-    with pytest.raises(DataError, match="missing hyperparameter 'dropout_rate'"):
-        crossmodal.load_projection(path)
+        Projection.load(path)
+    hp = {k: v for k, v in p.hyperparams().items() if k != "dropout_rate"}
+    checkpoint.save_checkpoint(path, "projection", hp, tensors)
+    with pytest.raises(DataError, match="dropout_rate"):
+        Projection.load(path)
 
 
 # --- training ----------------------------------------------------------------------
@@ -301,8 +302,8 @@ def test_train_projection_is_deterministic():
             IdentityBackbone(), records, specs, class_ids, class_emb,
             _proj_cfg(), np.random.default_rng(0), hidden=16, dropout_rate=0.1)
         runs.append(p)
-    for name in ProjectionParams.TENSORS:
-        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
+    for name, v in {**runs[0].params, **runs[0].stats}.items():
+        assert np.array_equal(v, {**runs[1].params, **runs[1].stats}[name])
 
 
 def test_train_projection_leaves_backbone_untouched():

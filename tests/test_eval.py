@@ -116,7 +116,7 @@ def test_random_baseline_classification():
         def embed(self, specs):
             return np.stack([s.mean(axis=1) for s in specs])
 
-    proj = crossmodal.ProjectionParams.init(4, 3, 5, rng)
+    proj = crossmodal.Projection(crossmodal.ProjectionConfig(4, 3, 5, 0.2), rng)
     result = experiments.evaluate_zero_shot(corpus, MeanFrame(), proj)
     assert result["n_classified"] == 8
     assert result["random_accuracy"] == pytest.approx(1 / 4)
