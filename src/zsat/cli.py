@@ -207,13 +207,25 @@ def _read_backbone(path, cfg):
     return model
 
 
+def _read_projection(path, model):
+    """The projection checkpoint at `path`, checked against the backbone's
+    embed dim."""
+    from . import crossmodal
+    proj = crossmodal.Projection.load(path)
+    if proj.cfg.m != model.cfg.embed_dim:
+        raise DataError(f"projection {path} maps {proj.cfg.m} dims; the backbone "
+                        f"embeds into {model.cfg.embed_dim}")
+    return proj
+
+
 def cmd_train_projection(args) -> int:
     from . import experiments
     cfg, seeds = _resolve(args)
     multi = len(seeds) > 1
     # the first seed's backbone is checked before the corpus is read
     model = _read_backbone(_seed_path(args.backbone, seeds[0], multi), cfg)
-    corpus = experiments.load_corpus(args.corpus, cfg.mel)
+    # the projection trains on the train split and selects its epoch on val
+    corpus = experiments.load_corpus(args.corpus, cfg.mel, splits=("train", "val"))
     best_maps = {}
     for i, seed in enumerate(seeds):
         if i:
@@ -241,27 +253,28 @@ def cmd_train_projection(args) -> int:
 def cmd_evaluate(args) -> int:
     import numpy as np
 
-    from . import crossmodal, experiments, protocol
+    from . import experiments, protocol
     cfg, seeds = _resolve(args)
     multi = len(seeds) > 1
-    # the first seed's backbone and the category map are read before the corpus
+    # the first seed's checkpoints and the category map are read before the corpus
     model = _read_backbone(_seed_path(args.backbone, seeds[0], multi), cfg)
+    proj = _read_projection(_seed_path(args.projection, seeds[0], multi), model)
     category_map = (protocol.load_json(args.category_map)
                     if args.category_map else None)
     if category_map and not all(isinstance(v, str) for v in category_map.values()):
         raise DataError(f"{args.category_map}: every category must be a string")
-    corpus = experiments.load_corpus(args.corpus, cfg.mel)
+    # zero-shot evaluation reads only the test split's clips
+    corpus = experiments.load_corpus(args.corpus, cfg.mel, splits=("test",))
+    n = next(iter(corpus.class_embeddings.values())).shape[0]
     results = []
     for i, seed in enumerate(seeds):
+        path = _seed_path(args.projection, seed, multi)
         if i:
             model = _read_backbone(_seed_path(args.backbone, seed, multi), cfg)
-        path = _seed_path(args.projection, seed, multi)
-        proj = crossmodal.Projection.load(path)
-        n = next(iter(corpus.class_embeddings.values())).shape[0]
-        if (proj.cfg.m, proj.cfg.n) != (model.cfg.embed_dim, n):
-            raise DataError(f"projection {path} maps {proj.cfg.m} -> {proj.cfg.n} dims; "
-                            f"the backbone and word vectors need "
-                            f"{model.cfg.embed_dim} -> {n}")
+            proj = _read_projection(path, model)
+        if proj.cfg.n != n:
+            raise DataError(f"projection {path} maps into {proj.cfg.n} dims; "
+                            f"the word vectors have {n}")
         r = experiments.evaluate_zero_shot(corpus, model, proj, category_map)
         r["seed"] = seed
         results.append(r)

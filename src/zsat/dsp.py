@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import struct
 import wave
 from dataclasses import dataclass
@@ -69,7 +70,8 @@ def load_wav(path, expected_rate: int | None = None) -> np.ndarray:
             comptype = wf.getcomptype()
             rate = wf.getframerate()
             raw = wf.readframes(wf.getnframes())
-    except (wave.Error, EOFError, struct.error) as exc:
+    except (wave.Error, EOFError, struct.error, RuntimeError) as exc:
+        # the wave module raises a bare RuntimeError on a chunk size past the end
         raise DataError(f"malformed WAV file {path}: {exc}") from exc
     if comptype != "NONE":
         raise DataError(f"unsupported encoding {comptype!r} in {path}")
@@ -103,8 +105,12 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache
 def mel_filterbank(cfg: MelConfig) -> np.ndarray:
-    """Triangular mel filters, peak-normalized to 1, shape (n_mels, n_fft//2+1)."""
+    """Triangular mel filters, peak-normalized to 1, shape (n_mels, n_fft//2+1).
+
+    Built once per config; the cached array is read-only, since every caller
+    shares it."""
     n_fft = cfg.window_len
     fft_freqs = np.arange(n_fft // 2 + 1) * (cfg.sample_rate / n_fft)
     mel_pts = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_mels + 2)
@@ -115,6 +121,7 @@ def mel_filterbank(cfg: MelConfig) -> np.ndarray:
         up = (fft_freqs - lo) / max(center - lo, 1e-12)
         down = (hi - fft_freqs) / max(hi - center, 1e-12)
         fb[k] = np.maximum(0.0, np.minimum(up, down))
+    fb.setflags(write=False)
     return fb
 
 

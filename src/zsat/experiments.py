@@ -33,9 +33,11 @@ class Corpus:
     spectrograms: dict            # clip id -> (n_mels, frames) log-mel array
 
 
-def load_corpus(corpus_dir, mel: dsp.MelConfig) -> Corpus:
+def load_corpus(corpus_dir, mel: dsp.MelConfig,
+                splits=("train", "val", "test")) -> Corpus:
     """Load a corpus directory (manifest.jsonl, classes.json, word_vectors.txt,
-    audio/) and precompute log-mel spectrograms for every clip."""
+    audio/) and precompute log-mel spectrograms for the clips of `splits`.
+    Records, labels and class embeddings cover the whole corpus."""
     root = Path(corpus_dir)
     manifest_path = root / "manifest.jsonl"
     classes_path = root / "classes.json"
@@ -54,6 +56,8 @@ def load_corpus(corpus_dir, mel: dsp.MelConfig) -> Corpus:
                         for cid, label in labels.items()}
     spectrograms = {}
     for r in records:
+        if r.split not in splits:
+            continue
         path = Path(r.path)
         if not path.is_absolute():
             path = root / path

@@ -357,10 +357,10 @@ def _exit_code_cases(cli_env, tmp_path):
           "--corpus", corpus], 3, True),
         ("projection missing a tensor",
          ["evaluate", "--backbone", str(bb), "--projection", str(no_w2_proj),
-          "--out", out, "--config", cfg, "--corpus", corpus], 3, False),
+          "--out", out, "--config", cfg, "--corpus", corpus], 3, True),
         ("projection b1 disagrees with its hidden width",
          ["evaluate", "--backbone", str(bb), "--projection", str(short_b1_proj),
-          "--out", out, "--config", cfg, "--corpus", corpus], 3, False),
+          "--out", out, "--config", cfg, "--corpus", corpus], 3, True),
         ("resume with other training classes",
          ["pretrain", "--config", cfg, "--corpus", corpus, "--resume",
           "--out", resumable("other.ckpt", head),
@@ -430,6 +430,33 @@ def test_exit_code_names_the_kind_of_failure(cli_env, tmp_path, monkeypatch, cap
         monkeypatch.setattr(experiments, "load_corpus",
                             no_corpus if early else load_corpus)
         _assert_exits(argv, code, capsys, case)
+
+
+def test_bad_wav_fails_only_commands_that_read_its_split(cli_env, tmp_path):
+    """`pretrain` reads every split; `train-projection` reads train and val,
+    `evaluate` only test, so each fails on a malformed WAV only in a split
+    it reads."""
+    _, bb, proj = _untrained_artifacts(cli_env, tmp_path)
+    bad_wav = tmp_path / "bad.wav"
+    bad_wav.write_bytes(b"RIFF0000WAVEnot a wave file")
+
+    def corrupt(split):
+        def keep(recs):
+            first = next(r for r in recs if r["split"] == split)
+            return [{**r, "path": str(bad_wav)} if r is first else r for r in recs]
+        return _corpus_variant(cli_env, tmp_path / f"bad_{split}", keep)
+
+    def run(command, corpus, *extra):
+        return cli.main([command, "--config", cli_env["config"], "--corpus", corpus,
+                         *extra, "--out", str(tmp_path / f"{command}.out")])
+
+    bad_test, bad_train = corrupt("test"), corrupt("train")
+    project = ("--backbone", str(bb))
+    evaluate = ("--backbone", str(bb), "--projection", str(proj))
+    assert run("train-projection", bad_test, *project) == 0
+    assert run("evaluate", bad_test, *evaluate) == 3
+    assert run("pretrain", bad_train) == 3
+    assert run("evaluate", bad_train, *evaluate) == 0
 
 
 def test_a_bug_is_not_reported_as_a_kind_of_failure(cli_env, tmp_path, monkeypatch):

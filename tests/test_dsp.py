@@ -69,6 +69,13 @@ def test_wav_without_samples_is_a_data_error(tmp_path):
         dsp.load_wav(path, expected_rate=32000)
 
 
+def test_wav_with_a_chunk_past_the_end_is_a_data_error(tmp_path):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(b"RIFF0000WAVEnot a wave file")
+    with pytest.raises(DataError, match="malformed WAV"):
+        dsp.load_wav(path)
+
+
 # --- mel scale and filterbank ------------------------------------------------
 
 def test_mel_scale_inverse():
@@ -85,6 +92,17 @@ def test_filterbank_shape_and_triangles():
     assert np.all(fb.max(axis=1) <= 1.0 + 1e-12)
     assert np.all(fb.max(axis=1) > 0.5)
     assert np.all(fb.sum(axis=1) > 0)
+
+
+def test_filterbank_is_built_once_per_config_and_read_only():
+    cfg = dsp.MelConfig(n_mels=32)
+    fb = dsp.mel_filterbank(cfg)
+    assert dsp.mel_filterbank(dsp.MelConfig(n_mels=32)) is fb
+    assert np.array_equal(fb, dsp.mel_filterbank.__wrapped__(cfg))
+    with pytest.raises(ValueError):
+        fb[0, 0] = 1.0
+    other = dsp.mel_filterbank(dsp.MelConfig(n_mels=32, fmax=8000.0))
+    assert other.shape == fb.shape and not np.array_equal(other, fb)
 
 
 def test_pure_tone_peaks_at_nearest_mel_band():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zsat import crossmodal, evaluation, experiments, protocol
+from zsat import crossmodal, dsp, evaluation, experiments, protocol
 from zsat.errors import DataError
 
 
@@ -124,6 +124,30 @@ def test_random_baseline_classification():
     result = experiments.evaluate_zero_shot(three, MeanFrame(), proj)
     assert result["n_classified"] == 6
     assert result["random_accuracy"] == pytest.approx(1 / 3)
+
+
+def test_load_corpus_computes_only_the_requested_splits(tiny_corpus, monkeypatch):
+    """One log-mel per clip of the requested splits, equal to a full load's;
+    records, labels and class embeddings stay whole."""
+    mel = tiny_corpus["spec"].mel
+    full = experiments.load_corpus(tiny_corpus["root"], mel)
+    compute, calls = dsp.compute_logmel, []
+
+    def counting(samples, cfg):
+        calls.append(cfg)
+        return compute(samples, cfg)
+    monkeypatch.setattr(dsp, "compute_logmel", counting)
+    part = experiments.load_corpus(tiny_corpus["root"], mel, splits=("test",))
+    test_ids = [r.clip_id for r in full.records if r.split == "test"]
+    assert 0 < len(test_ids) < len(full.records)
+    assert len(calls) == len(test_ids)
+    assert sorted(part.spectrograms) == sorted(test_ids)
+    for c in test_ids:
+        got, want = part.spectrograms[c], full.spectrograms[c]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert part.records == full.records and part.labels == full.labels
+    assert part.class_embeddings.keys() == full.class_embeddings.keys()
 
 
 # --- pearson r -------------------------------------------------------------------
