@@ -71,7 +71,7 @@ def load_wav(path, expected_rate: int | None = None) -> np.ndarray:
             rate = wf.getframerate()
             raw = wf.readframes(wf.getnframes())
     except (wave.Error, EOFError, struct.error, RuntimeError) as exc:
-        # the wave module raises a bare RuntimeError on a chunk size past the end
+        # the wave module raises a bare RuntimeError on some bad chunk headers
         raise DataError(f"malformed WAV file {path}: {exc}") from exc
     if comptype != "NONE":
         raise DataError(f"unsupported encoding {comptype!r} in {path}")
