@@ -46,6 +46,16 @@ class ConvConfig:
     vggish_mels: int = 64
 
 
+def _linear(w: str, b: str, fan_out: int, fan_in: int) -> list:
+    """Table rows of a linear layer: `nn.init_linear`'s weight and bias."""
+    return [(w, (fan_out, fan_in), "uniform", True), (b, (fan_out,), "zeros", True)]
+
+
+def _affine(g: str, b: str, d: int) -> list:
+    """Table rows of a norm layer's scale (ones) and shift (zeros)."""
+    return [(g, (d,), "ones", True), (b, (d,), "zeros", True)]
+
+
 def _choose_drops(size: int, n_drop: int, rng: np.random.Generator) -> np.ndarray:
     """Surviving indices after dropping n_drop of `size` uniformly w/o replacement."""
     if n_drop == 0:
@@ -89,29 +99,22 @@ class TransformerBackbone(Backbone):
     config_type = TransformerConfig
     config_key = "transformer"
 
-    def __init__(self, cfg: TransformerConfig, rng: np.random.Generator,
-                 dtype=np.float32):
-        self.cfg = cfg
-        d, m = cfg.d, cfg.embed_dim
-        p = {}
-        p["proj_w"], p["proj_b"] = nn.init_linear(rng, d, cfg.patch_f * cfg.patch_t, dtype)
-        p["cls"] = (0.02 * rng.standard_normal(d)).astype(dtype)
-        p["pos_f"] = (0.02 * rng.standard_normal((cfg.max_f_patches, d))).astype(dtype)
-        p["pos_t"] = (0.02 * rng.standard_normal((cfg.max_t_patches, d))).astype(dtype)
+    def tensors(self) -> list:
+        cfg = self.cfg
+        d, h = cfg.d, cfg.ffn_mult * cfg.d
+        rows = [*_linear("proj_w", "proj_b", d, cfg.patch_f * cfg.patch_t),
+                ("cls", (d,), "normal", True),
+                ("pos_f", (cfg.max_f_patches, d), "normal", True),
+                ("pos_t", (cfg.max_t_patches, d), "normal", True)]
         for i in range(cfg.n_layers):
-            p[f"ln1_g{i}"] = np.ones(d, dtype)
-            p[f"ln1_b{i}"] = np.zeros(d, dtype)
+            rows += _affine(f"ln1_g{i}", f"ln1_b{i}", d)
             for nm in ("q", "k", "v", "o"):
-                p[f"w{nm}{i}"], p[f"b{nm}{i}"] = nn.init_linear(rng, d, d, dtype)
-            p[f"ln2_g{i}"] = np.ones(d, dtype)
-            p[f"ln2_b{i}"] = np.zeros(d, dtype)
-            p[f"ffn_w1_{i}"], p[f"ffn_b1_{i}"] = nn.init_linear(rng, cfg.ffn_mult * d, d, dtype)
-            p[f"ffn_w2_{i}"], p[f"ffn_b2_{i}"] = nn.init_linear(rng, d, cfg.ffn_mult * d, dtype)
-        p["lnf_g"] = np.ones(d, dtype)
-        p["lnf_b"] = np.zeros(d, dtype)
-        p["head_w"], p["head_b"] = nn.init_linear(rng, m, d, dtype)
-        self.params = p
-        self.stats = {}
+                rows += _linear(f"w{nm}{i}", f"b{nm}{i}", d, d)
+            rows += [*_affine(f"ln2_g{i}", f"ln2_b{i}", d),
+                     *_linear(f"ffn_w1_{i}", f"ffn_b1_{i}", h, d),
+                     *_linear(f"ffn_w2_{i}", f"ffn_b2_{i}", d, h)]
+        return [*rows, *_affine("lnf_g", "lnf_b", d),
+                *_linear("head_w", "head_b", cfg.embed_dim, d)]
 
     # -- patch handling -----------------------------------------------------
 
@@ -221,20 +224,17 @@ class ConvBackbone(Backbone):
     config_type = ConvConfig
     config_key = "conv"
 
-    def _init_stack(self, rng: np.random.Generator, dtype):
-        """Parameters and running statistics of the conv layers."""
-        p, stats = {}, {}
-        cin = 1
+    def tensors(self) -> list:
+        """The conv layers' rows; a subclass appends its heads' rows."""
+        rows, cin = [], 1
         for sfx, cout, _ in self.layers():
-            bound = 1.0 / np.sqrt(cin * 9)
-            p[f"conv_w{sfx}"] = rng.uniform(-bound, bound, size=(cout, cin, 3, 3)).astype(dtype)
-            p[f"conv_b{sfx}"] = np.zeros(cout, dtype)
-            p[f"bn_g{sfx}"] = np.ones(cout, dtype)
-            p[f"bn_b{sfx}"] = np.zeros(cout, dtype)
-            stats[f"bn_mean{sfx}"] = np.zeros(cout, np.float64)
-            stats[f"bn_var{sfx}"] = np.ones(cout, np.float64)
+            rows += [(f"conv_w{sfx}", (cout, cin, 3, 3), "uniform", True),
+                     (f"conv_b{sfx}", (cout,), "zeros", True),
+                     *_affine(f"bn_g{sfx}", f"bn_b{sfx}", cout),
+                     (f"bn_mean{sfx}", (cout,), "zeros", False),
+                     (f"bn_var{sfx}", (cout,), "ones", False)]
             cin = cout
-        return p, stats
+        return rows
 
     def _stack_forward(self, h: np.ndarray, train: bool):
         """h: (N, 1, f, t) -> (feature map, per-layer caches). `train`
@@ -274,12 +274,11 @@ class Cnn14Backbone(ConvBackbone):
     kind = "cnn14"
     POOLED_BLOCKS = 5  # no pooling after the last block
 
-    def __init__(self, cfg: ConvConfig, rng: np.random.Generator, dtype=np.float32):
-        self.cfg = cfg
-        self.params, self.stats = self._init_stack(rng, dtype)
-        p = self.params
-        p["fc_w"], p["fc_b"] = nn.init_linear(rng, cfg.fc_units, cfg.channels[-1], dtype)
-        p["head_w"], p["head_b"] = nn.init_linear(rng, cfg.embed_dim, cfg.fc_units, dtype)
+    def tensors(self) -> list:
+        cfg = self.cfg
+        return [*super().tensors(),
+                *_linear("fc_w", "fc_b", cfg.fc_units, cfg.channels[-1]),
+                *_linear("head_w", "head_b", cfg.embed_dim, cfg.fc_units)]
 
     def layers(self) -> list:
         return [(f"{i}_{j}", cout, "avg" if j == 1 and i < self.POOLED_BLOCKS else None)
@@ -332,18 +331,16 @@ class VggishBackbone(ConvBackbone):
     # max pooling after these conv layer indices (0-based)
     POOL_AFTER = (0, 1, 3, 5)
 
-    def __init__(self, cfg: ConvConfig, rng: np.random.Generator, dtype=np.float32):
-        self.cfg = cfg
+    def tensors(self) -> list:
+        cfg = self.cfg
         if len(cfg.channels) != 6:
             raise ConfigError("vggish preset needs 6 conv channel counts")
-        self.params, self.stats = self._init_stack(rng, dtype)
-        p = self.params
         ht = cfg.vggish_time // (2 ** len(self.POOL_AFTER))
         wf = cfg.vggish_mels // (2 ** len(self.POOL_AFTER))
-        flat_dim = cfg.channels[-1] * ht * wf
-        p["fc1_w"], p["fc1_b"] = nn.init_linear(rng, cfg.fc_units, flat_dim, dtype)
-        p["fc2_w"], p["fc2_b"] = nn.init_linear(rng, cfg.fc_units, cfg.fc_units, dtype)
-        p["head_w"], p["head_b"] = nn.init_linear(rng, cfg.embed_dim, cfg.fc_units, dtype)
+        return [*super().tensors(),
+                *_linear("fc1_w", "fc1_b", cfg.fc_units, cfg.channels[-1] * ht * wf),
+                *_linear("fc2_w", "fc2_b", cfg.fc_units, cfg.fc_units),
+                *_linear("head_w", "head_b", cfg.embed_dim, cfg.fc_units)]
 
     def layers(self) -> list:
         return [(f"{i}", cout, "max" if i in self.POOL_AFTER else None)
@@ -412,11 +409,8 @@ class ClassifierHead(Module):
     kind = "head"
     config_type = HeadConfig
 
-    def __init__(self, cfg: HeadConfig, rng: np.random.Generator, dtype=np.float32):
-        self.cfg = cfg
-        w, b = nn.init_linear(rng, cfg.n_classes, cfg.m, dtype)
-        self.params = {"weight": w, "bias": b}
-        self.stats = {}
+    def tensors(self) -> list:
+        return _linear("weight", "bias", self.cfg.n_classes, self.cfg.m)
 
 
 def pretrain_backbone(model, head: ClassifierHead, manifest, class_ids: list,

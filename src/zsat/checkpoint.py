@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -57,7 +58,7 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return data
 
 
-def load_checkpoint(path, expected_kind: str | None = None):
+def load_checkpoint(path, expected_kind: str):
     """Returns (kind, hyperparams, tensors as float32 arrays); every tensor
     is checked to be finite."""
     with open(path, "rb") as fh:
@@ -68,7 +69,7 @@ def load_checkpoint(path, expected_kind: str | None = None):
             raise DataError(f"{path}: unsupported version {version}")
         (klen,) = struct.unpack("<I", _read_exact(fh, 4, "kind length"))
         kind = _read_exact(fh, klen, "kind").decode("utf-8")
-        if expected_kind is not None and kind != expected_kind:
+        if kind != expected_kind:
             raise DataError(f"{path}: checkpoint kind {kind!r}, expected {expected_kind!r}")
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "hyperparam length"))
         hyperparams = json.loads(_read_exact(fh, hlen, "hyperparams").decode("utf-8"))
@@ -93,13 +94,34 @@ class Module:
     projection.
 
     A subclass sets `kind` (its checkpoint tag) and `config_type` (the
-    dataclass of its hyperparameters, `cfg`), and its `__init__(cfg, rng)`
-    builds `params` (trained tensors) and `stats` (saved tensors that are
-    not trained). Checkpoints hold all of them.
+    dataclass of its hyperparameters, `cfg`), and lists its tensors once, in
+    draw order, in `tensors()`: rows of (name, shape, init, trained). `init`
+    is "uniform" (U(-b, b), b = 1/sqrt(prod(shape[1:]))), "normal"
+    (N(0, 0.02^2)), "zeros" or "ones"; only the first two draw. Trained
+    tensors form `params`, in `param_dtype` unless the constructor is given
+    another; the rest form `stats`, in float64. Checkpoints hold all of
+    them, and `load` checks a file against the table and draws nothing.
     """
 
     kind: str
     config_type: type
+    param_dtype = np.float32
+
+    def __init__(self, cfg, rng: np.random.Generator, dtype=None):
+        self.cfg = cfg
+        self.params, self.stats = {}, {}
+        for name, shape, init, trained in self.tensors():
+            if init == "uniform":
+                bound = 1.0 / np.sqrt(math.prod(shape[1:]))
+                value = rng.uniform(-bound, bound, size=shape)
+            elif init == "normal":
+                value = 0.02 * rng.standard_normal(shape)
+            else:
+                value = {"zeros": np.zeros, "ones": np.ones}[init](shape)
+            if trained:
+                self.params[name] = value.astype(dtype or self.param_dtype)
+            else:
+                self.stats[name] = value
 
     def hyperparams(self) -> dict:
         return dataclasses.asdict(self.cfg)
@@ -110,31 +132,33 @@ class Module:
 
     @classmethod
     def load(cls, path):
-        """The module that the checkpoint's hyperparameters build, holding its
-        tensors, whose names and shapes must be those of the built `params`
-        and `stats`. Each tensor takes the dtype of the one it replaces."""
+        """The module of the checkpoint's hyperparameters, holding the file's
+        tensors, whose names and shapes must be those of its `tensors()`
+        table, cast to the table's dtypes."""
         _, hp, tensors = load_checkpoint(path, cls.kind)
         # conv checkpoints written while ConvConfig had a `kind` field still
         # carry it; the checkpoint header's kind tag is the one that counts
         hp = {k: tuple(v) if isinstance(v, list) else v
               for k, v in hp.items() if k != "kind"}
+        module = cls.__new__(cls)
         try:
-            module = cls(cls.config_type(**hp), np.random.default_rng(0))
+            module.cfg = cls.config_type(**hp)
+            table = module.tensors()
         except (TypeError, ConfigError) as e:
             raise DataError(f"{path}: its hyperparameters build no {cls.kind}: "
                             f"{e}") from e
-        built = {**module.params, **module.stats}
-        missing = sorted(set(built) - set(tensors))
-        unexpected = sorted(set(tensors) - set(built))
+        shapes = {name: shape for name, shape, _, _ in table}
+        missing = sorted(set(shapes) - set(tensors))
+        unexpected = sorted(set(tensors) - set(shapes))
         if missing or unexpected:
             raise DataError(f"{path}: missing tensors {missing}, "
                             f"unexpected tensors {unexpected}")
-        wrong = sorted(k for k, v in built.items() if tensors[k].shape != v.shape)
+        wrong = sorted(k for k, shape in shapes.items() if tensors[k].shape != shape)
         if wrong:
             raise DataError(f"{path}: tensors {wrong} have other shapes than "
                             f"its hyperparameters build")
-        module.params = {k: tensors[k].astype(v.dtype, copy=False)
-                         for k, v in module.params.items()}
-        module.stats = {k: tensors[k].astype(v.dtype, copy=False)
-                        for k, v in module.stats.items()}
+        module.params = {name: tensors[name].astype(cls.param_dtype, copy=False)
+                         for name, _, _, trained in table if trained}
+        module.stats = {name: tensors[name].astype(np.float64)
+                        for name, _, _, trained in table if not trained}
         return module

@@ -35,14 +35,13 @@ class Projection(Module):
 
     kind = "projection"
     config_type = ProjectionConfig
+    param_dtype = np.float64
 
-    def __init__(self, cfg: ProjectionConfig, rng: np.random.Generator,
-                 dtype=np.float64):
-        self.cfg = cfg
-        w1, b1 = nn.init_linear(rng, cfg.hidden, cfg.m, dtype)
-        w2, b2 = nn.init_linear(rng, cfg.n, cfg.hidden, dtype)
-        self.params = {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
-        self.stats = {"mean": np.zeros(cfg.m, dtype), "std": np.ones(cfg.m, dtype)}
+    def tensors(self) -> list:
+        m, n, hidden = self.cfg.m, self.cfg.n, self.cfg.hidden
+        return [("w1", (hidden, m), "uniform", True), ("b1", (hidden,), "zeros", True),
+                ("w2", (n, hidden), "uniform", True), ("b2", (n,), "zeros", True),
+                ("mean", (m,), "zeros", False), ("std", (m,), "ones", False)]
 
     @classmethod
     def load(cls, path):
@@ -53,9 +52,9 @@ class Projection(Module):
         return proj
 
 
-def project_batch(a: np.ndarray, p: Projection, mode: str = "eval",
+def project_batch(a: np.ndarray, p: Projection, train: bool = False,
                   rng: np.random.Generator | None = None):
-    """a: (N, m) -> (out (N, n), cache). Train mode applies inverted dropout."""
+    """a: (N, m) -> (out (N, n), cache). `train` applies inverted dropout."""
     if a.shape[-1] != p.cfg.m:
         raise ValueError(f"embedding dim {a.shape[-1]} != projection input {p.cfg.m}")
     if not np.all(np.isfinite(a)):
@@ -65,7 +64,7 @@ def project_batch(a: np.ndarray, p: Projection, mode: str = "eval",
     pre = nn.linear(z, w["w1"], w["b1"])
     h = nn.gelu(pre)
     mask = None
-    if mode == "train" and p.cfg.dropout_rate > 0:
+    if train and p.cfg.dropout_rate > 0:
         h, mask = nn.dropout(h, p.cfg.dropout_rate, rng)
     out = nn.linear(h, w["w2"], w["b2"])
     return out, (a, z, pre, h, mask)
@@ -223,7 +222,7 @@ def train_epochs(records, class_ids: list, params: dict, cfg: TrainConfig,
                 ids, protocol.multi_hot([tags[c] for c in ids], class_ids))
             loss = bce_loss(logits, targets)
             if not np.isfinite(loss):
-                raise DivergenceError(epoch)
+                raise DivergenceError(f"non-finite training loss at epoch {epoch}")
             grads = backward(bce_loss_backward(logits, targets))
             adamw_step(params, grads, opt_state, lr, cfg)
             losses.append(loss)
@@ -287,7 +286,7 @@ def train_projection(backbone, manifest, spectrograms: dict, class_ids: list,
 
     def forward(ids, targets):
         proj, cache = project_batch(np.stack([train_emb[c] for c in ids]), p,
-                                    mode="train", rng=rng)
+                                    train=True, rng=rng)
 
         def backward(dlogits):
             _, grads = project_backward(dlogits @ e_loss, p, cache)
@@ -299,7 +298,7 @@ def train_projection(backbone, manifest, spectrograms: dict, class_ids: list,
     best = copy.deepcopy(p)
     for epoch, loss in enumerate(train_epochs(train_records, loss_ids, p.params,
                                               cfg, rng, cfg.epochs, forward)):
-        proj, _ = project_batch(val_emb, p, mode="eval")
+        proj, _ = project_batch(val_emb, p)
         vmap = mean_ap([average_precision(s, y) for s, y in
                         zip((proj @ e_val.T).T, val_labels.T)])[0]
         history["per_epoch_loss"].append(loss)

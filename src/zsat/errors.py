@@ -21,6 +21,4 @@ class NumericalError(Exception):
 
 
 class DivergenceError(NumericalError):
-    def __init__(self, epoch: int):
-        super().__init__(f"non-finite training loss at epoch {epoch}")
-        self.epoch = epoch
+    """The training loss stopped being finite."""

@@ -33,8 +33,7 @@ class Corpus:
     spectrograms: dict            # clip id -> (n_mels, frames) log-mel array
 
 
-def load_corpus(corpus_dir, mel: dsp.MelConfig,
-                splits=("train", "val", "test")) -> Corpus:
+def load_corpus(corpus_dir, mel: dsp.MelConfig, splits=protocol.SPLITS) -> Corpus:
     """Load a corpus directory (manifest.jsonl, classes.json, word_vectors.txt,
     audio/) and precompute log-mel spectrograms for the clips of `splits`.
     Records, labels and class embeddings cover the whole corpus."""

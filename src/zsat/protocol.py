@@ -14,13 +14,15 @@ import numpy as np
 from . import dsp, semantics
 from .errors import ConfigError, DataError
 
+SPLITS = ("train", "val", "test")
+
 
 @dataclass(frozen=True)
 class ClipRecord:
     clip_id: str
     path: str
     tags: tuple
-    split: str  # train|val|test
+    split: str  # one of SPLITS
 
 
 @dataclass
@@ -62,6 +64,8 @@ def load_manifest(path) -> list:
                                tags=tuple(rec["tags"]), split=rec["split"])
             except (ValueError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: bad manifest record: {exc!r}") from exc
+            if r.split not in SPLITS:
+                raise DataError(f"{path}:{lineno}: split {r.split!r} is not one of {SPLITS}")
             if seen.setdefault(r.clip_id, r.path) != r.path:
                 raise DataError(f"{path}:{lineno}: clip id {r.clip_id} reused "
                                 f"with a different path")

@@ -313,6 +313,8 @@ def _exit_code_cases(cli_env, tmp_path):
         {**recs[0], "path": recs[1]["path"]}])
     no_val = _corpus_variant(cli_env, tmp_path / "no_val", lambda recs: [
         r for r in recs if r["split"] != "val"])
+    bad_split = _corpus_variant(cli_env, tmp_path / "bad_split", lambda recs: [
+        {**r, "split": "Test"} if r is recs[-1] else r for r in recs])
     out = str(tmp_path / "out")
     pretrain = ["pretrain", "--out", out]
     project = ["train-projection", "--backbone", str(bb), "--out", out]
@@ -322,6 +324,7 @@ def _exit_code_cases(cli_env, tmp_path):
     return [
         ("duplicate clip id", [*pretrain, "--config", cfg, "--corpus", dup], 3, False),
         ("empty val split", [*project, "--config", cfg, "--corpus", no_val], 3, False),
+        ("unknown split", [*evaluate, "--config", cfg, "--corpus", bad_split], 3, False),
         ("NaN backbone checkpoint", ["train-projection", "--backbone", str(nan_bb),
                                      "--out", out, "--config", cfg, "--corpus", corpus],
          3, True),

@@ -137,6 +137,18 @@ def test_manifest_rejects_conflicting_duplicate_id(tmp_path):
         protocol.load_manifest(path)
 
 
+def test_manifest_rejects_an_unknown_split(tmp_path):
+    """A misspelt split is an error naming its line, not a clip that every
+    stage silently skips."""
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps({"id": "a", "path": "1.wav", "tags": [], "split": "test"})
+                    + "\n" +
+                    json.dumps({"id": "b", "path": "2.wav", "tags": [], "split": "Test"})
+                    + "\n")
+    with pytest.raises(DataError, match=r"m\.jsonl:2: split 'Test' is not one of"):
+        protocol.load_manifest(path)
+
+
 def test_tag_counts_csv(tmp_path):
     path = tmp_path / "counts.csv"
     path.write_text("class_id,label,count\nA,Alpha,10\nB,Bravo,3\n")
