@@ -45,6 +45,12 @@ class ConvConfig:
     vggish_time: int = 96
     vggish_mels: int = 64
 
+    def __post_init__(self):
+        if not (isinstance(self.channels, (tuple, list)) and self.channels
+                and all(isinstance(c, int) and c > 0 for c in self.channels)):
+            raise ConfigError(f"conv channels must be a non-empty list of positive "
+                              f"ints, not {self.channels!r}")
+
 
 def _linear(w: str, b: str, fan_out: int, fan_in: int) -> list:
     """Table rows of a linear layer: `nn.init_linear`'s weight and bias."""

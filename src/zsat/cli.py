@@ -147,39 +147,42 @@ def _select_train_ids(args, corpus):
     return train_ids
 
 
-def cmd_pretrain(args) -> int:
-    import dataclasses
-
+def _read_resume(out: Path, cfg, train_ids: list):
+    """The backbone, head, epochs done and loss history that `pretrain --resume`
+    continues from `out`, checked against this run's classes and head width."""
     from . import backbones, experiments, protocol
+    if not out.exists():
+        raise DataError(f"--resume: no checkpoint at {out}")
+    head_path = out.with_suffix(out.suffix + ".head")
+    info_path = out.with_suffix(out.suffix + ".json")
+    prev = protocol.load_json(info_path, dict, ("epochs_done", "loss_history",
+                                                "train_classes"))
+    if prev["train_classes"] != train_ids:
+        raise DataError(f"--resume: {info_path} trained on classes "
+                        f"{prev['train_classes']}, this run selects {train_ids}")
+    model = _read_backbone(out, cfg)
+    head = backbones.ClassifierHead.load(head_path)
+    want = backbones.HeadConfig(len(train_ids), experiments.embed_dim(cfg))
+    if head.cfg != want:
+        raise DataError(f"--resume: head {head_path} maps {head.cfg.m} dims to "
+                        f"{head.cfg.n_classes} classes; this run needs "
+                        f"{want.m} to {want.n_classes}")
+    return model, head, prev["epochs_done"], prev["loss_history"]
+
+
+def cmd_pretrain(args) -> int:
+    from . import experiments, protocol
     cfg, seeds = _resolve(args)
     if (args.folds is None) != (args.fold_id is None):
         raise ConfigError("--folds and --fold-id must be given together")
-    corpus = experiments.load_corpus(args.corpus, cfg.mel)
-    train_ids = _select_train_ids(args, corpus)
-    corpus = dataclasses.replace(corpus, train_ids=train_ids)
+    corpus = experiments.load_corpus(args.corpus, cfg.mel, splits=())
+    corpus.train_ids = train_ids = _select_train_ids(args, corpus)
     multi = len(seeds) > 1
-    for seed in seeds:
-        out = _seed_path(args.out, seed, multi)
-        head_path = out.with_suffix(out.suffix + ".head")
-        info_path = out.with_suffix(out.suffix + ".json")
-        model = head = None
-        done, history = 0, []
-        if args.resume:
-            if not out.exists():
-                raise DataError(f"--resume: no checkpoint at {out}")
-            prev = protocol.load_json(info_path, dict, ("epochs_done", "loss_history",
-                                                        "train_classes"))
-            if prev["train_classes"] != train_ids:
-                raise DataError(f"--resume: {info_path} trained on classes "
-                                f"{prev['train_classes']}, this run selects {train_ids}")
-            model = _read_backbone(out, cfg)
-            head = backbones.ClassifierHead.load(head_path)
-            want = backbones.HeadConfig(len(train_ids), experiments.embed_dim(cfg))
-            if head.cfg != want:
-                raise DataError(f"--resume: head {head_path} maps {head.cfg.m} dims to "
-                                f"{head.cfg.n_classes} classes; this run needs "
-                                f"{want.m} to {want.n_classes}")
-            done, history = prev["epochs_done"], prev["loss_history"]
+    outs = [_seed_path(args.out, seed, multi) for seed in seeds]
+    starts = [_read_resume(out, cfg, train_ids) if args.resume else (None, None, 0, [])
+              for out in outs]
+    experiments.compute_spectrograms(corpus, cfg.mel, protocol.SPLITS)
+    for seed, out, (model, head, done, history) in zip(seeds, outs, starts):
         remaining = cfg.pretrain.epochs - done
         if remaining > 0:
             model, head, hist = experiments.run_pretrain(
@@ -187,10 +190,10 @@ def cmd_pretrain(args) -> int:
             history = history + hist
             done += remaining
         model.save(out)
-        head.save(head_path)
-        _write_json(info_path, {"seed": seed, "epochs_done": done,
-                                "train_classes": train_ids,
-                                "loss_history": history}, cfg)
+        head.save(out.with_suffix(out.suffix + ".head"))
+        _write_json(out.with_suffix(out.suffix + ".json"),
+                    {"seed": seed, "epochs_done": done, "train_classes": train_ids,
+                     "loss_history": history}, cfg)
         print(f"seed {seed}: {done} epochs, final loss {history[-1]:.4f} -> {out}")
     return 0
 
@@ -207,14 +210,17 @@ def _read_backbone(path, cfg):
     return model
 
 
-def _read_projection(path, model):
+def _read_projection(path, model, n: int):
     """The projection checkpoint at `path`, checked against the backbone's
-    embed dim."""
+    embed dim and the word vectors' dim `n`."""
     from . import crossmodal
     proj = crossmodal.Projection.load(path)
     if proj.cfg.m != model.cfg.embed_dim:
         raise DataError(f"projection {path} maps {proj.cfg.m} dims; the backbone "
                         f"embeds into {model.cfg.embed_dim}")
+    if proj.cfg.n != n:
+        raise DataError(f"projection {path} maps into {proj.cfg.n} dims; "
+                        f"the word vectors have {n}")
     return proj
 
 
@@ -222,14 +228,12 @@ def cmd_train_projection(args) -> int:
     from . import experiments
     cfg, seeds = _resolve(args)
     multi = len(seeds) > 1
-    # the first seed's backbone is checked before the corpus is read
-    model = _read_backbone(_seed_path(args.backbone, seeds[0], multi), cfg)
+    corpus = experiments.load_corpus(args.corpus, cfg.mel, splits=())
+    models = [_read_backbone(_seed_path(args.backbone, s, multi), cfg) for s in seeds]
     # the projection trains on the train split and selects its epoch on val
-    corpus = experiments.load_corpus(args.corpus, cfg.mel, splits=("train", "val"))
+    experiments.compute_spectrograms(corpus, cfg.mel, ("train", "val"))
     best_maps = {}
-    for i, seed in enumerate(seeds):
-        if i:
-            model = _read_backbone(_seed_path(args.backbone, seed, multi), cfg)
+    for seed, model in zip(seeds, models):
         out = _seed_path(args.out, seed, multi)
         proj, report = experiments.run_projection(cfg, corpus, model, seed)
         proj.save(out)
@@ -256,25 +260,19 @@ def cmd_evaluate(args) -> int:
     from . import experiments, protocol
     cfg, seeds = _resolve(args)
     multi = len(seeds) > 1
-    # the first seed's checkpoints and the category map are read before the corpus
-    model = _read_backbone(_seed_path(args.backbone, seeds[0], multi), cfg)
-    proj = _read_projection(_seed_path(args.projection, seeds[0], multi), model)
+    corpus = experiments.load_corpus(args.corpus, cfg.mel, splits=())
+    n = next(iter(corpus.class_embeddings.values())).shape[0]
+    models = [_read_backbone(_seed_path(args.backbone, s, multi), cfg) for s in seeds]
+    projs = [_read_projection(_seed_path(args.projection, s, multi), model, n)
+             for s, model in zip(seeds, models)]
     category_map = (protocol.load_json(args.category_map)
                     if args.category_map else None)
     if category_map and not all(isinstance(v, str) for v in category_map.values()):
         raise DataError(f"{args.category_map}: every category must be a string")
     # zero-shot evaluation reads only the test split's clips
-    corpus = experiments.load_corpus(args.corpus, cfg.mel, splits=("test",))
-    n = next(iter(corpus.class_embeddings.values())).shape[0]
+    experiments.compute_spectrograms(corpus, cfg.mel, ("test",))
     results = []
-    for i, seed in enumerate(seeds):
-        path = _seed_path(args.projection, seed, multi)
-        if i:
-            model = _read_backbone(_seed_path(args.backbone, seed, multi), cfg)
-            proj = _read_projection(path, model)
-        if proj.cfg.n != n:
-            raise DataError(f"projection {path} maps into {proj.cfg.n} dims; "
-                            f"the word vectors have {n}")
+    for seed, model, proj in zip(seeds, models, projs):
         r = experiments.evaluate_zero_shot(corpus, model, proj, category_map)
         r["seed"] = seed
         results.append(r)

@@ -31,12 +31,13 @@ class Corpus:
     test_ids: list
     class_embeddings: dict        # class id -> semantic vector
     spectrograms: dict            # clip id -> (n_mels, frames) log-mel array
+    root: Path                    # directory relative clip paths are read from
 
 
 def load_corpus(corpus_dir, mel: dsp.MelConfig, splits=protocol.SPLITS) -> Corpus:
     """Load a corpus directory (manifest.jsonl, classes.json, word_vectors.txt,
-    audio/) and precompute log-mel spectrograms for the clips of `splits`.
-    Records, labels and class embeddings cover the whole corpus."""
+    audio/) and the log-mels of the clips of `splits`; `splits=()` reads no
+    WAV. Records, labels and class embeddings cover the whole corpus."""
     root = Path(corpus_dir)
     manifest_path = root / "manifest.jsonl"
     classes_path = root / "classes.json"
@@ -53,21 +54,22 @@ def load_corpus(corpus_dir, mel: dsp.MelConfig, splits=protocol.SPLITS) -> Corpu
     vectors = semantics.load_word_vectors(vec_path)
     class_embeddings = {cid: semantics.embed_label(label, vectors)
                         for cid, label in labels.items()}
-    spectrograms = {}
-    for r in records:
-        if r.split not in splits:
-            continue
-        path = Path(r.path)
-        if not path.is_absolute():
-            path = root / path
-        try:
-            spectrograms[r.clip_id] = dsp.compute_logmel(
-                dsp.load_wav(path, expected_rate=mel.sample_rate), mel)
-        except (OSError, DataError) as exc:
-            raise DataError(f"clip {r.clip_id}: {exc}") from exc
-    return Corpus(records=records, labels=labels,
-                  train_ids=list(meta["train"]), test_ids=list(meta["test"]),
-                  class_embeddings=class_embeddings, spectrograms=spectrograms)
+    corpus = Corpus(records=records, labels=labels,
+                    train_ids=list(meta["train"]), test_ids=list(meta["test"]),
+                    class_embeddings=class_embeddings, spectrograms={}, root=root)
+    compute_spectrograms(corpus, mel, splits)
+    return corpus
+
+
+def compute_spectrograms(corpus: Corpus, mel: dsp.MelConfig, splits) -> None:
+    """Fill `corpus.spectrograms` with the log-mel of each clip of `splits`."""
+    for r in corpus.records:
+        if r.split in splits:
+            try:
+                corpus.spectrograms[r.clip_id] = dsp.compute_logmel(dsp.load_wav(
+                    corpus.root / r.path, expected_rate=mel.sample_rate), mel)
+            except (OSError, DataError) as exc:
+                raise DataError(f"clip {r.clip_id}: {exc}") from exc
 
 
 def _backbone_config(cfg: ExperimentConfig):

@@ -483,3 +483,16 @@ def test_cnn14_checkpoint_round_trip_with_bn_stats(tmp_path):
     model.save(path)
     back = backbones.Cnn14Backbone.load(path)
     assert np.allclose(model.embed([x]), back.embed([x]), atol=1e-6)
+
+
+def test_conv_checkpoint_without_channels_is_a_data_error(tmp_path):
+    """An empty `channels` list builds no conv stack: loading such a file
+    is a data error naming the field, not an `IndexError`."""
+    path = tmp_path / "cnn.ckpt"
+    hp = {**dataclasses.asdict(ConvConfig(fc_units=6, embed_dim=4)), "channels": []}
+    checkpoint.save_checkpoint(path, "cnn14", hp, {})
+    with pytest.raises(DataError, match="channels"):
+        backbones.Cnn14Backbone.load(path)
+    for channels in ((), (4, 0, 4, 4, 4, 4), (4.0, 4, 4, 4, 4, 4)):
+        with pytest.raises(ConfigError, match="channels"):
+            ConvConfig(channels=channels)

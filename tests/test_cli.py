@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import zsat
-from zsat import backbones, checkpoint, cli, crossmodal, experiments
+from zsat import backbones, checkpoint, cli, crossmodal, dsp, experiments
 from zsat.backbones import ConvConfig
 from zsat.config import PRESETS, load_config_file, resolve_config
 from zsat.errors import ConfigError, DataError, NumericalError
@@ -158,13 +158,13 @@ def _untrained_artifacts(cli_env, root):
 
 def test_backbone_checked_against_config_on_load(cli_env, tmp_path, monkeypatch):
     """A transformer checkpoint run under another kind or embed dim is a
-    data error, in train-projection and evaluate alike, found before the
-    corpus is read."""
+    data error, in train-projection and evaluate alike, found before any
+    WAV is read."""
     _, bb, proj = _untrained_artifacts(cli_env, tmp_path)
 
-    def no_corpus(*args, **kwargs):
-        raise AssertionError("corpus read before the backbone was checked")
-    monkeypatch.setattr(experiments, "load_corpus", no_corpus)
+    def no_wav(*args, **kwargs):
+        raise AssertionError("WAV read before the backbone was checked")
+    monkeypatch.setattr(dsp, "load_wav", no_wav)
     base = json.loads(open(cli_env["config"]).read())
     for name, override in (("kind", {"backbone": "cnn14"}),
                            ("dim", {"transformer": {"embed_dim": 16}})):
@@ -258,7 +258,7 @@ def _corpus_variant(cli_env, root, keep):
 
 
 def _exit_code_cases(cli_env, tmp_path):
-    """(case, argv, expected exit code, fails before the corpus is read)."""
+    """(case, argv, expected exit code, fails before any WAV is read)."""
     cfg, corpus = cli_env["config"], cli_env["corpus"]
     base = json.loads(Path(cfg).read_text())
     cfg_obj, bb, proj = _untrained_artifacts(cli_env, tmp_path)
@@ -283,6 +283,15 @@ def _exit_code_cases(cli_env, tmp_path):
     short_b1_proj = tmp_path / "short_b1_proj.ckpt"
     checkpoint.save_checkpoint(short_b1_proj, "projection", params.hyperparams(),
                                {**params.params, **params.stats, "b1": np.zeros(3)})
+    no_channels_bb = tmp_path / "no_channels_bb.ckpt"
+    checkpoint.save_checkpoint(no_channels_bb, "cnn14", {
+        **dataclasses.asdict(cfg_obj.conv), "channels": []}, {})
+
+    def per_seed(name, *files):
+        """A `{seed}` path template whose seed-i file is a copy of files[i]."""
+        for i, src in enumerate(files):
+            (tmp_path / f"{name}{i}.ckpt").write_bytes(src.read_bytes())
+        return str(tmp_path / f"{name}{{seed}}.ckpt")
 
     def write(name, text):
         (tmp_path / name).write_text(text)
@@ -304,6 +313,7 @@ def _exit_code_cases(cli_env, tmp_path):
     train = json.loads((Path(corpus) / "classes.json").read_text())["train"]
     head = {"weight": np.zeros((len(train), experiments.embed_dim(cfg_obj))),
             "bias": np.zeros(len(train))}
+    resumable("run0.ckpt", head)   # and no run1.ckpt
 
     def config(name, override):
         return write(f"{name}.json", json.dumps(
@@ -321,17 +331,19 @@ def _exit_code_cases(cli_env, tmp_path):
     evaluate = ["evaluate", "--backbone", str(bb), "--projection", str(proj),
                 "--out", out]
     fold_split = ["fold-split", "--config", cfg, "--out", out, "--counts"]
+    # seed 0's inputs are good and seed 1's are bad
+    two_seeds = ["--seed", "0", "--seed", "1", "--config", cfg, "--corpus", corpus]
     return [
-        ("duplicate clip id", [*pretrain, "--config", cfg, "--corpus", dup], 3, False),
+        ("duplicate clip id", [*pretrain, "--config", cfg, "--corpus", dup], 3, True),
         ("empty val split", [*project, "--config", cfg, "--corpus", no_val], 3, False),
-        ("unknown split", [*evaluate, "--config", cfg, "--corpus", bad_split], 3, False),
+        ("unknown split", [*evaluate, "--config", cfg, "--corpus", bad_split], 3, True),
         ("NaN backbone checkpoint", ["train-projection", "--backbone", str(nan_bb),
                                      "--out", out, "--config", cfg, "--corpus", corpus],
          3, True),
         ("short CSV row", [*fold_split, write("short.csv", "A,Alpha,3\nB,Bravo\n")],
-         3, False),
+         3, True),
         ("non-integer count", [*fold_split, write("count.csv", "A,Alpha,many\n")],
-         3, False),
+         3, True),
         ("settings block not an object",
          [*pretrain, "--config", config("block", {"pretrain": 5}), "--corpus", corpus],
          2, True),
@@ -345,6 +357,11 @@ def _exit_code_cases(cli_env, tmp_path):
         ("category map value a list",
          [*evaluate, "--config", cfg, "--corpus", corpus,
           "--category-map", write("cat_list.json", '{"c02": ["a"]}')], 3, True),
+        ("conv block without channels",
+         ["train-projection", "--backbone", str(no_channels_bb), "--out", out,
+          "--config", config("no_channels", {"backbone": "cnn14",
+                                             "conv": {"channels": []}}),
+          "--corpus", corpus], 2, True),
         ("backbone kind mismatch",
          [*project, "--config", config("kind", {"backbone": "cnn14"}),
           "--corpus", corpus], 3, True),
@@ -367,14 +384,24 @@ def _exit_code_cases(cli_env, tmp_path):
         ("resume with other training classes",
          ["pretrain", "--config", cfg, "--corpus", corpus, "--resume",
           "--out", resumable("other.ckpt", head),
-          "--exclude", write("exclude.json", json.dumps([train[0]]))], 3, False),
+          "--exclude", write("exclude.json", json.dumps([train[0]]))], 3, True),
         ("resume head missing a tensor",
          ["pretrain", "--config", cfg, "--corpus", corpus, "--resume",
-          "--out", resumable("no_bias.ckpt", {"weight": head["weight"]})], 3, False),
+          "--out", resumable("no_bias.ckpt", {"weight": head["weight"]})], 3, True),
         ("resume head of another width",
          ["pretrain", "--config", cfg, "--corpus", corpus, "--resume",
           "--out", resumable("narrow.ckpt", {"weight": np.zeros((len(train), 5)),
-                                             "bias": head["bias"]})], 3, False),
+                                             "bias": head["bias"]})], 3, True),
+        ("seed 1 backbone missing",
+         ["train-projection", *two_seeds, "--backbone", per_seed("lone_bb", bb),
+          "--out", str(tmp_path / "trained{seed}.ckpt")], 3, True),
+        ("seed 1 projection disagrees with its header",
+         ["evaluate", *two_seeds, "--backbone", per_seed("pair_bb", bb, bb),
+          "--projection", per_seed("pair_proj", proj, short_b1_proj), "--out", out],
+         3, True),
+        ("seed 1 has no run to resume",
+         ["pretrain", *two_seeds, "--resume", "--out", str(tmp_path / "run{seed}.ckpt")],
+         3, True),
         ("backbone dim mismatch",
          [*evaluate, "--config", config("dim", {"transformer": {"embed_dim": 16}}),
           "--corpus", corpus], 3, True),
@@ -424,15 +451,17 @@ def test_exit_code_fold_id_out_of_range(cli_env, tmp_path, capsys):
 def test_exit_code_names_the_kind_of_failure(cli_env, tmp_path, monkeypatch, capsys):
     """Each failure exits with its kind's code and prints one stderr line
     under its kind's label, with no traceback; a case marked early fails
-    before the corpus is read."""
-    load_corpus = experiments.load_corpus
+    before any WAV is read and leaves every file as it was."""
+    load_wav = dsp.load_wav
 
-    def no_corpus(*args, **kwargs):
-        raise AssertionError("corpus read")
+    def no_wav(*args, **kwargs):
+        raise AssertionError("WAV read")
     for case, argv, code, early in _exit_code_cases(cli_env, tmp_path):
-        monkeypatch.setattr(experiments, "load_corpus",
-                            no_corpus if early else load_corpus)
+        monkeypatch.setattr(dsp, "load_wav", no_wav if early else load_wav)
+        before = _tree_hash(tmp_path)
         _assert_exits(argv, code, capsys, case)
+        if early:
+            assert _tree_hash(tmp_path) == before, case
 
 
 def test_bad_wav_fails_only_commands_that_read_its_split(cli_env, tmp_path):

@@ -95,7 +95,7 @@ def test_random_baseline_ap_is_prevalence():
     assert evaluation.random_baseline_ap(3, 12) == pytest.approx(0.25)
 
 
-def test_random_baseline_classification():
+def test_random_baseline_classification(tmp_path):
     """The zero-shot evaluation reports chance accuracy as 1/|candidates|."""
     rng = np.random.default_rng(0)
     test_ids = ["t0", "t1", "t2", "t3"]
@@ -110,7 +110,7 @@ def test_random_baseline_classification():
         records=records, labels={c: c for c in all_ids},
         train_ids=["r0"], test_ids=test_ids,
         class_embeddings={c: rng.standard_normal(3) for c in all_ids},
-        spectrograms=specs)
+        spectrograms=specs, root=tmp_path)
 
     class MeanFrame:
         def embed(self, specs):
@@ -127,8 +127,9 @@ def test_random_baseline_classification():
 
 
 def test_load_corpus_computes_only_the_requested_splits(tiny_corpus, monkeypatch):
-    """One log-mel per clip of the requested splits, equal to a full load's;
-    records, labels and class embeddings stay whole."""
+    """One log-mel per clip of the requested splits, equal to a full load's,
+    and none for `splits=()`; records, labels and class embeddings stay
+    whole."""
     mel = tiny_corpus["spec"].mel
     full = experiments.load_corpus(tiny_corpus["root"], mel)
     compute, calls = dsp.compute_logmel, []
@@ -137,17 +138,22 @@ def test_load_corpus_computes_only_the_requested_splits(tiny_corpus, monkeypatch
         calls.append(cfg)
         return compute(samples, cfg)
     monkeypatch.setattr(dsp, "compute_logmel", counting)
-    part = experiments.load_corpus(tiny_corpus["root"], mel, splits=("test",))
     test_ids = [r.clip_id for r in full.records if r.split == "test"]
     assert 0 < len(test_ids) < len(full.records)
-    assert len(calls) == len(test_ids)
-    assert sorted(part.spectrograms) == sorted(test_ids)
-    for c in test_ids:
-        got, want = part.spectrograms[c], full.spectrograms[c]
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-    assert part.records == full.records and part.labels == full.labels
-    assert part.class_embeddings.keys() == full.class_embeddings.keys()
+    for splits, ids in ((("test",), test_ids), ((), [])):
+        calls.clear()
+        part = experiments.load_corpus(tiny_corpus["root"], mel, splits=splits)
+        assert len(calls) == len(ids)
+        assert sorted(part.spectrograms) == sorted(ids)
+        for c in ids:
+            got, want = part.spectrograms[c], full.spectrograms[c]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert part.records == full.records and part.labels == full.labels
+        assert part.train_ids == full.train_ids and part.test_ids == full.test_ids
+        assert part.class_embeddings.keys() == full.class_embeddings.keys()
+        for c, v in full.class_embeddings.items():
+            assert part.class_embeddings[c].tobytes() == v.tobytes()
 
 
 # --- pearson r -------------------------------------------------------------------
