@@ -225,7 +225,9 @@ class TransformerBackbone(Backbone):
 class ConvBackbone(Backbone):
     """A stack of 3x3 conv -> batch norm -> ReLU -> optional 2x2 pooling.
     A subclass lists its layers in `layers()` as (name suffix, output
-    channels, pooling "avg" | "max" | None) and adds its own heads."""
+    channels, pooling "avg" | "max" | None) and adds its own heads. Only a
+    train-mode `embed_batch` cache can go to `backward`: an eval forward
+    keeps no conv layer's cache."""
 
     config_type = ConvConfig
     config_key = "conv"
@@ -244,7 +246,8 @@ class ConvBackbone(Backbone):
 
     def _stack_forward(self, h: np.ndarray, train: bool):
         """h: (N, 1, f, t) -> (feature map, per-layer caches). `train`
-        normalizes batch norm by batch statistics."""
+        normalizes batch norm by batch statistics and keeps the caches
+        `_stack_backward` reads; an eval forward keeps none."""
         p, st = self.params, self.stats
         caches = []
         for sfx, _, pool in self.layers():
@@ -257,13 +260,14 @@ class ConvBackbone(Backbone):
             if pool:
                 # looked up per call, so a wrapper installed on `nn` sees it
                 h, c_pool = getattr(nn, f"{pool}_pool2d")(h)
-            caches.append((c_conv, c_bn, pre, c_pool))
+            if train:
+                caches.append((c_conv, c_bn, pre, c_pool))
         return h, caches
 
     def _stack_backward(self, dh: np.ndarray, caches: list, grads: dict) -> dict:
         """Adds the conv layers' gradients to `grads` and returns it."""
         for (sfx, _, pool), (c_conv, c_bn, pre, c_pool) in zip(
-                reversed(self.layers()), reversed(caches)):
+                reversed(self.layers()), reversed(caches), strict=True):
             if pool:
                 dh = getattr(nn, f"{pool}_pool2d_backward")(dh, c_pool)
             dh = nn.relu_backward(dh, pre)

@@ -175,6 +175,8 @@ def cmd_pretrain(args) -> int:
     cfg, seeds = _resolve(args)
     if (args.folds is None) != (args.fold_id is None):
         raise ConfigError("--folds and --fold-id must be given together")
+    if args.synonyms and not args.exclude:
+        raise ConfigError("--synonyms needs --exclude")
     corpus = experiments.load_corpus(args.corpus, cfg.mel, splits=())
     corpus.train_ids = train_ids = _select_train_ids(args, corpus)
     multi = len(seeds) > 1

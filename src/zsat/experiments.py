@@ -48,6 +48,8 @@ def load_corpus(corpus_dir, mel: dsp.MelConfig, splits=protocol.SPLITS) -> Corpu
     records = protocol.load_manifest(manifest_path)
     meta = protocol.load_json(classes_path, dict, ("labels", "train", "test"))
     labels = meta["labels"]
+    if not labels:
+        raise DataError(f"{classes_path}: the labels map is empty")
     unknown = sorted((set(meta["train"]) | set(meta["test"])) - set(labels))
     if unknown:
         raise DataError(f"{classes_path}: classes {unknown} have no label")

@@ -166,25 +166,28 @@ def attention_backward(dout, cache):
 
 
 # ---------------------------------------------------------------------------
+# Sliding windows, shared by convolution and pooling
+
+
+def _windows(x, k, stride, ho, wo):
+    """The k[0]*k[1] strided views x[:, :, i::stride, j::stride], each
+    (N, C, ho, wo), one per window offset (i, j) in row-major order."""
+    return [x[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+            for i in range(k[0]) for j in range(k[1])]
+
+
+# ---------------------------------------------------------------------------
 # 2D convolution (stride 1, symmetric zero padding) via im2col
-
-
-def _im2col(x, kh, kw, pad):
-    n, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
-    s = xp.strides
-    cols = np.lib.stride_tricks.as_strided(
-        xp, shape=(n, c, kh, kw, ho, wo),
-        strides=(s[0], s[1], s[2], s[3], s[2], s[3]))
-    return cols.reshape(n, c * kh * kw, ho * wo), (ho, wo)
 
 
 def conv2d(x, w, b, pad=1):
     """x: (N,C,H,W), w: (Cout,C,kh,kw), b: (Cout,). Stride 1."""
-    n = x.shape[0]
+    n, c, h, wd = x.shape
     cout, cin, kh, kw = w.shape
-    cols, (ho, wo) = _im2col(x, kh, kw, pad)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho, wo = h + 2 * pad - kh + 1, wd + 2 * pad - kw + 1
+    cols = np.stack(_windows(xp, (kh, kw), 1, ho, wo), axis=2)
+    cols = cols.reshape(n, c * kh * kw, ho * wo)
     out = np.matmul(w.reshape(cout, -1), cols) + b[None, :, None]
     return out.reshape(n, cout, ho, wo), (x, cols, w, pad, ho, wo)
 
@@ -197,11 +200,10 @@ def conv2d_backward(dout, cache):
     dw = np.matmul(dflat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     db = dflat.sum(axis=(0, 2))
     dcols = np.matmul(w.reshape(cout, -1).T, dflat)
-    dcols = dcols.reshape(n, c, kh, kw, ho, wo)
+    dcols = dcols.reshape(n, c, kh * kw, ho, wo)
     dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=dout.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i:i + ho, j:j + wo] += dcols[:, :, i, j]
+    for k, view in enumerate(_windows(dxp, (kh, kw), 1, ho, wo)):
+        view += dcols[:, :, k]
     dx = dxp[:, :, pad:pad + h, pad:pad + wd] if pad else dxp
     return dx, dw, db
 
@@ -245,43 +247,42 @@ def batch_norm2d_backward(dout, cache):
 
 
 # ---------------------------------------------------------------------------
-# 2x2 pooling (truncates odd trailing rows/cols)
+# 2x2 pooling over the four window corners (truncates odd trailing rows/cols)
 
 
-def _pool_view(x):
-    n, c, h, w = x.shape
-    h2, w2 = h // 2, w // 2
-    return x[:, :, :h2 * 2, :w2 * 2].reshape(n, c, h2, 2, w2, 2)
+def _corners(x):
+    return _windows(x, (2, 2), 2, x.shape[2] // 2, x.shape[3] // 2)
 
 
 def avg_pool2d(x):
-    v = _pool_view(x)
-    return v.mean(axis=(3, 5)), x.shape
+    a, b, c, d = _corners(x)
+    # summed in pairs, as np.mean sums a window when the output is wider
+    # than one column; a + b + c + d rounds differently
+    return ((a + b) + (c + d)) / 4, x.shape
 
 
 def avg_pool2d_backward(dout, shape):
-    n, c, h, w = shape
     dx = np.zeros(shape, dtype=dout.dtype)
-    up = np.repeat(np.repeat(dout, 2, axis=2), 2, axis=3) * 0.25
-    dx[:, :, :up.shape[2], :up.shape[3]] = up
+    quarter = dout * 0.25
+    for view in _corners(dx):
+        view[...] = quarter
     return dx
 
 
 def max_pool2d(x):
-    v = _pool_view(x)
-    flat = v.transpose(0, 1, 2, 4, 3, 5).reshape(*v.shape[:3], v.shape[4], 4)
-    arg = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    return out, (x.shape, arg)
+    a, b, c, d = _corners(x)
+    out = np.maximum(np.maximum(a, b), np.maximum(c, d))
+    return out, (x, out)
 
 
 def max_pool2d_backward(dout, cache):
-    shape, arg = cache
-    n, c, h, w = shape
-    h2, w2 = h // 2, w // 2
-    dflat = np.zeros((n, c, h2, w2, 4), dtype=dout.dtype)
-    np.put_along_axis(dflat, arg[..., None], dout[..., None], axis=-1)
-    dx = np.zeros(shape, dtype=dout.dtype)
-    blocks = dflat.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    dx[:, :, :h2 * 2, :w2 * 2] = blocks.reshape(n, c, h2 * 2, w2 * 2)
+    """Each window's gradient goes to its first corner, in row-major order,
+    that equals the max: the corner `argmax` picks."""
+    x, out = cache
+    dx = np.zeros(x.shape, dtype=dout.dtype)
+    free = np.ones(out.shape, dtype=bool)
+    for xv, dv in zip(_corners(x), _corners(dx)):
+        hit = free & (xv == out)
+        np.copyto(dv, dout, where=hit)
+        free &= ~hit
     return dx

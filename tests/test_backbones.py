@@ -148,6 +148,20 @@ def test_vggish_too_short_input_raises():
         model.embed([spec_of(np.zeros((32, 10)))])
 
 
+@pytest.mark.parametrize("kind", ["cnn14", "vggish"])
+def test_conv_eval_forward_keeps_no_layer_cache(kind):
+    """An eval `embed_batch` keeps no conv layer's arrays; a train one keeps
+    one cache per layer, and `backward` refuses a cache list of another length."""
+    model = small_conv(kind)
+    x = np.random.default_rng(0).standard_normal((1, 32, 32))
+    emb, cache = model.embed_batch(x)
+    assert cache[0] == []
+    with pytest.raises(ValueError):
+        model.backward(np.ones_like(emb), cache)
+    _, cache = model.embed_batch(x, train=True)
+    assert len(cache[0]) == len(model.layers())
+
+
 # --- gradients ------------------------------------------------------------------
 
 def _loss_setup(model, x, w):

@@ -325,6 +325,9 @@ def _exit_code_cases(cli_env, tmp_path):
         r for r in recs if r["split"] != "val"])
     bad_split = _corpus_variant(cli_env, tmp_path / "bad_split", lambda recs: [
         {**r, "split": "Test"} if r is recs[-1] else r for r in recs])
+    no_labels = _corpus_variant(cli_env, tmp_path / "no_labels", lambda recs: recs)
+    (Path(no_labels) / "classes.json").write_text(
+        json.dumps({"labels": {}, "train": [], "test": []}))
     out = str(tmp_path / "out")
     pretrain = ["pretrain", "--out", out]
     project = ["train-projection", "--backbone", str(bb), "--out", out]
@@ -337,6 +340,8 @@ def _exit_code_cases(cli_env, tmp_path):
         ("duplicate clip id", [*pretrain, "--config", cfg, "--corpus", dup], 3, True),
         ("empty val split", [*project, "--config", cfg, "--corpus", no_val], 3, False),
         ("unknown split", [*evaluate, "--config", cfg, "--corpus", bad_split], 3, True),
+        ("empty labels map", [*evaluate, "--config", cfg, "--corpus", no_labels],
+         3, True),
         ("NaN backbone checkpoint", ["train-projection", "--backbone", str(nan_bb),
                                      "--out", out, "--config", cfg, "--corpus", corpus],
          3, True),
@@ -351,6 +356,9 @@ def _exit_code_cases(cli_env, tmp_path):
                               "--corpus", corpus], 2, True),
         ("config file not an object", [*pretrain, "--config", config("five", 5),
                                        "--corpus", corpus], 2, True),
+        ("--synonyms without --exclude",
+         [*pretrain, "--config", cfg, "--corpus", corpus,
+          "--synonyms", write("synonyms.json", "{}")], 2, True),
         ("category map a list", [*evaluate, "--config", cfg, "--corpus", corpus,
                                  "--category-map", write("cats.json", '["c02"]')],
          3, True),

@@ -35,6 +35,60 @@ def reference_conv2d_backward(dout, x, w, pad):
     return dxp[:, :, pad:pad + h, pad:pad + wd], dw, db
 
 
+CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def reference_pool2d(x, kind):
+    """2x2 stride-2 pooling one window at a time; odd trailing rows and
+    columns are dropped. Averages sum the two row pairs, then add them."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h // 2, w // 2), dtype=x.dtype)
+    for i, o, y, z in np.ndindex(out.shape):
+        win = x[i, o, 2 * y:2 * y + 2, 2 * z:2 * z + 2]
+        if kind == "avg":
+            out[i, o, y, z] = ((win[0, 0] + win[0, 1]) + (win[1, 0] + win[1, 1])) / 4
+        else:
+            out[i, o, y, z] = win.max()
+    return out
+
+
+def reference_pool2d_backward(dout, x, kind):
+    """Average pooling spreads a quarter of each gradient over its window;
+    max pooling gives it all to the first corner, in row-major order, that
+    holds the window's max."""
+    dx = np.zeros_like(x)
+    for (i, o, y, z), g in np.ndenumerate(dout):
+        win = x[i, o, 2 * y:2 * y + 2, 2 * z:2 * z + 2]
+        if kind == "avg":
+            dx[i, o, 2 * y:2 * y + 2, 2 * z:2 * z + 2] = g * 0.25
+        else:
+            a, b = next(ab for ab in CORNERS if win[ab] == win.max())
+            dx[i, o, 2 * y + a, 2 * z + b] = g
+    return dx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["avg", "max"])
+@pytest.mark.parametrize("values", ["relu", "repeats"])
+@pytest.mark.parametrize("shape", [(2, 3, 5, 7), (1, 2, 4, 3)])
+def test_pool2d_matches_nested_loop_reference(dtype, kind, values, shape):
+    """Exact equality, ties included: ReLU zeros tie whole windows and small
+    integers repeat, so the max-pool gradient's corner is pinned too."""
+    rng = np.random.default_rng(0)
+    if values == "relu":
+        x = np.maximum(rng.standard_normal(shape), 0).astype(dtype)
+    else:
+        x = rng.integers(0, 3, shape).astype(dtype)
+    out, cache = getattr(nn, f"{kind}_pool2d")(x)
+    want = reference_pool2d(x, kind)
+    assert out.dtype == dtype and out.tobytes() == want.tobytes()
+    dout = rng.standard_normal(out.shape).astype(dtype)
+    dx = getattr(nn, f"{kind}_pool2d_backward")(dout, cache)
+    want = reference_pool2d_backward(dout, x, kind)
+    assert dx.dtype == dtype and dx.shape == x.shape
+    assert dx.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("pad", [0, 1])
 def test_conv2d_matches_nested_loop_reference(pad):
     rng = np.random.default_rng(0)
