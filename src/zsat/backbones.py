@@ -50,6 +50,10 @@ class ConvConfig:
                 and all(isinstance(c, int) and c > 0 for c in self.channels)):
             raise ConfigError(f"conv channels must be a non-empty list of positive "
                               f"ints, not {self.channels!r}")
+        pooled = 2 ** len(VggishBackbone.POOL_AFTER)
+        if min(self.vggish_time, self.vggish_mels) < pooled:
+            raise ConfigError(f"vggish window {self.vggish_time}x{self.vggish_mels} is "
+                              f"smaller than its {pooled}x{pooled} max pooling")
 
 
 def _linear(w: str, b: str, fan_out: int, fan_in: int) -> list:
@@ -77,7 +81,9 @@ class Backbone(Module):
     ExperimentConfig field holding its settings) and defines
     `embed_batch(x, train=False, rng=None)`, which maps (N, f, t)
     spectrograms to (embeddings (N, m), cache), and `backward(demb, cache)`,
-    which returns the gradient of every tensor in `params`.
+    which returns the gradient of every tensor in `params`. Only training
+    differentiates a backbone: an eval `embed_batch` returns `None` in place
+    of its cache, and `backward` takes only a train-mode cache.
     """
 
     config_key: str
@@ -85,16 +91,8 @@ class Backbone(Module):
     def embed(self, specs: list[np.ndarray]) -> np.ndarray:
         """Eval-mode embeddings (N, m) in float64 of a list of (f, t) clips.
         Each clip is its own `embed_batch` call, so lengths may differ."""
-        out = []
-        for s in specs:
-            # `_` holds this clip's cache until the next call has allocated
-            # its own. Freed at once, the cache is often the top of the heap,
-            # which malloc trims and faults back in on the next clip: in
-            # some processes the toy transformer's projection phase took
-            # ~180k minor page faults and about 1.5x the time.
-            emb, _ = self.embed_batch(s[None])
-            out.append(emb[0].astype(np.float64))
-        return np.stack(out)
+        return np.stack([self.embed_batch(s[None])[0][0].astype(np.float64)
+                         for s in specs])
 
 
 class TransformerBackbone(Backbone):
@@ -179,10 +177,13 @@ class TransformerBackbone(Backbone):
             g = nn.gelu(f1)
             f2 = nn.linear(g, p[f"ffn_w2_{i}"], p[f"ffn_b2_{i}"])
             h = h1 + f2
-            blocks.append((c_ln1, c_att, c_ln2, b, f1, g))
+            if train:
+                blocks.append((c_ln1, c_att, c_ln2, b, f1, g))
         y, c_lnf = nn.layer_norm(h, p["lnf_g"], p["lnf_b"])
         cls_out = y[:, 0, :]
         emb = nn.linear(cls_out, p["head_w"], p["head_b"])
+        if not train:
+            return emb, None
         return emb, (patch_cache, blocks, c_lnf, cls_out, y.shape)
 
     def backward(self, demb: np.ndarray, cache) -> dict:
@@ -225,9 +226,7 @@ class TransformerBackbone(Backbone):
 class ConvBackbone(Backbone):
     """A stack of 3x3 conv -> batch norm -> ReLU -> optional 2x2 pooling.
     A subclass lists its layers in `layers()` as (name suffix, output
-    channels, pooling "avg" | "max" | None) and adds its own heads. Only a
-    train-mode `embed_batch` cache can go to `backward`: an eval forward
-    keeps no conv layer's cache."""
+    channels, pooling "avg" | "max" | None) and adds its own heads."""
 
     config_type = ConvConfig
     config_key = "conv"
@@ -247,7 +246,7 @@ class ConvBackbone(Backbone):
     def _stack_forward(self, h: np.ndarray, train: bool):
         """h: (N, 1, f, t) -> (feature map, per-layer caches). `train`
         normalizes batch norm by batch statistics and keeps the caches
-        `_stack_backward` reads; an eval forward keeps none."""
+        `_stack_backward` reads."""
         p, st = self.params, self.stats
         caches = []
         for sfx, _, pool in self.layers():
@@ -294,16 +293,14 @@ class Cnn14Backbone(ConvBackbone):
         return [(f"{i}_{j}", cout, "avg" if j == 1 and i < self.POOLED_BLOCKS else None)
                 for i, cout in enumerate(self.cfg.channels) for j in range(2)]
 
-    def min_frames(self) -> int:
-        return 2 ** self.POOLED_BLOCKS
-
     def embed_batch(self, x: np.ndarray, train: bool = False,
                     rng: np.random.Generator | None = None):
         """x: (N, f, t) -> (embeddings (N, m), cache). `train` normalizes
         batch norm by batch statistics; nothing here draws from `rng`."""
-        if x.shape[2] < self.min_frames():
-            raise DataError(f"input has {x.shape[2]} frames; "
-                             f"needs at least {self.min_frames()}")
+        need = 2 ** self.POOLED_BLOCKS
+        if min(x.shape[1:]) < need:
+            raise DataError(f"input has {x.shape[1]} mel bins and {x.shape[2]} "
+                            f"frames; needs at least {need} of each")
         p = self.params
         fmap, caches = self._stack_forward(x[:, None, :, :], train)  # (N, C, f', t')
         over_f = fmap.mean(axis=2)                 # (N, C, t')
@@ -314,6 +311,8 @@ class Cnn14Backbone(ConvBackbone):
         fc = nn.linear(feat, p["fc_w"], p["fc_b"])
         fcr = nn.relu(fc)
         emb = nn.linear(fcr, p["head_w"], p["head_b"])
+        if not train:
+            return emb, None
         return emb, (caches, fmap.shape, over_f.shape, arg_t, feat, fc, fcr)
 
     def backward(self, demb: np.ndarray, cache) -> dict:
@@ -383,6 +382,8 @@ class VggishBackbone(ConvBackbone):
         r2 = nn.relu(f2)
         emb = nn.linear(r2, p["head_w"], p["head_b"])
         emb = emb.reshape(n, per, -1).mean(axis=1)
+        if not train:
+            return emb, None
         return emb, (caches, h.shape, flat, f1, r1, f2, r2, per)
 
     def backward(self, demb: np.ndarray, cache) -> dict:

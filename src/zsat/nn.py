@@ -214,7 +214,8 @@ def conv2d_backward(dout, cache):
 
 def batch_norm2d(x, gamma, beta, running_mean, running_var, train: bool,
                  momentum=0.1, eps=1e-5):
-    """Returns (out, cache). Updates running stats in place when training."""
+    """Returns (out, cache); the cache is None in eval. Updates running
+    stats in place when training."""
     if train:
         mu = x.mean(axis=(0, 2, 3))
         var = x.var(axis=(0, 2, 3))
@@ -227,22 +228,19 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, train: bool,
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu[None, :, None, None]) * inv[None, :, None, None]
     out = xhat * gamma[None, :, None, None] + beta[None, :, None, None]
-    return out, (xhat, inv, gamma, train)
+    return out, (xhat, inv, gamma) if train else None
 
 
 def batch_norm2d_backward(dout, cache):
-    xhat, inv, gamma, train = cache
+    xhat, inv, gamma = cache
     m = dout.shape[0] * dout.shape[2] * dout.shape[3]
     dgamma = (dout * xhat).sum(axis=(0, 2, 3))
     dbeta = dout.sum(axis=(0, 2, 3))
     dxhat = dout * gamma[None, :, None, None]
-    if train:
-        dx = (inv[None, :, None, None] / m) * (
-            m * dxhat
-            - dxhat.sum(axis=(0, 2, 3))[None, :, None, None]
-            - xhat * (dxhat * xhat).sum(axis=(0, 2, 3))[None, :, None, None])
-    else:
-        dx = dxhat * inv[None, :, None, None]
+    dx = (inv[None, :, None, None] / m) * (
+        m * dxhat
+        - dxhat.sum(axis=(0, 2, 3))[None, :, None, None]
+        - xhat * (dxhat * xhat).sum(axis=(0, 2, 3))[None, :, None, None])
     return dx, dgamma, dbeta
 
 

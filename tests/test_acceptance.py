@@ -114,12 +114,14 @@ def test_criterion_2_gradients(report):
     x = rng.standard_normal((2, 12, 16))
     w = rng.standard_normal(5)
 
+    # with no patchout drops, the train forward is the eval function; only a
+    # train-mode cache goes to `backward`
     def fwd_t():
-        emb, _ = model.embed_batch(x)
+        emb, _ = model.embed_batch(x, train=True)
         return float(np.sum(emb * w) + 0.5 * np.sum(emb ** 2))
 
     def grads_t():
-        emb, cache = model.embed_batch(x)
+        emb, cache = model.embed_batch(x, train=True)
         return model.backward((w + emb).astype(np.float64), cache)
 
     worst_tr = fd_gradcheck(model.params, fwd_t, grads_t, n_coords=100, seed=3)

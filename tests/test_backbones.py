@@ -148,29 +148,31 @@ def test_vggish_too_short_input_raises():
         model.embed([spec_of(np.zeros((32, 10)))])
 
 
-@pytest.mark.parametrize("kind", ["cnn14", "vggish"])
-def test_conv_eval_forward_keeps_no_layer_cache(kind):
-    """An eval `embed_batch` keeps no conv layer's arrays; a train one keeps
-    one cache per layer, and `backward` refuses a cache list of another length."""
-    model = small_conv(kind)
-    x = np.random.default_rng(0).standard_normal((1, 32, 32))
-    emb, cache = model.embed_batch(x)
-    assert cache[0] == []
-    with pytest.raises(ValueError):
-        model.backward(np.ones_like(emb), cache)
-    _, cache = model.embed_batch(x, train=True)
-    assert len(cache[0]) == len(model.layers())
+@pytest.mark.parametrize("kind", sorted(backbones.BACKBONE_KINDS))
+def test_eval_forward_keeps_no_cache(kind):
+    """An eval `embed_batch` returns None in place of its cache; a train one
+    returns a cache that `backward` turns into a gradient of every tensor."""
+    model, x = _small_backbones()[kind]
+    _, cache = model.embed_batch(x[None])
+    assert cache is None
+    emb, cache = model.embed_batch(x[None], train=True, rng=np.random.default_rng(0))
+    grads = model.backward(np.ones_like(emb), cache)
+    assert {k: g.shape for k, g in grads.items()} == {
+        k: v.shape for k, v in model.params.items()}
 
 
 # --- gradients ------------------------------------------------------------------
 
 def _loss_setup(model, x, w):
+    """Loss and gradients of train-mode embeddings: gradients are only ever
+    taken in train mode, where batch norm normalizes by batch statistics.
+    With no patchout drops, a train-mode transformer is its eval function."""
     def forward():
-        emb, _ = model.embed_batch(x)
+        emb, _ = model.embed_batch(x, train=True)
         return float(np.sum(emb * w) + 0.5 * np.sum(emb ** 2))
 
     def grads():
-        emb, cache = model.embed_batch(x)
+        emb, cache = model.embed_batch(x, train=True)
         return model.backward((w + emb).astype(np.float64), cache)
 
     return forward, grads
@@ -192,17 +194,7 @@ def _conv_gradient_error(kind):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 32, 32))
     w = rng.standard_normal(4)
-
-    # gradients are only ever taken in train mode, where batch norm
-    # normalizes by batch statistics
-    def forward():
-        emb, _ = model.embed_batch(x, train=True)
-        return float(np.sum(emb * w) + 0.5 * np.sum(emb ** 2))
-
-    def grads():
-        emb, cache = model.embed_batch(x, train=True)
-        return model.backward((w + emb).astype(np.float64), cache)
-
+    forward, grads = _loss_setup(model, x, w)
     return fd_gradcheck(model.params, forward, grads, n_coords=40)
 
 

@@ -365,6 +365,10 @@ def _exit_code_cases(cli_env, tmp_path):
         ("category map value a list",
          [*evaluate, "--config", cfg, "--corpus", corpus,
           "--category-map", write("cat_list.json", '{"c02": ["a"]}')], 3, True),
+        ("vggish window smaller than its pooling",
+         [*pretrain, "--config", config("vggish8", {"backbone": "vggish",
+                                                   "conv": {"vggish_time": 8}}),
+          "--corpus", corpus], 2, True),
         ("conv block without channels",
          ["train-projection", "--backbone", str(no_channels_bb), "--out", out,
           "--config", config("no_channels", {"backbone": "cnn14",
@@ -419,6 +423,10 @@ def _exit_code_cases(cli_env, tmp_path):
         ("zero projection epochs",
          [*project, "--config", config("p0", {"projection": {"epochs": 0}}),
           "--corpus", corpus], 2, True),
+        ("cnn14 input with fewer mel bins than its pooling",
+         [*pretrain, "--config", config("mel16", {"backbone": "cnn14",
+                                                 "mel": {"n_mels": 16}}),
+          "--corpus", corpus], 3, False),
         ("divergence",
          [*pretrain, "--config", config("lr", {"pretrain": {"initial_lr": 1e300}}),
           "--corpus", corpus], 4, False),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import fd_gradcheck
 from zsat import nn
 
 
@@ -118,3 +119,28 @@ def test_conv2d_dtype(x_dtype, w_dtype, want):
     assert out.dtype == want
     grads = nn.conv2d_backward(np.ones_like(out), cache)
     assert [g.dtype for g in grads] == [want] * 3
+
+
+def test_batch_norm2d_train_gradients_match_finite_differences():
+    """Train mode normalizes by the batch's own statistics, so the gradient
+    of x flows through them too; eval mode keeps no cache."""
+    rng = np.random.default_rng(0)
+    t = {"x": rng.standard_normal((3, 4, 5, 6)), "gamma": 0.5 + rng.random(4),
+         "beta": rng.standard_normal(4)}
+    w = rng.standard_normal((3, 4, 5, 6))
+
+    def run(train=True):
+        return nn.batch_norm2d(t["x"], t["gamma"], t["beta"], np.zeros(4),
+                               np.ones(4), train)
+
+    def forward():
+        out, _ = run()
+        return float(np.sum(out * w) + 0.5 * np.sum(out ** 2))
+
+    def grads():
+        out, cache = run()
+        return dict(zip(("x", "gamma", "beta"),
+                        nn.batch_norm2d_backward(w + out, cache)))
+
+    assert fd_gradcheck(t, forward, grads, n_coords=60) < 1e-4
+    assert run(train=False)[1] is None
