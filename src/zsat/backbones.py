@@ -431,8 +431,8 @@ def pretrain_backbone(model, head: ClassifierHead, manifest, class_ids: list,
 
     `manifest` is a list of records with .clip_id/.tags/.split; `spectrograms`
     maps clip id -> (f, t) log-mel array. Mixup runs when `aug_cfg.mixup_alpha > 0`.
-    Returns per-epoch mean loss history. Deterministic for a fixed rng seed
-    (single-threaded).
+    Trains `model` and `head` in place and returns (model, head, per-epoch
+    mean loss history). Deterministic for a fixed rng seed (single-threaded).
     """
     from . import crossmodal
     from .dsp import apply_spec_augmentations, mixup

@@ -246,7 +246,7 @@ def cmd_train_projection(args) -> int:
               f"val mAP {report['best_val_map']:.4f} -> {out}")
     if multi:
         import numpy as np
-        agg = Path(args.out)
+        agg = Path(args.out.replace("{seed}", ""))
         agg = agg.with_name(f"{agg.stem}_aggregate.json")
         _write_json(agg, {"seeds": list(best_maps),
                           "best_val_map_per_seed": best_maps,

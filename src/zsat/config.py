@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .backbones import BACKBONE_KINDS, ConvConfig, TransformerConfig
-from .crossmodal import TrainConfig
+from .crossmodal import TrainConfig, check_dropout_rate
 from .dsp import AugmentConfig, MelConfig
 from .errors import ConfigError
 from .protocol import SyntheticSpec
@@ -27,6 +27,7 @@ class ExperimentConfig:
     projection: TrainConfig
     projection_hidden: int
     projection_dropout: float
+    projection_val_fraction: float      # training classes held out to select an epoch
     synthetic: SyntheticSpec
     fold_k: int = 5
     pinned_labels: tuple = ("Speech", "Music")
@@ -39,6 +40,10 @@ class ExperimentConfig:
         if not (isinstance(self.seeds, tuple) and self.seeds
                 and all(isinstance(s, int) for s in self.seeds)):
             raise ConfigError(f"seeds must be a non-empty list of integers: {self.seeds!r}")
+        check_dropout_rate(self.projection_dropout, "projection_dropout")
+        if self.backbone == "vggish" and self.conv.vggish_mels != self.mel.n_mels:
+            raise ConfigError(f"vggish_mels {self.conv.vggish_mels} must equal the "
+                              f"frontend's n_mels {self.mel.n_mels}")
 
     def echo(self) -> dict:
         """Resolved config + version string, embedded in output artifacts."""
@@ -56,14 +61,6 @@ def _to_plain(obj):
 
 _TOY_MEL = MelConfig(sample_rate=32000, window_len=800, hop_len=320, n_mels=64,
                      fmin=0.0, fmax=16000.0, log_floor=1e-5)
-_PAPER_MEL = MelConfig(sample_rate=32000, window_len=800, hop_len=320, n_mels=128,
-                       fmin=0.0, fmax=16000.0, log_floor=1e-5)
-
-_PAPER_PRETRAIN = TrainConfig(initial_lr=2e-5, warmup_epochs=5, decay_start_epoch=50,
-                              decay_end_epoch=100, final_lr=1e-7, epochs=130,
-                              batch_size=24, beta1=0.9, beta2=0.99, epsilon=1e-8,
-                              weight_decay=1e-4, val_class_fraction=0.1)
-_PAPER_PROJECTION = dataclasses.replace(_PAPER_PRETRAIN, epochs=10)
 
 _PAPER_AUG = AugmentConfig(mixup_alpha=0.3, n_time_masks=2, n_freq_masks=2,
                            max_mask_width=8, max_time_shift=50, max_freq_shift=4,
@@ -72,7 +69,7 @@ _PAPER_AUG = AugmentConfig(mixup_alpha=0.3, n_time_masks=2, n_freq_masks=2,
 _TOY_PRETRAIN = TrainConfig(initial_lr=1e-3, warmup_epochs=2, decay_start_epoch=20,
                             decay_end_epoch=30, final_lr=1e-5, epochs=30,
                             batch_size=8, beta1=0.9, beta2=0.99, epsilon=1e-8,
-                            weight_decay=1e-4, val_class_fraction=0.13)
+                            weight_decay=1e-4)
 _TOY_PROJECTION = dataclasses.replace(_TOY_PRETRAIN, epochs=10, warmup_epochs=1,
                                       decay_start_epoch=6, decay_end_epoch=10)
 _TOY_AUG = AugmentConfig(mixup_alpha=0.5, max_time_shift=8, max_freq_shift=3,
@@ -88,22 +85,9 @@ _TOY_SYNTH_GRADED = dataclasses.replace(_TOY_SYNTH, test_classes=(1, 4, 5, 6))
 _TOY_TRANSFORMER = TransformerConfig(d=64, n_heads=4, n_layers=2, patch_f=8,
                                      patch_t=8, max_f_patches=8, max_t_patches=13,
                                      embed_dim=32, n_freq_drop=1, n_time_drop=2)
-_PAPER_TRANSFORMER = TransformerConfig(d=768, n_heads=12, n_layers=12, patch_f=16,
-                                       patch_t=16, max_f_patches=8, max_t_patches=64,
-                                       embed_dim=768, n_freq_drop=2, n_time_drop=10)
 
 _TOY_CONV = ConvConfig(channels=(8, 16, 32, 32, 64, 64), fc_units=64,
                        embed_dim=32, vggish_time=96, vggish_mels=64)
-_PAPER_CNN14 = ConvConfig(channels=(64, 128, 256, 512, 1024, 2048),
-                          fc_units=2048, embed_dim=768)
-
-
-def _paper_preset(name: str) -> ExperimentConfig:
-    return ExperimentConfig(
-        preset=name, backbone="transformer", mel=_PAPER_MEL, augment=_PAPER_AUG,
-        transformer=_PAPER_TRANSFORMER, conv=_PAPER_CNN14, pretrain=_PAPER_PRETRAIN,
-        projection=_PAPER_PROJECTION, projection_hidden=1024, projection_dropout=0.2,
-        synthetic=_TOY_SYNTH, fold_k=5)
 
 
 def _toy_preset(name: str, synth: SyntheticSpec) -> ExperimentConfig:
@@ -111,16 +95,20 @@ def _toy_preset(name: str, synth: SyntheticSpec) -> ExperimentConfig:
         preset=name, backbone="transformer", mel=_TOY_MEL, augment=_TOY_AUG,
         transformer=_TOY_TRANSFORMER, conv=_TOY_CONV, pretrain=_TOY_PRETRAIN,
         projection=_TOY_PROJECTION, projection_hidden=64, projection_dropout=0.1,
-        synthetic=synth, fold_k=3)
+        projection_val_fraction=0.13, synthetic=synth, fold_k=3)
 
 
 PRESETS = {
     "toy": _toy_preset("toy", _TOY_SYNTH),
     "toy-graded": _toy_preset("toy-graded", _TOY_SYNTH_GRADED),
-    "audioset-fold": _paper_preset("audioset-fold"),
-    "esc50": _paper_preset("esc50"),
-    "openmic-inst": _paper_preset("openmic-inst"),
-    "openmic-mic": _paper_preset("openmic-mic"),
+    # the paper's setup is the dataclass defaults plus what is written here;
+    # its dataset comes from --corpus
+    "paper": ExperimentConfig(
+        preset="paper", backbone="transformer", mel=MelConfig(), augment=_PAPER_AUG,
+        transformer=TransformerConfig(n_freq_drop=2, n_time_drop=10),
+        conv=ConvConfig(), pretrain=TrainConfig(), projection=TrainConfig(epochs=10),
+        projection_hidden=1024, projection_dropout=0.2, projection_val_fraction=0.1,
+        synthetic=_TOY_SYNTH),
 }
 
 
@@ -129,7 +117,7 @@ def resolve_config(preset: str, overrides: dict | None = None) -> ExperimentConf
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; choose from "
                           f"{sorted(PRESETS)}")
-    cfg = PRESETS[preset]
+    cfg, changes = PRESETS[preset], {}
     for key, value in (overrides or {}).items():
         if key == "preset":
             continue
@@ -147,8 +135,9 @@ def resolve_config(preset: str, overrides: dict | None = None) -> ExperimentConf
                 raise ConfigError(f"bad override for {key}: {exc}") from exc
         elif isinstance(value, list):
             value = tuple(value)
-        cfg = dataclasses.replace(cfg, **{key: value})
-    return cfg
+        changes[key] = value
+    # one replace, so the checks across fields see every override at once
+    return dataclasses.replace(cfg, **changes)
 
 
 def _tupled(d: dict) -> dict:

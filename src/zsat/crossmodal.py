@@ -24,8 +24,13 @@ class ProjectionConfig:
     dropout_rate: float
 
     def __post_init__(self):
-        if not (0 <= self.dropout_rate < 1):
-            raise ConfigError("dropout_rate must be in [0, 1)")
+        check_dropout_rate(self.dropout_rate, "dropout_rate")
+
+
+def check_dropout_rate(rate: float, name: str) -> None:
+    """The one range rule for the projection's dropout, wherever it is set."""
+    if not (0 <= rate < 1):
+        raise ConfigError(f"{name} must be in [0, 1)")
 
 
 class Projection(Module):
@@ -137,7 +142,6 @@ class TrainConfig:
     beta2: float = 0.99
     epsilon: float = 1e-8
     weight_decay: float = 1e-4
-    val_class_fraction: float = 0.1
 
     def __post_init__(self):
         if not (0 < self.final_lr <= self.initial_lr):
@@ -239,7 +243,7 @@ def split_validation_classes(class_ids: list, fraction: float,
     n_val = int(round(fraction * len(class_ids)))
     if n_val == 0:
         raise DataError(
-            f"val_class_fraction={fraction} selects zero of {len(class_ids)} classes")
+            f"projection_val_fraction={fraction} selects zero of {len(class_ids)} classes")
     if n_val >= len(class_ids):
         raise DataError("validation classes would cover the whole training set")
     ordered = sorted(class_ids)
@@ -251,17 +255,17 @@ def split_validation_classes(class_ids: list, fraction: float,
 
 def train_projection(backbone, manifest, spectrograms: dict, class_ids: list,
                      class_embeddings: dict, cfg: TrainConfig,
-                     rng: np.random.Generator, hidden: int = 1024,
-                     dropout_rate: float = 0.2):
+                     rng: np.random.Generator, hidden: int, dropout_rate: float,
+                     val_fraction: float):
     """Train the projection with the backbone frozen.
 
     `class_embeddings` maps class id -> semantic vector (np.ndarray of dim n).
-    Validation classes (val_class_fraction of class_ids) are removed from the
+    Validation classes (`val_fraction` of class_ids) are removed from the
     loss entirely; after each epoch, tagging mAP on the val split over those
     classes drives checkpoint selection. Returns (best Projection,
     selection report dict).
     """
-    loss_ids, val_ids = split_validation_classes(class_ids, cfg.val_class_fraction, rng)
+    loss_ids, val_ids = split_validation_classes(class_ids, val_fraction, rng)
 
     train_records = [r for r in manifest if r.split == "train"
                      and any(t in loss_ids for t in r.tags)]

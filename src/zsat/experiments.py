@@ -112,7 +112,8 @@ def run_projection(cfg: ExperimentConfig, corpus: Corpus, model, seed: int):
     return crossmodal.train_projection(
         model, corpus.records, corpus.spectrograms, corpus.train_ids,
         corpus.class_embeddings, cfg.projection, rng,
-        hidden=cfg.projection_hidden, dropout_rate=cfg.projection_dropout)
+        hidden=cfg.projection_hidden, dropout_rate=cfg.projection_dropout,
+        val_fraction=cfg.projection_val_fraction)
 
 
 def evaluate_zero_shot(corpus: Corpus, model, proj,

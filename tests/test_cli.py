@@ -28,8 +28,24 @@ def test_all_presets_fully_resolve():
 
 
 def test_unknown_preset_raises():
-    with pytest.raises(ConfigError):
-        resolve_config("not-a-preset")
+    # the former per-dataset names of the one `paper` setup
+    for name in ("not-a-preset", "audioset-fold", "esc50", "openmic-inst", "openmic-mic"):
+        with pytest.raises(ConfigError):
+            resolve_config(name)
+
+
+def test_paper_preset_holds_the_paper_values():
+    cfg = resolve_config("paper")
+    t, pre = cfg.transformer, cfg.pretrain
+    assert cfg.mel.n_mels == 128
+    assert (t.d, t.n_layers, t.n_heads) == (768, 12, 12)
+    assert (t.patch_f, t.patch_t, t.n_freq_drop, t.n_time_drop) == (16, 16, 2, 10)
+    assert (pre.initial_lr, pre.warmup_epochs, pre.decay_start_epoch,
+            pre.decay_end_epoch) == (2e-5, 5, 50, 100)
+    assert (pre.batch_size, pre.epochs, cfg.projection.epochs) == (24, 130, 10)
+    assert (cfg.projection_hidden, cfg.projection_dropout,
+            cfg.projection_val_fraction) == (1024, 0.2, 0.1)
+    assert cfg.augment.mixup_alpha == 0.3
 
 
 def test_override_nested_field():
@@ -37,13 +53,19 @@ def test_override_nested_field():
     assert cfg.pretrain.epochs == 3
     assert cfg.seeds == (5, 6)
     assert cfg.projection.epochs == PRESETS["toy"].projection.epochs
+    # the VGGish window is checked against the mel bins once every override is in
+    cfg = resolve_config("paper", {"backbone": "vggish", "conv": {"vggish_mels": 128}})
+    assert (cfg.backbone, cfg.conv.vggish_mels) == ("vggish", 128)
 
 
 def test_unknown_override_key_raises():
-    # the last two name knobs that were removed: mixup is on when
-    # mixup_alpha > 0, and nothing read the training config's seed
+    # removed knobs: mixup is on when mixup_alpha > 0, nothing read the
+    # training config's seed, and the projection's validation fraction is
+    # the top-level projection_val_fraction
     for overrides in ({"no_such_field": 1}, {"augment": {"mixup_enabled": True}},
-                      {"pretrain": {"seed": 0}}):
+                      {"pretrain": {"seed": 0}},
+                      {"pretrain": {"val_class_fraction": 0.1}},
+                      {"projection": {"val_class_fraction": 0.1}}):
         with pytest.raises(ConfigError):
             resolve_config("toy", overrides)
 
@@ -226,6 +248,21 @@ def test_pretrain_resume_continues_epoch_counter(cli_env, tmp_path):
     assert len(info["loss_history"]) == 2
 
 
+def test_multi_seed_aggregate_is_named_from_the_template(cli_env, tmp_path):
+    _, bb, _ = _untrained_artifacts(cli_env, tmp_path)
+    (tmp_path / "bb1.ckpt").write_bytes(bb.read_bytes())
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli.main(["train-projection", "--config", cli_env["config"],
+                     "--corpus", cli_env["corpus"], "--seed", "0", "--seed", "1",
+                     "--backbone", str(tmp_path / "bb{seed}.ckpt"),
+                     "--out", str(out / "proj{seed}.ckpt")]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "proj0.ckpt", "proj0.ckpt.json", "proj1.ckpt", "proj1.ckpt.json",
+        "proj_aggregate.json"]
+    assert not [p for p in tmp_path.rglob("*") if "{" in str(p)]
+
+
 def test_fold_split_command(tmp_path):
     counts = tmp_path / "counts.csv"
     counts.write_text("class_id,label,count\nA,Alpha,10\nB,Bravo,8\n"
@@ -349,6 +386,13 @@ def _exit_code_cases(cli_env, tmp_path):
          3, True),
         ("non-integer count", [*fold_split, write("count.csv", "A,Alpha,many\n")],
          3, True),
+        ("vggish window of another mel resolution",
+         [*pretrain, "--config", config("vggish128", {"backbone": "vggish",
+                                                     "mel": {"n_mels": 128}}),
+          "--corpus", corpus], 2, True),
+        ("projection dropout out of range",
+         [*project, "--config", config("dropout", {"projection_dropout": 1.5}),
+          "--corpus", corpus], 2, True),
         ("settings block not an object",
          [*pretrain, "--config", config("block", {"pretrain": 5}), "--corpus", corpus],
          2, True),

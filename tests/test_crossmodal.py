@@ -283,14 +283,15 @@ def _toy_training_setup(n_classes=6, m=5, n=4, seed=0):
 def _proj_cfg(epochs=3):
     return TrainConfig(initial_lr=1e-2, warmup_epochs=1, decay_start_epoch=2,
                        decay_end_epoch=3, final_lr=1e-4, epochs=epochs,
-                       batch_size=4, val_class_fraction=0.2)
+                       batch_size=4)
 
 
 def test_train_projection_reports_best_epoch_and_improves():
     records, specs, class_ids, class_emb = _toy_training_setup()
     p, report = crossmodal.train_projection(
         IdentityBackbone(), records, specs, class_ids, class_emb,
-        _proj_cfg(), np.random.default_rng(0), hidden=16, dropout_rate=0.0)
+        _proj_cfg(), np.random.default_rng(0), hidden=16, dropout_rate=0.0,
+        val_fraction=0.2)
     assert 0 <= report["best_epoch"] < 3
     assert report["best_val_map"] == max(report["val_map"])
     assert len(report["per_epoch_loss"]) == 3
@@ -302,7 +303,8 @@ def test_train_projection_is_deterministic():
     for _ in range(2):
         p, _ = crossmodal.train_projection(
             IdentityBackbone(), records, specs, class_ids, class_emb,
-            _proj_cfg(), np.random.default_rng(0), hidden=16, dropout_rate=0.1)
+            _proj_cfg(), np.random.default_rng(0), hidden=16, dropout_rate=0.1,
+            val_fraction=0.2)
         runs.append(p)
     for name, v in {**runs[0].params, **runs[0].stats}.items():
         assert np.array_equal(v, {**runs[1].params, **runs[1].stats}[name])
@@ -320,20 +322,19 @@ def test_train_projection_leaves_backbone_untouched():
         specs[cid] = np.random.default_rng(1).standard_normal((8, 1))
     before = {k: v.copy() for k, v in model.params.items()}
     crossmodal.train_projection(model, records, specs, class_ids, class_emb,
-                                _proj_cfg(), rng, hidden=8, dropout_rate=0.0)
+                                _proj_cfg(), rng, hidden=8, dropout_rate=0.0,
+                                val_fraction=0.2)
     for k in before:
         assert np.array_equal(before[k], model.params[k])
 
 
 def test_val_fraction_zero_classes_raises():
     records, specs, class_ids, class_emb = _toy_training_setup()
-    cfg = TrainConfig(initial_lr=1e-2, warmup_epochs=1, decay_start_epoch=2,
-                      decay_end_epoch=3, final_lr=1e-4, epochs=1, batch_size=4,
-                      val_class_fraction=0.01)
     with pytest.raises(DataError, match="zero"):
         crossmodal.train_projection(IdentityBackbone(), records, specs,
-                                    class_ids, class_emb, cfg,
-                                    np.random.default_rng(0), hidden=8)
+                                    class_ids, class_emb, _proj_cfg(epochs=1),
+                                    np.random.default_rng(0), hidden=8,
+                                    dropout_rate=0.2, val_fraction=0.01)
 
 
 def test_train_projection_divergence_is_reported_with_its_epoch():
@@ -343,7 +344,7 @@ def test_train_projection_divergence_is_reported_with_its_epoch():
                                                   match="at epoch 0$"):
         crossmodal.train_projection(IdentityBackbone(), records, specs, class_ids,
                                     class_emb, cfg, np.random.default_rng(0),
-                                    hidden=8, dropout_rate=0.0)
+                                    hidden=8, dropout_rate=0.0, val_fraction=0.2)
 
 
 def test_best_checkpoint_validation_map_beats_random():
@@ -351,6 +352,6 @@ def test_best_checkpoint_validation_map_beats_random():
     _, report = crossmodal.train_projection(
         IdentityBackbone(), records, specs, class_ids, class_emb,
         _proj_cfg(epochs=8), np.random.default_rng(3), hidden=16,
-        dropout_rate=0.0)
+        dropout_rate=0.0, val_fraction=0.2)
     # one val class, two positives of 12 val clips -> random baseline 1/6
     assert report["best_val_map"] > 2 / 12
