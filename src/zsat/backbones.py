@@ -36,6 +36,19 @@ class TransformerConfig:
         if self.n_freq_drop < 0 or self.n_time_drop < 0:
             raise ConfigError("drop counts must be >= 0")
 
+    def grid(self, f: int, t: int, train: bool) -> tuple[int, int]:
+        """The patch grid (rows F, columns T) of an (f, t) input. In
+        training, patchout must leave a row and a column of it."""
+        pf, pt = self.patch_f, self.patch_t
+        if f < pf or t < pt:
+            raise DataError(f"input {f}x{t} smaller than one {pf}x{pt} patch")
+        fp, tp = f // pf, t // pt
+        if fp > self.max_f_patches or tp > self.max_t_patches:
+            raise DataError("input grid exceeds configured positional tables")
+        if train and (self.n_freq_drop >= fp or self.n_time_drop >= tp):
+            raise DataError("patchout drops must be smaller than the grid")
+        return fp, tp
+
 
 @dataclass(frozen=True)
 class ConvConfig:
@@ -80,10 +93,11 @@ class Backbone(Module):
     Beyond the `Module` contract, a subclass sets `config_key` (the
     ExperimentConfig field holding its settings) and defines
     `embed_batch(x, train=False, rng=None)`, which maps (N, f, t)
-    spectrograms to (embeddings (N, m), cache), and `backward(demb, cache)`,
-    which returns the gradient of every tensor in `params`. Only training
-    differentiates a backbone: an eval `embed_batch` returns `None` in place
-    of its cache, and `backward` takes only a train-mode cache.
+    spectrograms of any float dtype to (embeddings (N, m) in `dtype`,
+    cache), and `backward(demb, cache)`, which returns the gradient of every
+    tensor in `params`. Only training differentiates a backbone: an eval
+    `embed_batch` returns `None` in place of its cache, and `backward` takes
+    only a train-mode cache.
     """
 
     config_key: str
@@ -122,15 +136,11 @@ class TransformerBackbone(Backbone):
 
     # -- patch handling -----------------------------------------------------
 
-    def _patches(self, x: np.ndarray):
+    def _patches(self, x: np.ndarray, train: bool):
         """x: (N, f, t) -> flattened patches (N, F, T, pf*pt) and grid (F, T)."""
         pf, pt = self.cfg.patch_f, self.cfg.patch_t
         n, f, t = x.shape
-        if f < pf or t < pt:
-            raise DataError(f"input {f}x{t} smaller than one {pf}x{pt} patch")
-        fp, tp = f // pf, t // pt
-        if fp > self.cfg.max_f_patches or tp > self.cfg.max_t_patches:
-            raise DataError("input grid exceeds configured positional tables")
+        fp, tp = self.cfg.grid(f, t, train)
         v = x[:, :fp * pf, :tp * pt].reshape(n, fp, pf, tp, pt)
         return v.transpose(0, 1, 3, 2, 4).reshape(n, fp, tp, pf * pt), (fp, tp)
 
@@ -138,10 +148,8 @@ class TransformerBackbone(Backbone):
         """Project surviving patches, add positions, prepend class token.
         In training, patchout drops whole grid rows, then whole columns."""
         p, cfg = self.params, self.cfg
-        patches, (fp, tp) = self._patches(x)
+        patches, (fp, tp) = self._patches(x, train)
         if train and (cfg.n_freq_drop or cfg.n_time_drop):
-            if cfg.n_freq_drop >= fp or cfg.n_time_drop >= tp:
-                raise DataError("patchout drops must be smaller than the grid")
             rows = _choose_drops(fp, cfg.n_freq_drop, rng)
             cols = _choose_drops(tp, cfg.n_time_drop, rng)
         else:
@@ -163,6 +171,7 @@ class TransformerBackbone(Backbone):
         """x: (N, f, t) -> (embeddings (N, m), cache for backward).
         `train` turns patchout on; `rng` draws the dropped rows and columns."""
         p, cfg = self.params, self.cfg
+        x = x.astype(self.dtype, copy=False)
         seq, patch_cache = self._token_sequence(x, train, rng)
         h = seq
         blocks = []
@@ -302,6 +311,7 @@ class Cnn14Backbone(ConvBackbone):
             raise DataError(f"input has {x.shape[1]} mel bins and {x.shape[2]} "
                             f"frames; needs at least {need} of each")
         p = self.params
+        x = x.astype(self.dtype, copy=False)
         fmap, caches = self._stack_forward(x[:, None, :, :], train)  # (N, C, f', t')
         over_f = fmap.mean(axis=2)                 # (N, C, t')
         mean_t = over_f.mean(axis=2)
@@ -371,6 +381,7 @@ class VggishBackbone(ConvBackbone):
         """x: (N, f, t); every clip contributes t//chunk chunks. `train`
         normalizes batch norm by batch statistics; `rng` is unused."""
         p = self.params
+        x = x.astype(self.dtype, copy=False)
         n = x.shape[0]
         chunks = np.concatenate([self._chunk(x[i]) for i in range(n)], axis=0)
         per = x.shape[2] // self.cfg.vggish_time
@@ -424,6 +435,13 @@ class ClassifierHead(Module):
         return _linear("weight", "bias", self.cfg.n_classes, self.cfg.m)
 
 
+def training_records(manifest, class_ids: list) -> list:
+    """The train-split records that carry at least one of `class_ids`: the
+    clips pretraining reads."""
+    return [r for r in manifest if r.split == "train"
+            and any(t in class_ids for t in r.tags)]
+
+
 def pretrain_backbone(model, head: ClassifierHead, manifest, class_ids: list,
                       spectrograms: dict, cfg, aug_cfg, rng,
                       epochs: int | None = None):
@@ -439,13 +457,11 @@ def pretrain_backbone(model, head: ClassifierHead, manifest, class_ids: list,
 
     if not class_ids:
         raise DataError("empty class set")
-    train_records = [r for r in manifest if r.split == "train"
-                     and any(t in class_ids for t in r.tags)]
+    train_records = training_records(manifest, class_ids)
     if not train_records:
         raise DataError("no training clips tagged with the given classes")
     if len({spectrograms[r.clip_id].shape[1] for r in train_records}) > 1:
         raise DataError("pretraining batches need training clips of one length")
-    dtype = next(iter(model.params.values())).dtype
     params = {**{f"bb.{k}": v for k, v in model.params.items()},
               **{f"head.{k}": v for k, v in head.params.items()}}
     head_w, head_b = head.params["weight"], head.params["bias"]
@@ -456,7 +472,7 @@ def pretrain_backbone(model, head: ClassifierHead, manifest, class_ids: list,
         if aug_cfg.mixup_alpha > 0 and len(ids) >= 2:
             lam = float(rng.beta(aug_cfg.mixup_alpha, aug_cfg.mixup_alpha))
             batch, targets = mixup(batch, targets, lam, rng.permutation(len(ids)))
-        emb, cache = model.embed_batch(batch.astype(dtype), train=True, rng=rng)
+        emb, cache = model.embed_batch(batch, train=True, rng=rng)
 
         def backward(dlogits):
             demb, dw, db = nn.linear_backward(dlogits, emb, head_w)

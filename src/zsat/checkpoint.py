@@ -24,31 +24,39 @@ MAGIC = b"ZSCK"
 VERSION = 1
 
 
-def save_checkpoint(path, kind: str, hyperparams: dict, tensors: dict) -> None:
-    """Write to a temporary file beside `path`, then move it into place, so
-    an interrupted write leaves any previous checkpoint at `path` whole."""
+def write_atomic(path, write) -> None:
+    """Call `write` on a binary file handle to a temporary file beside
+    `path`, then move the file into place, so an interrupted write leaves
+    any previous file at `path` whole."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            kb = kind.encode("utf-8")
-            fh.write(struct.pack("<I", len(kb)) + kb)
-            hb = json.dumps(hyperparams, sort_keys=True).encode("utf-8")
-            fh.write(struct.pack("<I", len(hb)) + hb)
-            fh.write(struct.pack("<I", len(tensors)))
-            for name in sorted(tensors):
-                arr = np.ascontiguousarray(tensors[name], dtype="<f4")
-                nb = name.encode("utf-8")
-                fh.write(struct.pack("<I", len(nb)) + nb)
-                fh.write(struct.pack("<I", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.tobytes())
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_checkpoint(path, kind: str, hyperparams: dict, tensors: dict) -> None:
+    """Write a checkpoint through `write_atomic`."""
+    def write(fh):
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", VERSION))
+        kb = kind.encode("utf-8")
+        fh.write(struct.pack("<I", len(kb)) + kb)
+        hb = json.dumps(hyperparams, sort_keys=True).encode("utf-8")
+        fh.write(struct.pack("<I", len(hb)) + hb)
+        fh.write(struct.pack("<I", len(tensors)))
+        for name in sorted(tensors):
+            arr = np.ascontiguousarray(tensors[name], dtype="<f4")
+            nb = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(nb)) + nb)
+            fh.write(struct.pack("<I", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr.tobytes())
+    write_atomic(path, write)
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -101,6 +109,10 @@ class Module:
     tensors form `params`, in `param_dtype` unless the constructor is given
     another; the rest form `stats`, in float64. Checkpoints hold all of
     them, and `load` checks a file against the table and draws nothing.
+
+    A module computes in `dtype`, its params' dtype, whatever its input's
+    dtype: a backbone casts its input once, and batch norm casts its float64
+    running statistics at use. The projection's params are float64 for now.
     """
 
     kind: str
@@ -122,6 +134,11 @@ class Module:
                 self.params[name] = value.astype(dtype or self.param_dtype)
             else:
                 self.stats[name] = value
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the params, which the module computes in."""
+        return next(iter(self.params.values())).dtype
 
     def hyperparams(self) -> dict:
         return dataclasses.asdict(self.cfg)

@@ -79,10 +79,11 @@ def _resolve(args):
 
 
 def _write_json(path, payload: dict, cfg) -> None:
+    """The payload with the config echo, written through `write_atomic`."""
+    from .checkpoint import write_atomic
     payload = {**cfg.echo(), **payload}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, lambda fh: fh.write(
+        (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")))
 
 
 def _seed_path(template: str, seed: int, multi: bool) -> Path:
@@ -170,6 +171,19 @@ def _read_resume(out: Path, cfg, train_ids: list):
     return model, head, prev["epochs_done"], prev["loss_history"]
 
 
+def _check_patch_grids(cfg, corpus) -> None:
+    """Checks the transformer's patchout drops against the patch grid of each
+    clip pretraining reads, from its WAV header alone."""
+    from . import backbones, dsp
+    if cfg.backbone != "transformer":
+        return
+    mel = cfg.mel
+    for r in backbones.training_records(corpus.records, corpus.train_ids):
+        n = dsp.wav_length(corpus.root / r.path, expected_rate=mel.sample_rate)
+        cfg.transformer.grid(mel.n_mels, dsp.n_frames(n, mel.window_len, mel.hop_len),
+                             train=True)
+
+
 def cmd_pretrain(args) -> int:
     from . import experiments, protocol
     cfg, seeds = _resolve(args)
@@ -183,6 +197,8 @@ def cmd_pretrain(args) -> int:
     outs = [_seed_path(args.out, seed, multi) for seed in seeds]
     starts = [_read_resume(out, cfg, train_ids) if args.resume else (None, None, 0, [])
               for out in outs]
+    # a patchout as wide as the grid fails here, before any log-mel
+    _check_patch_grids(cfg, corpus)
     experiments.compute_spectrograms(corpus, cfg.mel, protocol.SPLITS)
     for seed, out, (model, head, done, history) in zip(seeds, outs, starts):
         remaining = cfg.pretrain.epochs - done

@@ -61,15 +61,17 @@ def n_frames(n_samples: int, window_len: int, hop_len: int) -> int:
     return (n_samples - window_len) // hop_len + 1
 
 
-def load_wav(path, expected_rate: int | None = None) -> np.ndarray:
-    """Read a RIFF/WAVE file (PCM 16-bit mono) as float64 samples / 32768."""
+def _read_wav(path, expected_rate: int | None, samples: bool):
+    """(sample count from the header, the PCM bytes or None) of a 16-bit mono
+    WAV file; `samples=False` reads the header only."""
     try:
         with wave.open(str(path), "rb") as wf:
             n_channels = wf.getnchannels()
             sampwidth = wf.getsampwidth()
             comptype = wf.getcomptype()
             rate = wf.getframerate()
-            raw = wf.readframes(wf.getnframes())
+            n = wf.getnframes()
+            raw = wf.readframes(n) if samples else None
     except (wave.Error, EOFError, struct.error, RuntimeError) as exc:
         # the wave module raises a bare RuntimeError on some bad chunk headers
         raise DataError(f"malformed WAV file {path}: {exc}") from exc
@@ -82,8 +84,20 @@ def load_wav(path, expected_rate: int | None = None) -> np.ndarray:
     if expected_rate is not None and rate != expected_rate:
         raise DataError(
             f"{path}: sample rate {rate} != configured {expected_rate} (no resampling)")
-    if not raw:
+    if not n or (samples and not raw):
         raise DataError(f"empty waveform in {path}")
+    return n, raw
+
+
+def wav_length(path, expected_rate: int | None = None) -> int:
+    """The sample count in a WAV file's header, checked as `load_wav` checks
+    the file; reads no sample."""
+    return _read_wav(path, expected_rate, samples=False)[0]
+
+
+def load_wav(path, expected_rate: int | None = None) -> np.ndarray:
+    """Read a RIFF/WAVE file (PCM 16-bit mono) as float64 samples / 32768."""
+    _, raw = _read_wav(path, expected_rate, samples=True)
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 

@@ -1,14 +1,21 @@
 """Minimal numpy layer library: explicit forward passes with caches and
 hand-derived backward passes, dtype-preserving so gradient checks can run
-in float64 while training runs in float32."""
+in float64 while training runs in float32.
+
+Every layer computes in the dtype of its input. Its constants are Python
+floats, which never promote an array under NumPy's promotion rules, and
+eval batch norm casts its float64 running statistics to the input's dtype
+at use."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import erf
 
-SQRT2 = np.sqrt(2.0)
-INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+SQRT2 = math.sqrt(2.0)
+INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def init_linear(rng: np.random.Generator, fan_out: int, fan_in: int, dtype=np.float32):
@@ -128,7 +135,7 @@ def attention(x, wq, wk, wv, wo, bq, bk, bv, bo, n_heads: int):
 
     q, k, v = linear(x, wq, bq), linear(x, wk, bk), linear(x, wv, bv)
     qh, kh, vh = split(q), split(k), split(v)
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / math.sqrt(dh)
     scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
     attn = softmax(scores)
     ctx = attn @ vh  # (N, h, T, dh)
@@ -224,7 +231,7 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, train: bool,
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        mu, var = running_mean, running_var
+        mu, var = running_mean.astype(x.dtype), running_var.astype(x.dtype)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu[None, :, None, None]) * inv[None, :, None, None]
     out = xhat * gamma[None, :, None, None] + beta[None, :, None, None]

@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
 
 from conftest import fd_gradcheck
-from zsat import backbones, checkpoint, crossmodal, dsp, protocol
+from zsat import backbones, checkpoint, crossmodal, dsp, nn, protocol
 from zsat.backbones import ClassifierHead, ConvConfig, HeadConfig, TransformerConfig
 from zsat.errors import ConfigError, DataError
 
@@ -159,6 +160,48 @@ def test_eval_forward_keeps_no_cache(kind):
     grads = model.backward(np.ones_like(emb), cache)
     assert {k: g.shape for k, g in grads.items()} == {
         k: v.shape for k, v in model.params.items()}
+
+
+def _float_arrays(value):
+    """Every floating-point array in a layer's output, with tuples, lists
+    and dicts walked."""
+    if isinstance(value, np.ndarray):
+        return [value] if np.issubdtype(value.dtype, np.floating) else []
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in _float_arrays(v)]
+    if isinstance(value, dict):
+        return [a for v in value.values() for a in _float_arrays(v)]
+    return []
+
+
+@pytest.mark.parametrize("kind", sorted(backbones.BACKBONE_KINDS))
+def test_every_layer_computes_in_the_model_dtype(kind, monkeypatch):
+    """A float32 backbone fed float64 log-mels, the dtype `dsp` returns,
+    computes every layer output, its embeddings and its gradients in
+    float32, in training and in eval."""
+    dtypes = []
+
+    def wrap(name, fn):
+        def recorded(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            dtypes.extend((name, a.dtype) for a in _float_arrays(out))
+            return out
+        return recorded
+    for name, fn in inspect.getmembers(nn, inspect.isfunction):
+        if not name.startswith("_") and fn.__module__ == nn.__name__:
+            monkeypatch.setattr(nn, name, wrap(name, fn))
+    model, x = _small_backbones()[kind]
+    assert x.dtype == np.float64
+    batch = np.stack([x, -x])
+    emb, _ = model.embed_batch(batch)
+    dtypes.append(("eval embed_batch", emb.dtype))
+    emb, cache = model.embed_batch(batch, train=True, rng=np.random.default_rng(0))
+    dtypes.append(("train embed_batch", emb.dtype))
+    grads = model.backward(np.ones_like(emb), cache)
+    dtypes.extend((f"gradient {k}", g.dtype) for k, g in grads.items())
+    assert any(name == "linear_backward" for name, _ in dtypes)
+    assert [(name, dt) for name, dt in dtypes if dt != np.float32] == []
+    assert model.dtype == np.float32
 
 
 # --- gradients ------------------------------------------------------------------
@@ -489,6 +532,19 @@ def test_cnn14_checkpoint_round_trip_with_bn_stats(tmp_path):
     model.save(path)
     back = backbones.Cnn14Backbone.load(path)
     assert np.allclose(model.embed([x]), back.embed([x]), atol=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["cnn14", "vggish"])
+def test_conv_eval_after_training_equals_eval_after_reload(kind, tmp_path):
+    """Training moves the float64 running statistics; eval casts them to
+    the model dtype, so the trained model and its reloaded checkpoint,
+    which stores them as float32, give the same embedding bytes."""
+    model, x = _small_backbones()[kind]
+    model.embed_batch(np.stack([x, 2 * x]), train=True)
+    path = tmp_path / f"{kind}.ckpt"
+    model.save(path)
+    back = type(model).load(path)
+    assert np.array_equal(model.embed([x]), back.embed([x]))
 
 
 def test_conv_checkpoint_without_channels_is_a_data_error(tmp_path):

@@ -409,6 +409,9 @@ def _exit_code_cases(cli_env, tmp_path):
         ("category map value a list",
          [*evaluate, "--config", cfg, "--corpus", corpus,
           "--category-map", write("cat_list.json", '{"c02": ["a"]}')], 3, True),
+        ("patchout drops as wide as the grid",
+         [*pretrain, "--config", config("drop12", {"transformer": {"n_time_drop": 12}}),
+          "--corpus", corpus], 3, True),
         ("vggish window smaller than its pooling",
          [*pretrain, "--config", config("vggish8", {"backbone": "vggish",
                                                    "conv": {"vggish_time": 8}}),
@@ -576,6 +579,19 @@ def test_every_error_class_is_one_of_the_three_kinds():
                 defined.add(obj)
                 assert issubclass(obj, kinds), obj
     assert set(kinds) <= defined
+
+
+def test_failed_json_write_keeps_the_previous_file(tmp_path):
+    """A payload that cannot be serialized leaves the file it would replace
+    byte-identical and no temporary file behind."""
+    cfg = resolve_config("toy")
+    path = tmp_path / "run.ckpt.json"
+    cli._write_json(path, {"epochs_done": 1}, cfg)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        cli._write_json(path, {"epochs_done": 2, "x": object()}, cfg)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def _tree_hash(root):
