@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
+from . import nn, protocol
 from .checkpoint import Module
 from .errors import ConfigError, DataError
 
@@ -103,10 +103,9 @@ class Backbone(Module):
     config_key: str
 
     def embed(self, specs: list[np.ndarray]) -> np.ndarray:
-        """Eval-mode embeddings (N, m) in float64 of a list of (f, t) clips.
+        """Eval-mode embeddings (N, m) in `dtype` of a list of (f, t) clips.
         Each clip is its own `embed_batch` call, so lengths may differ."""
-        return np.stack([self.embed_batch(s[None])[0][0].astype(np.float64)
-                         for s in specs])
+        return np.stack([self.embed_batch(s[None])[0][0] for s in specs])
 
 
 class TransformerBackbone(Backbone):
@@ -435,13 +434,6 @@ class ClassifierHead(Module):
         return _linear("weight", "bias", self.cfg.n_classes, self.cfg.m)
 
 
-def training_records(manifest, class_ids: list) -> list:
-    """The train-split records that carry at least one of `class_ids`: the
-    clips pretraining reads."""
-    return [r for r in manifest if r.split == "train"
-            and any(t in class_ids for t in r.tags)]
-
-
 def pretrain_backbone(model, head: ClassifierHead, manifest, class_ids: list,
                       spectrograms: dict, cfg, aug_cfg, rng,
                       epochs: int | None = None):
@@ -457,7 +449,7 @@ def pretrain_backbone(model, head: ClassifierHead, manifest, class_ids: list,
 
     if not class_ids:
         raise DataError("empty class set")
-    train_records = training_records(manifest, class_ids)
+    train_records = protocol.training_records(manifest, class_ids)
     if not train_records:
         raise DataError("no training clips tagged with the given classes")
     if len({spectrograms[r.clip_id].shape[1] for r in train_records}) > 1:

@@ -106,20 +106,19 @@ class Module:
     draw order, in `tensors()`: rows of (name, shape, init, trained). `init`
     is "uniform" (U(-b, b), b = 1/sqrt(prod(shape[1:]))), "normal"
     (N(0, 0.02^2)), "zeros" or "ones"; only the first two draw. Trained
-    tensors form `params`, in `param_dtype` unless the constructor is given
-    another; the rest form `stats`, in float64. Checkpoints hold all of
-    them, and `load` checks a file against the table and draws nothing.
+    tensors form `params`, the rest `stats`. Checkpoints hold all of them,
+    and `load` checks a file against the table and draws nothing.
 
-    A module computes in `dtype`, its params' dtype, whatever its input's
-    dtype: a backbone casts its input once, and batch norm casts its float64
-    running statistics at use. The projection's params are float64 for now.
+    One dtype rule: every tensor a module holds, params and stats alike, is
+    float32 unless the constructor is given another `dtype`, so a module in
+    memory is exactly its checkpoint. A module computes in `dtype` whatever
+    its input's dtype: it casts its input once.
     """
 
     kind: str
     config_type: type
-    param_dtype = np.float32
 
-    def __init__(self, cfg, rng: np.random.Generator, dtype=None):
+    def __init__(self, cfg, rng: np.random.Generator, dtype=np.float32):
         self.cfg = cfg
         self.params, self.stats = {}, {}
         for name, shape, init, trained in self.tensors():
@@ -130,14 +129,11 @@ class Module:
                 value = 0.02 * rng.standard_normal(shape)
             else:
                 value = {"zeros": np.zeros, "ones": np.ones}[init](shape)
-            if trained:
-                self.params[name] = value.astype(dtype or self.param_dtype)
-            else:
-                self.stats[name] = value
+            (self.params if trained else self.stats)[name] = value.astype(dtype)
 
     @property
     def dtype(self) -> np.dtype:
-        """The dtype of the params, which the module computes in."""
+        """The dtype of every tensor the module holds, which it computes in."""
         return next(iter(self.params.values())).dtype
 
     def hyperparams(self) -> dict:
@@ -150,8 +146,8 @@ class Module:
     @classmethod
     def load(cls, path):
         """The module of the checkpoint's hyperparameters, holding the file's
-        tensors, whose names and shapes must be those of its `tensors()`
-        table, cast to the table's dtypes."""
+        float32 tensors, whose names and shapes must be those of its
+        `tensors()` table."""
         _, hp, tensors = load_checkpoint(path, cls.kind)
         # conv checkpoints written while ConvConfig had a `kind` field still
         # carry it; the checkpoint header's kind tag is the one that counts
@@ -174,8 +170,6 @@ class Module:
         if wrong:
             raise DataError(f"{path}: tensors {wrong} have other shapes than "
                             f"its hyperparameters build")
-        module.params = {name: tensors[name].astype(cls.param_dtype, copy=False)
-                         for name, _, _, trained in table if trained}
-        module.stats = {name: tensors[name].astype(np.float64)
-                        for name, _, _, trained in table if not trained}
+        module.params = {name: tensors[name] for name, _, _, trained in table if trained}
+        module.stats = {name: tensors[name] for name, _, _, trained in table if not trained}
         return module

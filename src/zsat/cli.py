@@ -8,6 +8,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -148,19 +149,30 @@ def _select_train_ids(args, corpus):
     return train_ids
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def _read_resume(out: Path, cfg, train_ids: list):
     """The backbone, head, epochs done and loss history that `pretrain --resume`
-    continues from `out`, checked against this run's classes and head width."""
+    continues from `out`, checked against this run's classes and head width.
+    The backbone and head files must be the ones whose sha256 the info file,
+    written after both, records."""
     from . import backbones, experiments, protocol
     if not out.exists():
         raise DataError(f"--resume: no checkpoint at {out}")
     head_path = out.with_suffix(out.suffix + ".head")
     info_path = out.with_suffix(out.suffix + ".json")
     prev = protocol.load_json(info_path, dict, ("epochs_done", "loss_history",
-                                                "train_classes"))
+                                                "train_classes", "backbone_sha256",
+                                                "head_sha256"))
     if prev["train_classes"] != train_ids:
         raise DataError(f"--resume: {info_path} trained on classes "
                         f"{prev['train_classes']}, this run selects {train_ids}")
+    for path, key in ((out, "backbone_sha256"), (head_path, "head_sha256")):
+        if _sha256(path) != prev[key]:
+            raise DataError(f"--resume: {path} is not the file {info_path} "
+                            f"describes (its sha256 differs)")
     model = _read_backbone(out, cfg)
     head = backbones.ClassifierHead.load(head_path)
     want = backbones.HeadConfig(len(train_ids), experiments.embed_dim(cfg))
@@ -174,11 +186,11 @@ def _read_resume(out: Path, cfg, train_ids: list):
 def _check_patch_grids(cfg, corpus) -> None:
     """Checks the transformer's patchout drops against the patch grid of each
     clip pretraining reads, from its WAV header alone."""
-    from . import backbones, dsp
+    from . import dsp, protocol
     if cfg.backbone != "transformer":
         return
     mel = cfg.mel
-    for r in backbones.training_records(corpus.records, corpus.train_ids):
+    for r in protocol.training_records(corpus.records, corpus.train_ids):
         n = dsp.wav_length(corpus.root / r.path, expected_rate=mel.sample_rate)
         cfg.transformer.grid(mel.n_mels, dsp.n_frames(n, mel.window_len, mel.hop_len),
                              train=True)
@@ -207,11 +219,14 @@ def cmd_pretrain(args) -> int:
                 cfg, corpus, seed, model=model, head=head, epochs=remaining)
             history = history + hist
             done += remaining
+        head_path = out.with_suffix(out.suffix + ".head")
         model.save(out)
-        head.save(out.with_suffix(out.suffix + ".head"))
+        head.save(head_path)
+        # last, so it describes only files that are whole on disk
         _write_json(out.with_suffix(out.suffix + ".json"),
                     {"seed": seed, "epochs_done": done, "train_classes": train_ids,
-                     "loss_history": history}, cfg)
+                     "loss_history": history, "backbone_sha256": _sha256(out),
+                     "head_sha256": _sha256(head_path)}, cfg)
         print(f"seed {seed}: {done} epochs, final loss {history[-1]:.4f} -> {out}")
     return 0
 

@@ -40,7 +40,6 @@ class Projection(Module):
 
     kind = "projection"
     config_type = ProjectionConfig
-    param_dtype = np.float64
 
     def tensors(self) -> list:
         m, n, hidden = self.cfg.m, self.cfg.n, self.cfg.hidden
@@ -59,9 +58,11 @@ class Projection(Module):
 
 def project_batch(a: np.ndarray, p: Projection, train: bool = False,
                   rng: np.random.Generator | None = None):
-    """a: (N, m) -> (out (N, n), cache). `train` applies inverted dropout."""
+    """a: (N, m), cast to `p.dtype` -> (out (N, n), cache). `train` applies
+    inverted dropout."""
     if a.shape[-1] != p.cfg.m:
         raise ValueError(f"embedding dim {a.shape[-1]} != projection input {p.cfg.m}")
+    a = a.astype(p.dtype, copy=False)
     if not np.all(np.isfinite(a)):
         raise NumericalError("non-finite audio embedding")
     w = p.params
@@ -80,8 +81,9 @@ def project_backward(dout: np.ndarray, p: Projection, cache):
 
     Returns (da, grads) with grads for every parameter tensor, including the
     normalizer mean/std (those are frozen during training but checked against
-    finite differences).
+    finite differences). `dout` is cast to `p.dtype`.
     """
+    dout = dout.astype(p.dtype, copy=False)
     a, z, pre, h, mask = cache
     std = p.stats["std"]
     dh, dw2, db2 = nn.linear_backward(dout, h, p.params["w2"])
@@ -267,8 +269,7 @@ def train_projection(backbone, manifest, spectrograms: dict, class_ids: list,
     """
     loss_ids, val_ids = split_validation_classes(class_ids, val_fraction, rng)
 
-    train_records = [r for r in manifest if r.split == "train"
-                     and any(t in loss_ids for t in r.tags)]
+    train_records = protocol.training_records(manifest, loss_ids)
     val_records = [r for r in manifest if r.split == "val"]
     if not train_records:
         raise DataError("no training clips tagged with the loss classes")
@@ -282,7 +283,8 @@ def train_projection(backbone, manifest, spectrograms: dict, class_ids: list,
     # a clip listed twice in the manifest counts once in the normalizer
     amat = np.stack(list(train_emb.values()))
     p = Projection(ProjectionConfig(amat.shape[1], n, hidden, dropout_rate), rng)
-    p.stats = {"mean": amat.mean(axis=0), "std": np.maximum(amat.std(axis=0), 1e-8)}
+    p.stats["mean"][:] = amat.mean(axis=0)
+    p.stats["std"][:] = np.maximum(amat.std(axis=0), 1e-8)
 
     e_loss = np.stack([class_embeddings[c] for c in loss_ids])
     e_val = np.stack([class_embeddings[c] for c in val_ids])

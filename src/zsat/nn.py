@@ -2,10 +2,10 @@
 hand-derived backward passes, dtype-preserving so gradient checks can run
 in float64 while training runs in float32.
 
-Every layer computes in the dtype of its input. Its constants are Python
-floats, which never promote an array under NumPy's promotion rules, and
-eval batch norm casts its float64 running statistics to the input's dtype
-at use."""
+Every layer computes in the one dtype of its input, params and statistics:
+a `checkpoint.Module` holds all its tensors in one dtype and casts its input
+to it. The layers' constants are Python floats, which never promote an array
+under NumPy's promotion rules."""
 
 from __future__ import annotations
 
@@ -231,7 +231,7 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, train: bool,
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        mu, var = running_mean.astype(x.dtype), running_var.astype(x.dtype)
+        mu, var = running_mean, running_var
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu[None, :, None, None]) * inv[None, :, None, None]
     out = xhat * gamma[None, :, None, None] + beta[None, :, None, None]

@@ -153,6 +153,13 @@ def exclude_overlap(all_classes: dict, exclusion: list, synonyms: dict | None = 
     return remaining, removed
 
 
+def training_records(manifest, class_ids) -> list:
+    """The train-split records that carry at least one of `class_ids`: the
+    clips pretraining and the projection's loss read."""
+    return [r for r in manifest if r.split == "train"
+            and any(t in class_ids for t in r.tags)]
+
+
 def multi_hot(tag_lists, class_ids) -> np.ndarray:
     """(N, K) float64 targets: row i is 1 in column k when class_ids[k] is
     one of tag_lists[i]; tags outside `class_ids` are ignored."""

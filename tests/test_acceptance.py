@@ -87,7 +87,8 @@ def test_criterion_2_gradients(report):
     rng = np.random.default_rng(1)
 
     # projection network: all four trained tensors plus the normalizer path
-    p = crossmodal.Projection(crossmodal.ProjectionConfig(6, 4, 10, dropout_rate=0.0), rng)
+    p = crossmodal.Projection(crossmodal.ProjectionConfig(6, 4, 10, dropout_rate=0.0), rng,
+                              dtype=np.float64)
     p.stats = {"mean": rng.standard_normal(6), "std": 0.5 + rng.random(6)}
     a = rng.standard_normal((3, 6))
     e = rng.standard_normal((5, 4))

@@ -91,7 +91,8 @@ def test_transformer_embed_shape_and_determinism():
 
 def test_embed_matches_per_clip_embed_batch_for_every_kind():
     """`Backbone.embed` over clips of mixed lengths is, row for row, the
-    float64 embedding of one eval-mode `embed_batch` call per clip."""
+    embedding of one eval-mode `embed_batch` call per clip, in the model
+    dtype."""
     models = {kind: model for kind, (model, _) in _small_backbones().items()}
     assert set(models) == set(backbones.BACKBONE_KINDS)
     rng = np.random.default_rng(4)
@@ -103,11 +104,11 @@ def test_embed_matches_per_clip_embed_batch_for_every_kind():
         mels, lengths = shapes[kind]
         specs = [spec_of(rng.standard_normal((mels, t))) for t in lengths]
         emb = model.embed(specs)
-        assert emb.dtype == np.float64
+        assert emb.dtype == model.dtype
         assert emb.shape == (len(specs), model.cfg.embed_dim)
         for row, s in zip(emb, specs):
             one, _ = model.embed_batch(s[None])
-            assert np.array_equal(row, one[0].astype(np.float64))
+            assert np.array_equal(row, one[0])
 
 
 def test_transformer_patchout_reduces_sequence_but_keeps_dim():
@@ -358,9 +359,9 @@ def _assert_same_backbone(back, model, x):
     for k in model.params:
         assert np.array_equal(back.params[k], model.params[k])
     assert set(back.stats) == set(model.stats)
-    for k in model.stats:   # batch-norm running statistics, stored as float32
-        assert back.stats[k].dtype == np.float64
-        assert np.array_equal(back.stats[k], model.stats[k].astype(np.float32))
+    for k in model.stats:   # batch-norm running statistics
+        assert back.stats[k].dtype == model.stats[k].dtype
+        assert np.array_equal(back.stats[k], model.stats[k])
     assert np.allclose(model.embed([x]), back.embed([x]), atol=1e-6)
 
 
@@ -399,14 +400,16 @@ def _small_modules():
     """One small module of every checkpoint kind."""
     rng = np.random.default_rng(0)
     proj = crossmodal.Projection(crossmodal.ProjectionConfig(6, 4, 8, 0.1), rng)
-    proj.stats = {"mean": rng.standard_normal(6), "std": 0.5 + rng.random(6)}
+    proj.stats["mean"][:] = rng.standard_normal(6)
+    proj.stats["std"][:] = 0.5 + rng.random(6)
     return {**{kind: model for kind, (model, _) in _small_backbones().items()},
             "head": ClassifierHead(HeadConfig(3, 5), rng), "projection": proj}
 
 
 def test_backbone_checkpoint_tensors_checked_against_hyperparameters(tmp_path):
-    """Every kind of checkpoint reloads as its float32-rounded tensors in the
-    dtypes its hyperparameters build. One that lacks a tensor they build,
+    """Every kind of checkpoint reloads as the module it was saved from:
+    every tensor in the same dtype, float32, and with the same value. One
+    that lacks a tensor they build,
     holds one they do not, or holds one in another shape is a data error
     naming that tensor."""
     # per kind: a tensor to leave out and a matrix to transpose
@@ -424,8 +427,8 @@ def test_backbone_checkpoint_tensors_checked_against_hyperparameters(tmp_path):
             want, got = getattr(module, group), getattr(back, group)
             assert set(got) == set(want)
             for k, v in want.items():
-                assert got[k].dtype == v.dtype, (kind, k)
-                assert np.array_equal(got[k], v.astype(np.float32)), (kind, k)
+                assert got[k].dtype == v.dtype == np.float32, (kind, k)
+                assert np.array_equal(got[k], v), (kind, k)
 
         tensors = {**module.params, **module.stats}
         missing, wrong = picks[kind]
@@ -446,7 +449,7 @@ def test_backbone_checkpoint_tensors_checked_against_hyperparameters(tmp_path):
 # The SHA-256 of `_init_digest()`. A change to the order, count or kind of
 # the draws that build a module changes it, and with it every seed's initial
 # weights.
-INIT_DIGEST = "7d11a8757911bf891092fbb950283d97e3b2532863f765b9844dbe4c803dee6d"
+INIT_DIGEST = "bf848e77f36955688b333347a62fe2aaa6e96441d23ef7ddd157e2b4f6bb5cf6"
 
 
 def _init_digest():
@@ -536,9 +539,9 @@ def test_cnn14_checkpoint_round_trip_with_bn_stats(tmp_path):
 
 @pytest.mark.parametrize("kind", ["cnn14", "vggish"])
 def test_conv_eval_after_training_equals_eval_after_reload(kind, tmp_path):
-    """Training moves the float64 running statistics; eval casts them to
-    the model dtype, so the trained model and its reloaded checkpoint,
-    which stores them as float32, give the same embedding bytes."""
+    """Training moves the running statistics, which are held in the model
+    dtype like every tensor, so the trained model and its reloaded
+    checkpoint give the same embedding bytes."""
     model, x = _small_backbones()[kind]
     model.embed_batch(np.stack([x, 2 * x]), train=True)
     path = tmp_path / f"{kind}.ckpt"

@@ -232,6 +232,27 @@ def test_evaluate_category_map(cli_env, tmp_path):
     assert got["a"] == pytest.approx(np.mean(hits), abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["transformer", "cnn14"])
+def test_trained_modules_score_as_their_reloaded_checkpoints(cli_env, tmp_path, kind):
+    """The backbone and projection an in-process run trains, and their
+    reloaded checkpoints, give byte-identical projected test scores and the
+    same zero-shot report: a module in memory is its checkpoint."""
+    cfg = dataclasses.replace(load_config_file(cli_env["config"]), backbone=kind)
+    corpus = experiments.load_corpus(cli_env["corpus"], cfg.mel)
+    model, _, _ = experiments.run_pretrain(cfg, corpus, seed=0, epochs=1)
+    proj, _ = experiments.run_projection(cfg, corpus, model, seed=0)
+    model.save(tmp_path / "bb.ckpt")
+    proj.save(tmp_path / "proj.ckpt")
+    back = (type(model).load(tmp_path / "bb.ckpt"),
+            crossmodal.Projection.load(tmp_path / "proj.ckpt"))
+    test = [corpus.spectrograms[r.clip_id] for r in corpus.records if r.split == "test"]
+    scores = [crossmodal.project_batch(m.embed(test), p)[0].tobytes()
+              for m, p in ((model, proj), back)]
+    assert scores[0] == scores[1]
+    assert (experiments.evaluate_zero_shot(corpus, model, proj)
+            == experiments.evaluate_zero_shot(corpus, *back))
+
+
 def test_pretrain_resume_continues_epoch_counter(cli_env, tmp_path):
     cfg1 = tmp_path / "one_epoch.json"
     base = json.loads(open(cli_env["config"]).read())
@@ -246,6 +267,37 @@ def test_pretrain_resume_continues_epoch_counter(cli_env, tmp_path):
     info = json.loads((tmp_path / "bb_r.ckpt.json").read_text())
     assert info["epochs_done"] == 2
     assert len(info["loss_history"]) == 2
+
+
+def test_pretrain_resume_rejects_a_backbone_its_info_file_does_not_describe(
+        cli_env, tmp_path, monkeypatch, capsys):
+    """A `--resume` killed after it writes the backbone and before the head
+    leaves a 2-epoch backbone beside the 1-epoch head and info file; the
+    next `--resume` is a data error naming the backbone file."""
+    cfg1 = tmp_path / "one_epoch.json"
+    base = json.loads(open(cli_env["config"]).read())
+    base["pretrain"]["epochs"] = 1
+    cfg1.write_text(json.dumps(base))
+    bb = tmp_path / "bb_k.ckpt"
+    assert cli.main(["pretrain", "--config", str(cfg1), "--corpus",
+                     cli_env["corpus"], "--out", str(bb)]) == 0
+    resume = ["pretrain", "--config", cli_env["config"], "--corpus",
+              cli_env["corpus"], "--out", str(bb), "--resume"]
+
+    class Killed(Exception):
+        pass
+
+    def killed(self, path):
+        raise Killed
+    with monkeypatch.context() as m:
+        m.setattr(backbones.ClassifierHead, "save", killed)
+        with pytest.raises(Killed):
+            cli.main(resume)
+    assert json.loads((tmp_path / "bb_k.ckpt.json").read_text())["epochs_done"] == 1
+    capsys.readouterr()
+    assert cli.main(resume) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"{bb} is not the file" in err
 
 
 def test_multi_seed_aggregate_is_named_from_the_template(cli_env, tmp_path):
@@ -334,17 +386,21 @@ def _exit_code_cases(cli_env, tmp_path):
         (tmp_path / name).write_text(text)
         return str(tmp_path / name)
 
-    def resumable(name, head_tensors):
+    def resumable(name, head_tensors, hashed=True):
         """A backbone checkpoint at `name` with a one-epoch info file and a
         head holding `head_tensors` under the block its weight implies,
-        ready for `pretrain --resume`."""
+        ready for `pretrain --resume`. The info file records the two files'
+        sha256 unless `hashed` is false."""
         out = tmp_path / name
         out.write_bytes(bb.read_bytes())
         n_classes, m = head_tensors["weight"].shape
         checkpoint.save_checkpoint(f"{out}.head", "head",
                                    {"n_classes": n_classes, "m": m}, head_tensors)
-        write(f"{name}.json", json.dumps({"epochs_done": 1, "loss_history": [0.7],
-                                          "train_classes": train}))
+        info = {"epochs_done": 1, "loss_history": [0.7], "train_classes": train}
+        if hashed:
+            for key, path in (("backbone", out), ("head", Path(f"{out}.head"))):
+                info[f"{key}_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        write(f"{name}.json", json.dumps(info))
         return str(out)
 
     train = json.loads((Path(corpus) / "classes.json").read_text())["train"]
@@ -451,6 +507,9 @@ def _exit_code_cases(cli_env, tmp_path):
          ["pretrain", "--config", cfg, "--corpus", corpus, "--resume",
           "--out", resumable("narrow.ckpt", {"weight": np.zeros((len(train), 5)),
                                              "bias": head["bias"]})], 3, True),
+        ("resume info file without the files' sha256",
+         ["pretrain", "--config", cfg, "--corpus", corpus, "--resume",
+          "--out", resumable("unhashed.ckpt", head, hashed=False)], 3, True),
         ("seed 1 backbone missing",
          ["train-projection", *two_seeds, "--backbone", per_seed("lone_bb", bb),
           "--out", str(tmp_path / "trained{seed}.ckpt")], 3, True),

@@ -12,18 +12,18 @@ from zsat.crossmodal import Projection, ProjectionConfig, TrainConfig
 from zsat.errors import ConfigError, DataError, NumericalError
 
 
-def make_params(m=6, n=4, hidden=8, seed=0, dropout=0.0):
+def make_params(m=6, n=4, hidden=8, seed=0, dropout=0.0, dtype=np.float32):
     rng = np.random.default_rng(seed)
-    p = Projection(ProjectionConfig(m, n, hidden, dropout), rng)
-    p.stats = {"mean": rng.standard_normal(m),
-               "std": np.abs(rng.standard_normal(m)) + 0.5}
+    p = Projection(ProjectionConfig(m, n, hidden, dropout), rng, dtype=dtype)
+    p.stats["mean"][:] = rng.standard_normal(m)
+    p.stats["std"][:] = np.abs(rng.standard_normal(m)) + 0.5
     return p
 
 
 # --- projection forward/backward ---------------------------------------------
 
 def test_projection_gradients_match_finite_differences():
-    p = make_params()
+    p = make_params(dtype=np.float64)
     rng = np.random.default_rng(2)
     a = rng.standard_normal((5, 6))
     y = rng.integers(0, 2, (5, 4)).astype(float)
