@@ -197,7 +197,7 @@ def _check_patch_grids(cfg, corpus) -> None:
 
 
 def cmd_pretrain(args) -> int:
-    from . import experiments, protocol
+    from . import experiments
     cfg, seeds = _resolve(args)
     if (args.folds is None) != (args.fold_id is None):
         raise ConfigError("--folds and --fold-id must be given together")
@@ -211,7 +211,7 @@ def cmd_pretrain(args) -> int:
               for out in outs]
     # a patchout as wide as the grid fails here, before any log-mel
     _check_patch_grids(cfg, corpus)
-    experiments.compute_spectrograms(corpus, cfg.mel, protocol.SPLITS)
+    experiments.compute_spectrograms(corpus, cfg.mel, ("train",))
     for seed, out, (model, head, done, history) in zip(seeds, outs, starts):
         remaining = cfg.pretrain.epochs - done
         if remaining > 0:

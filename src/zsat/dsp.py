@@ -147,10 +147,9 @@ def mel_center_frequencies(cfg: MelConfig) -> np.ndarray:
 
 def compute_logmel(samples: np.ndarray, cfg: MelConfig) -> np.ndarray:
     """Hann-window power STFT -> mel filterbank -> log(x + log_floor): (n_mels, t)."""
-    t = n_frames(samples.size, cfg.window_len, cfg.hop_len)
-    window = np.hanning(cfg.window_len)
-    idx = np.arange(cfg.window_len)[None, :] + cfg.hop_len * np.arange(t)[:, None]
-    frames = samples[idx] * window
+    n_frames(samples.size, cfg.window_len, cfg.hop_len)  # raises below one window
+    frames = np.lib.stride_tricks.sliding_window_view(
+        samples, cfg.window_len)[::cfg.hop_len] * np.hanning(cfg.window_len)
     power = np.abs(np.fft.rfft(frames, n=cfg.window_len, axis=1)) ** 2
     fb = mel_filterbank(cfg)
     mel = power @ fb.T  # (t, n_mels)

@@ -36,8 +36,9 @@ class Corpus:
 
 def load_corpus(corpus_dir, mel: dsp.MelConfig, splits=protocol.SPLITS) -> Corpus:
     """Load a corpus directory (manifest.jsonl, classes.json, word_vectors.txt,
-    audio/) and the log-mels of the clips of `splits`; `splits=()` reads no
-    WAV. Records, labels and class embeddings cover the whole corpus."""
+    audio/) and the log-mels `compute_spectrograms` computes for `splits`;
+    `splits=()` reads no WAV. Records, labels and class embeddings cover the
+    whole corpus."""
     root = Path(corpus_dir)
     manifest_path = root / "manifest.jsonl"
     classes_path = root / "classes.json"
@@ -64,9 +65,14 @@ def load_corpus(corpus_dir, mel: dsp.MelConfig, splits=protocol.SPLITS) -> Corpu
 
 
 def compute_spectrograms(corpus: Corpus, mel: dsp.MelConfig, splits) -> None:
-    """Fill `corpus.spectrograms` with the log-mel of each clip of `splits`."""
+    """Fill `corpus.spectrograms` with the log-mel of each clip of `splits`
+    that some phase reads: a train-split clip only when it carries a class of
+    `corpus.train_ids` (`protocol.training_records`). Narrowing `train_ids`
+    afterwards is safe, since every clip it keeps was computed; widening it
+    is not."""
+    train = set(protocol.training_records(corpus.records, corpus.train_ids))
     for r in corpus.records:
-        if r.split in splits:
+        if r.split in splits and (r.split != "train" or r in train):
             try:
                 corpus.spectrograms[r.clip_id] = dsp.compute_logmel(dsp.load_wav(
                     corpus.root / r.path, expected_rate=mel.sample_rate), mel)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import zsat
-from zsat import backbones, checkpoint, cli, crossmodal, dsp, experiments
+from zsat import backbones, checkpoint, cli, crossmodal, dsp, experiments, protocol
 from zsat.backbones import ConvConfig
 from zsat.config import PRESETS, load_config_file, resolve_config
 from zsat.errors import ConfigError, DataError, NumericalError
@@ -586,31 +586,79 @@ def test_exit_code_names_the_kind_of_failure(cli_env, tmp_path, monkeypatch, cap
             assert _tree_hash(tmp_path) == before, case
 
 
+def test_each_command_reads_exactly_its_clips(cli_env, tmp_path, monkeypatch):
+    """Each command reads each WAV it needs once and no other: `pretrain` the
+    train-split clips that carry a training class, with or without
+    `--exclude`; `train-projection` those and the val split; `evaluate` the
+    test split."""
+    corpus = Path(cli_env["corpus"])
+    records = protocol.load_manifest(corpus / "manifest.jsonl")
+    meta = json.loads((corpus / "classes.json").read_text())
+    train = meta["train"]
+    _, bb, proj = _untrained_artifacts(cli_env, tmp_path)
+    cfg = tmp_path / "one_epoch.json"
+    cfg.write_text(json.dumps({**json.loads(Path(cli_env["config"]).read_text()),
+                               "pretrain": {"epochs": 1}}))
+    exclude = tmp_path / "exclude.json"
+    exclude.write_text(json.dumps([meta["labels"][train[0]]]))
+    trained = protocol.training_records(records, train)
+    kept = protocol.training_records(records, train[1:])
+    assert len(kept) < len(trained)
+    load_wav, read = dsp.load_wav, []
+
+    def spy(path, *args, **kwargs):
+        read.append(Path(path))
+        return load_wav(path, *args, **kwargs)
+    monkeypatch.setattr(dsp, "load_wav", spy)
+    for argv, want in (
+            (["pretrain", "--out", str(tmp_path / "all.ckpt")], trained),
+            (["pretrain", "--exclude", str(exclude), "--out", str(tmp_path / "ex.ckpt")],
+             kept),
+            (["train-projection", "--backbone", str(bb), "--out", str(tmp_path / "p.ckpt")],
+             trained + [r for r in records if r.split == "val"]),
+            (["evaluate", "--backbone", str(bb), "--projection", str(proj),
+              "--out", str(tmp_path / "r.json")], [r for r in records if r.split == "test"])):
+        read.clear()
+        assert cli.main([*argv, "--config", str(cfg), "--corpus", str(corpus)]) == 0
+        assert sorted(read) == sorted(corpus / r.path for r in want), argv[0]
+
+
 def test_bad_wav_fails_only_commands_that_read_its_split(cli_env, tmp_path):
-    """`pretrain` reads every split; `train-projection` reads train and val,
-    `evaluate` only test, so each fails on a malformed WAV only in a split
-    it reads."""
+    """`pretrain` reads the train-split clips that carry a training class;
+    `train-projection` reads those and the val split, `evaluate` only test.
+    So each fails on a malformed WAV only in a clip it reads."""
     _, bb, proj = _untrained_artifacts(cli_env, tmp_path)
     bad_wav = tmp_path / "bad.wav"
     bad_wav.write_bytes(b"RIFF0000WAVEnot a wave file")
+    train = set(json.loads((Path(cli_env["corpus"]) / "classes.json").read_text())["train"])
 
-    def corrupt(split):
+    def corrupt(name, pick=None):
+        """A corpus whose first clip that `pick` accepts (by default, the
+        first clip of split `name`) reads `bad_wav`."""
+        pick = pick or (lambda r: r["split"] == name)
+
         def keep(recs):
-            first = next(r for r in recs if r["split"] == split)
+            first = next(r for r in recs if pick(r))
             return [{**r, "path": str(bad_wav)} if r is first else r for r in recs]
-        return _corpus_variant(cli_env, tmp_path / f"bad_{split}", keep)
+        return _corpus_variant(cli_env, tmp_path / f"bad_{name}", keep)
 
     def run(command, corpus, *extra):
         return cli.main([command, "--config", cli_env["config"], "--corpus", corpus,
                          *extra, "--out", str(tmp_path / f"{command}.out")])
 
     bad_test, bad_train = corrupt("test"), corrupt("train")
+    bad_unread = corrupt("unread", lambda r: r["split"] == "train"
+                         and not train.intersection(r["tags"]))
     project = ("--backbone", str(bb))
     evaluate = ("--backbone", str(bb), "--projection", str(proj))
     assert run("train-projection", bad_test, *project) == 0
     assert run("evaluate", bad_test, *evaluate) == 3
     assert run("pretrain", bad_train) == 3
     assert run("evaluate", bad_train, *evaluate) == 0
+    assert run("pretrain", bad_test) == 0
+    assert run("pretrain", bad_unread) == 0
+    assert run("train-projection", bad_unread, *project) == 0
+    assert run("evaluate", bad_unread, *evaluate) == 0
 
 
 def test_a_bug_is_not_reported_as_a_kind_of_failure(cli_env, tmp_path, monkeypatch):

@@ -123,6 +123,35 @@ def test_logmel_shape_and_finiteness():
     assert np.all(np.isfinite(spec))  # log floor prevents -inf
 
 
+def _logmel_by_index(samples, cfg):
+    """The log-mel with its frames gathered by a fancy index."""
+    t = dsp.n_frames(samples.size, cfg.window_len, cfg.hop_len)
+    idx = np.arange(cfg.window_len)[None, :] + cfg.hop_len * np.arange(t)[:, None]
+    frames = samples[idx] * np.hanning(cfg.window_len)
+    power = np.abs(np.fft.rfft(frames, n=cfg.window_len, axis=1)) ** 2
+    mel = power @ dsp.mel_filterbank(cfg).T
+    return np.log(mel.T + cfg.log_floor)
+
+
+@given(st.integers(1, 256), st.data())
+@settings(max_examples=60, deadline=None)
+def test_logmel_frames_equal_a_fancy_index_gather(window, data):
+    """Every window, hop up to the window and length from one window to many
+    hops plus a remainder gives the fancy-index reference's bytes; input
+    shorter than one window is a data error."""
+    hop = data.draw(st.integers(1, window), label="hop")
+    n = (window + hop * data.draw(st.integers(0, 40), label="hops")
+         + data.draw(st.integers(0, hop - 1), label="remainder"))
+    cfg = dsp.MelConfig(window_len=window, hop_len=hop, n_mels=8)
+    samples = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                              label="seed")).uniform(-1, 1, n)
+    got = dsp.compute_logmel(samples, cfg)
+    assert got.shape == (8, dsp.n_frames(n, window, hop))
+    assert got.tobytes() == _logmel_by_index(samples, cfg).tobytes()
+    with pytest.raises(DataError, match="shorter than one analysis window"):
+        dsp.compute_logmel(samples[:window - 1], cfg)
+
+
 # --- augmentation -------------------------------------------------------------
 
 def _spec(shape=(16, 20), seed=0):

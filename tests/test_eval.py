@@ -128,8 +128,8 @@ def test_random_baseline_classification(tmp_path):
 
 def test_load_corpus_computes_only_the_requested_splits(tiny_corpus, monkeypatch):
     """One log-mel per clip of the requested splits, equal to a full load's,
-    and none for `splits=()`; records, labels and class embeddings stay
-    whole."""
+    and none for `splits=()`; of the train split, only the clips that carry
+    a training class. Records, labels and class embeddings stay whole."""
     mel = tiny_corpus["spec"].mel
     full = experiments.load_corpus(tiny_corpus["root"], mel)
     compute, calls = dsp.compute_logmel, []
@@ -140,7 +140,10 @@ def test_load_corpus_computes_only_the_requested_splits(tiny_corpus, monkeypatch
     monkeypatch.setattr(dsp, "compute_logmel", counting)
     test_ids = [r.clip_id for r in full.records if r.split == "test"]
     assert 0 < len(test_ids) < len(full.records)
-    for splits, ids in ((("test",), test_ids), ((), [])):
+    train_ids = [r.clip_id for r in
+                 protocol.training_records(full.records, full.train_ids)]
+    assert 0 < len(train_ids) < sum(r.split == "train" for r in full.records)
+    for splits, ids in ((("test",), test_ids), (("train",), train_ids), ((), [])):
         calls.clear()
         part = experiments.load_corpus(tiny_corpus["root"], mel, splits=splits)
         assert len(calls) == len(ids)
