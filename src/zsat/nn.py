@@ -50,8 +50,8 @@ def relu_backward(dout, x):
 
 
 def sigmoid(x):
-    out = np.empty_like(np.asarray(x, dtype=np.float64))
     x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
@@ -184,35 +184,38 @@ def _windows(x, k, stride, ho, wo):
 
 
 # ---------------------------------------------------------------------------
-# 2D convolution (stride 1, symmetric zero padding) via im2col
+# 2D convolution via im2col: stride 1, "same" zero padding (kh // 2, kw // 2)
 
 
-def conv2d(x, w, b, pad=1):
-    """x: (N,C,H,W), w: (Cout,C,kh,kw), b: (Cout,). Stride 1."""
+def conv2d(x, w, b):
+    """x: (N,C,H,W), w: (Cout,C,kh,kw), b: (Cout,) -> out (N,Cout,H,W)."""
     n, c, h, wd = x.shape
     cout, cin, kh, kw = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho, wo = h + 2 * pad - kh + 1, wd + 2 * pad - kw + 1
-    cols = np.stack(_windows(xp, (kh, kw), 1, ho, wo), axis=2)
-    cols = cols.reshape(n, c * kh * kw, ho * wo)
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=x.dtype)
+    xp[:, :, ph:ph + h, pw:pw + wd] = x
+    cols = np.empty((n, c, kh * kw, h, wd), dtype=x.dtype)
+    for k, view in enumerate(_windows(xp, (kh, kw), 1, h, wd)):
+        cols[:, :, k] = view
+    cols = cols.reshape(n, c * kh * kw, h * wd)
     out = np.matmul(w.reshape(cout, -1), cols) + b[None, :, None]
-    return out.reshape(n, cout, ho, wo), (x, cols, w, pad, ho, wo)
+    return out.reshape(n, cout, h, wd), (x, cols, w)
 
 
 def conv2d_backward(dout, cache):
-    x, cols, w, pad, ho, wo = cache
+    x, cols, w = cache
     n, c, h, wd = x.shape
     cout, cin, kh, kw = w.shape
+    ph, pw = kh // 2, kw // 2
     dflat = dout.reshape(n, cout, -1)
     dw = np.matmul(dflat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     db = dflat.sum(axis=(0, 2))
     dcols = np.matmul(w.reshape(cout, -1).T, dflat)
-    dcols = dcols.reshape(n, c, kh * kw, ho, wo)
-    dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=dout.dtype)
-    for k, view in enumerate(_windows(dxp, (kh, kw), 1, ho, wo)):
+    dcols = dcols.reshape(n, c, kh * kw, h, wd)
+    dxp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=dout.dtype)
+    for k, view in enumerate(_windows(dxp, (kh, kw), 1, h, wd)):
         view += dcols[:, :, k]
-    dx = dxp[:, :, pad:pad + h, pad:pad + wd] if pad else dxp
-    return dx, dw, db
+    return dxp[:, :, ph:ph + h, pw:pw + wd], dw, db
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,20 @@ def fd_gradcheck(params: dict, forward, grads_fn, n_coords: int = 30,
     return worst
 
 
+def stacked_conv2d(x, w, b):
+    """`nn.conv2d` with its im2col columns built by `np.pad` and `np.stack`:
+    the reference whose bytes the one-buffer build must match. It takes the
+    same arguments and returns the same cache, so it can stand in for it."""
+    n, c, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    cols = np.stack([xp[:, :, i:i + h, j:j + wd] for i in range(kh) for j in range(kw)],
+                    axis=2)
+    cols = cols.reshape(n, c * kh * kw, h * wd)
+    out = np.matmul(w.reshape(cout, -1), cols) + b[None, :, None]
+    return out.reshape(n, cout, h, wd), (x, cols, w)
+
+
 @pytest.fixture(scope="session")
 def tiny_corpus(tmp_path_factory):
     """A small synthetic corpus shared by tests that just need real data."""

@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from conftest import fd_gradcheck
+from conftest import fd_gradcheck, stacked_conv2d
 from zsat import backbones, checkpoint, crossmodal, dsp, nn, protocol
 from zsat.backbones import ClassifierHead, ConvConfig, HeadConfig, TransformerConfig
 from zsat.errors import ConfigError, DataError
@@ -248,6 +248,30 @@ def test_cnn14_gradients_match_finite_differences():
 
 def test_vggish_gradients_match_finite_differences():
     assert _conv_gradient_error("vggish") < 1e-4
+
+
+def _conv_run_bytes(kind):
+    """The bytes of a toy conv backbone's eval embedding, of one train-mode
+    `embed_batch` and `backward` with every gradient, and of the batch-norm
+    running statistics that step leaves."""
+    model = small_conv(kind)
+    x = np.random.default_rng(6).standard_normal((2, 32, 32))
+    out = {"eval": model.embed([x[0]])}
+    emb, cache = model.embed_batch(x, train=True)
+    out["train"] = emb
+    out.update(model.backward(np.ones_like(emb), cache))
+    out.update(model.stats)
+    return {k: (v.dtype, v.shape, v.tobytes()) for k, v in out.items()}
+
+
+@pytest.mark.parametrize("kind", ["cnn14", "vggish"])
+def test_conv_backbone_bytes_match_stacked_columns(kind, monkeypatch):
+    """A conv backbone computes the same bytes, forward, backward and in
+    its running statistics, as with `nn.conv2d` building its columns by
+    `np.pad` and `np.stack`."""
+    got = _conv_run_bytes(kind)
+    monkeypatch.setattr(nn, "conv2d", stacked_conv2d)
+    assert got == _conv_run_bytes(kind)
 
 
 # --- classification head and pretraining ----------------------------------------

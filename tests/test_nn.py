@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import fd_gradcheck
+from conftest import fd_gradcheck, stacked_conv2d
 from zsat import nn
 
 
@@ -90,19 +92,38 @@ def test_pool2d_matches_nested_loop_reference(dtype, kind, values, shape):
     assert dx.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("pad", [0, 1])
-def test_conv2d_matches_nested_loop_reference(pad):
+def test_conv2d_matches_nested_loop_reference():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, 3, 5, 7))
     w = rng.standard_normal((4, 3, 3, 3))
     b = rng.standard_normal(4)
-    out, cache = nn.conv2d(x, w, b, pad=pad)
-    np.testing.assert_allclose(out, reference_conv2d(x, w, b, pad), rtol=0, atol=1e-12)
+    out, cache = nn.conv2d(x, w, b)
+    np.testing.assert_allclose(out, reference_conv2d(x, w, b, 1), rtol=0, atol=1e-12)
     dout = rng.standard_normal(out.shape)
     for got, want in zip(nn.conv2d_backward(dout, cache),
-                         reference_conv2d_backward(dout, x, w, pad)):
+                         reference_conv2d_backward(dout, x, w, 1)):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), c=st.integers(1, 4), cout=st.integers(1, 4),
+       h=st.integers(1, 9), wd=st.integers(1, 9),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+def test_conv2d_bytes_match_stacked_columns(n, c, cout, h, wd, dtype, seed):
+    """The output and the cached columns equal, byte for byte and in dtype,
+    those of a column build by `np.pad` and `np.stack`; x is left as it was."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, c, h, wd)).astype(dtype)
+    w = rng.standard_normal((cout, c, 3, 3)).astype(dtype)
+    b = rng.standard_normal(cout).astype(dtype)
+    x_bytes = x.tobytes()
+    out, (_, cols, _) = nn.conv2d(x, w, b)
+    want_out, (_, want_cols, _) = stacked_conv2d(x, w, b)
+    assert x.tobytes() == x_bytes
+    for got, want in ((out, want_out), (cols, want_cols)):
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("x_dtype, w_dtype, want", [
