@@ -148,11 +148,8 @@ class TransformerBackbone(Backbone):
         In training, patchout drops whole grid rows, then whole columns."""
         p, cfg = self.params, self.cfg
         patches, (fp, tp) = self._patches(x, train)
-        if train and (cfg.n_freq_drop or cfg.n_time_drop):
-            rows = _choose_drops(fp, cfg.n_freq_drop, rng)
-            cols = _choose_drops(tp, cfg.n_time_drop, rng)
-        else:
-            rows, cols = np.arange(fp), np.arange(tp)
+        rows = _choose_drops(fp, cfg.n_freq_drop if train else 0, rng)
+        cols = _choose_drops(tp, cfg.n_time_drop if train else 0, rng)
         sel = patches[:, rows][:, :, cols]            # (N, R, C, pf*pt)
         n, r, c, pdim = sel.shape
         flat = sel.reshape(n, r * c, pdim)
@@ -364,26 +361,20 @@ class VggishBackbone(ConvBackbone):
         return [(f"{i}", cout, "max" if i in self.POOL_AFTER else None)
                 for i, cout in enumerate(self.cfg.channels)]
 
-    def _chunk(self, x: np.ndarray) -> np.ndarray:
-        """x: (f, t) -> (K, t_chunk, f); trailing remainder discarded."""
-        tlen = self.cfg.vggish_time
-        f, t = x.shape
+    def embed_batch(self, x: np.ndarray, train: bool = False,
+                    rng: np.random.Generator | None = None):
+        """x: (N, f, t); every clip contributes t//chunk chunks of
+        (t_chunk, f), clip-major, and the trailing remainder is discarded.
+        `train` normalizes batch norm by batch statistics; `rng` is unused."""
+        p, tlen = self.params, self.cfg.vggish_time
+        x = x.astype(self.dtype, copy=False)
+        n, f, t = x.shape
         if f != self.cfg.vggish_mels:
             raise DataError(f"expected {self.cfg.vggish_mels} mel bins, got {f}")
         if t < tlen:
             raise DataError(f"need at least {tlen} frames, got {t}")
-        k = t // tlen
-        return x[:, :k * tlen].T.reshape(k, tlen, f)
-
-    def embed_batch(self, x: np.ndarray, train: bool = False,
-                    rng: np.random.Generator | None = None):
-        """x: (N, f, t); every clip contributes t//chunk chunks. `train`
-        normalizes batch norm by batch statistics; `rng` is unused."""
-        p = self.params
-        x = x.astype(self.dtype, copy=False)
-        n = x.shape[0]
-        chunks = np.concatenate([self._chunk(x[i]) for i in range(n)], axis=0)
-        per = x.shape[2] // self.cfg.vggish_time
+        per = t // tlen
+        chunks = x[:, :, :per * tlen].transpose(0, 2, 1).reshape(n * per, tlen, f)
         h, caches = self._stack_forward(chunks[:, None, :, :], train)
         flat = h.reshape(h.shape[0], -1)
         f1 = nn.linear(flat, p["fc1_w"], p["fc1_b"])

@@ -47,16 +47,7 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """Resolved config + version string, embedded in output artifacts."""
-        return {"version": f"zsat-{__version__}", "config": _to_plain(self)}
-
-
-def _to_plain(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _to_plain(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [_to_plain(v) for v in obj]
-    return obj
+        return {"version": f"zsat-{__version__}", "config": dataclasses.asdict(self)}
 
 
 _TOY_MEL = MelConfig(sample_rate=32000, window_len=800, hop_len=320, n_mels=64,
@@ -117,31 +108,31 @@ def resolve_config(preset: str, overrides: dict | None = None) -> ExperimentConf
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; choose from "
                           f"{sorted(PRESETS)}")
-    cfg, changes = PRESETS[preset], {}
-    for key, value in (overrides or {}).items():
-        if key == "preset":
-            continue
-        if key not in {f.name for f in dataclasses.fields(cfg)}:
-            raise ConfigError(f"unknown config key {key!r}")
-        sub = getattr(cfg, key)
-        if dataclasses.is_dataclass(sub):
+    return _override(PRESETS[preset], {k: v for k, v in (overrides or {}).items()
+                                       if k != "preset"})
+
+
+def _override(block, changes: dict, path: str = ""):
+    """`block` with `changes` applied at any depth, inner blocks first: one
+    replace per level, so the checks across fields see every override."""
+    names, new = {f.name for f in dataclasses.fields(block)}, {}
+    for key, value in changes.items():
+        where = path + key
+        if key not in names:
+            raise ConfigError(f"unknown config key {where!r}")
+        if dataclasses.is_dataclass(getattr(block, key)):
             if not isinstance(value, dict):
-                raise ConfigError(f"{key} must be an object of settings, not {value!r}")
-            try:
-                if key == "synthetic" and isinstance(value.get("mel"), dict):
-                    value = {**value, "mel": dataclasses.replace(sub.mel, **value["mel"])}
-                value = dataclasses.replace(sub, **_tupled(value))
-            except (TypeError, ConfigError) as exc:
-                raise ConfigError(f"bad override for {key}: {exc}") from exc
+                raise ConfigError(f"{where} must be an object of settings, not {value!r}")
+            value = _override(getattr(block, key), value, where + ".")
         elif isinstance(value, list):
             value = tuple(value)
-        changes[key] = value
-    # one replace, so the checks across fields see every override at once
-    return dataclasses.replace(cfg, **changes)
-
-
-def _tupled(d: dict) -> dict:
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
+        new[key] = value
+    try:
+        return dataclasses.replace(block, **new)
+    except (TypeError, ConfigError) as exc:
+        if not path:
+            raise
+        raise ConfigError(f"bad override for {path[:-1]}: {exc}") from exc
 
 
 def load_config_file(path) -> ExperimentConfig:

@@ -69,9 +69,7 @@ def project_batch(a: np.ndarray, p: Projection, train: bool = False,
     z = (a - p.stats["mean"]) / p.stats["std"]
     pre = nn.linear(z, w["w1"], w["b1"])
     h = nn.gelu(pre)
-    mask = None
-    if train and p.cfg.dropout_rate > 0:
-        h, mask = nn.dropout(h, p.cfg.dropout_rate, rng)
+    h, mask = nn.dropout(h, p.cfg.dropout_rate, rng) if train else (h, None)
     out = nn.linear(h, w["w2"], w["b2"])
     return out, (a, z, pre, h, mask)
 
@@ -121,10 +119,12 @@ def bce_loss(logits: np.ndarray, targets: np.ndarray) -> float:
 
 
 def bce_loss_backward(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """d(mean BCE)/dlogits = (sigmoid(logit) - target) / count."""
+    """d(mean BCE)/dlogits = (sigmoid(logit) - target) / count, with the
+    sigmoid taken from exp(-|logit|), which never overflows."""
     logits = np.asarray(logits, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    return (nn.sigmoid(logits) - targets) / logits.size
+    e = np.exp(-np.abs(logits))
+    return (np.where(logits >= 0, 1.0 / (1.0 + e), e / (1.0 + e)) - targets) / logits.size
 
 
 # ---------------------------------------------------------------------------

@@ -49,16 +49,6 @@ def relu_backward(dout, x):
     return dout * (x > 0)
 
 
-def sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def dropout(x, rate: float, rng: np.random.Generator):
     """Inverted dropout; returns (out, mask). rate=0 is the identity."""
     if rate == 0.0:

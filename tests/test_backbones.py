@@ -142,6 +142,24 @@ def test_vggish_chunk_mean_identity():
     assert np.allclose(whole, (chunk_a + chunk_b) / 2, atol=1e-6)
 
 
+def test_vggish_batch_of_multi_chunk_clips():
+    """N > 1 clips of K > 1 chunks in one call: each clip's embedding is the
+    one it gets alone, and a train step gives finite gradients."""
+    cfg = ConvConfig(channels=(4, 4, 8, 8, 8, 8), fc_units=16,
+                     embed_dim=6, vggish_time=16, vggish_mels=32)
+    model = backbones.VggishBackbone(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    clips = rng.standard_normal((2, 32, 53))   # 3 chunks of 16 + 5 leftover frames
+    batch, _ = model.embed_batch(clips)
+    alone = np.concatenate([model.embed([spec_of(c)]) for c in clips])
+    assert not np.allclose(alone[0], alone[1])
+    assert np.allclose(batch, alone, atol=1e-6)
+    emb, cache = model.embed_batch(clips, train=True)
+    grads = model.backward(np.ones_like(emb), cache)
+    assert set(grads) == set(model.params)
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+
 def test_vggish_too_short_input_raises():
     cfg = ConvConfig(channels=(4, 4, 8, 8, 8, 8), fc_units=16,
                      embed_dim=6, vggish_time=16, vggish_mels=32)

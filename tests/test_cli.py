@@ -4,6 +4,7 @@ import importlib
 import inspect
 import json
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
@@ -65,9 +66,55 @@ def test_unknown_override_key_raises():
     for overrides in ({"no_such_field": 1}, {"augment": {"mixup_enabled": True}},
                       {"pretrain": {"seed": 0}},
                       {"pretrain": {"val_class_fraction": 0.1}},
-                      {"projection": {"val_class_fraction": 0.1}}):
-        with pytest.raises(ConfigError):
+                      {"projection": {"val_class_fraction": 0.1}},
+                      {"synthetic": {"mel": {"n_melz": 3}}}):
+        # the error names the unknown key by its dotted path, at any depth
+        path, value = [], overrides
+        while isinstance(value, dict):
+            [(key, value)] = value.items()
+            path.append(key)
+        with pytest.raises(ConfigError, match=re.escape(repr(".".join(path)))):
             resolve_config("toy", overrides)
+
+
+def _settings_blocks(block, path=()):
+    """Dotted path of every settings block nested in `block`, at any depth."""
+    for f in dataclasses.fields(block):
+        sub = getattr(block, f.name)
+        if dataclasses.is_dataclass(sub):
+            yield (*path, f.name)
+            yield from _settings_blocks(sub, (*path, f.name))
+
+
+def test_settings_block_given_a_non_object_exits_2(tmp_path):
+    blocks = list(_settings_blocks(PRESETS["toy"]))
+    assert [".".join(b) for b in blocks] == [
+        "mel", "augment", "transformer", "conv", "pretrain", "projection",
+        "synthetic", "synthetic.mel"]
+    for block in blocks:
+        overrides = 5
+        for key in reversed(block):
+            overrides = {key: overrides}
+        dotted = ".".join(block)
+        with pytest.raises(ConfigError, match=f"^{re.escape(dotted)} must be an object"):
+            resolve_config("toy", overrides)
+        cfg_path = tmp_path / f"{dotted}.json"
+        cfg_path.write_text(json.dumps({"preset": "toy", **overrides}))
+        assert cli.main(["synth", "--config", str(cfg_path),
+                         "--out", str(tmp_path / dotted)]) == 2
+        assert not (tmp_path / dotted).exists()
+
+
+def test_echoed_config_resolves_to_itself():
+    for name, cfg in PRESETS.items():
+        # through JSON, as an artifact stores it: every tuple comes back a list
+        echoed = json.loads(json.dumps(cfg.echo()))["config"]
+        assert resolve_config(cfg.preset, echoed) == cfg
+    toy = PRESETS["toy"]
+    cfg = resolve_config("toy", {"synthetic": {"mel": {"n_mels": 48}}})
+    assert cfg.synthetic == dataclasses.replace(
+        toy.synthetic, mel=dataclasses.replace(toy.synthetic.mel, n_mels=48))
+    assert cfg.mel == toy.mel
 
 
 def test_unknown_backbone_kind_is_a_config_error(tmp_path):

@@ -1,8 +1,9 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_gradcheck
@@ -87,11 +88,34 @@ def test_bce_zero_logit_positive_target_is_ln2():
         np.log(2.0), abs=1e-12)
 
 
+def masked_sigmoid(x):
+    """The sigmoid the BCE gradient once took, one formula per sign mask;
+    the reference for `bce_loss_backward`'s bytes."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 @given(st.floats(-1e4, 1e4), st.integers(0, 1))
+@example(0.0, 1)
+@example(-0.0, 0)
+@example(1e4, 0)
+@example(-1e4, 1)
 @settings(max_examples=300)
 def test_bce_stable_over_extreme_logits(logit, target):
     loss = crossmodal.bce_loss(np.array([logit]), np.array([float(target)]))
     assert np.isfinite(loss) and loss >= 0
+    # both signs in one call, so both branches of the gradient run together
+    logits, targets = np.array([logit, -logit]), np.array([float(target), 1.0 - target])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        grad = crossmodal.bce_loss_backward(logits, targets)
+    assert np.all(np.isfinite(grad))
+    assert grad.tobytes() == ((masked_sigmoid(logits) - targets) / logits.size).tobytes()
 
 
 def test_bce_gradient_is_sigmoid_minus_target():
