@@ -179,11 +179,11 @@ class TransformerBackbone(Backbone):
             h1 = h + att
             b, c_ln2 = nn.layer_norm(h1, p[f"ln2_g{i}"], p[f"ln2_b{i}"])
             f1 = nn.linear(b, p[f"ffn_w1_{i}"], p[f"ffn_b1_{i}"])
-            g = nn.gelu(f1)
-            f2 = nn.linear(g, p[f"ffn_w2_{i}"], p[f"ffn_b2_{i}"])
+            cdf = np.empty_like(f1)
+            f2 = nn.linear(nn.gelu(f1, cdf), p[f"ffn_w2_{i}"], p[f"ffn_b2_{i}"])
             h = h1 + f2
             if train:
-                blocks.append((c_ln1, c_att, c_ln2, b, f1, g))
+                blocks.append((c_ln1, c_att, c_ln2, b, f1, cdf))
         y, c_lnf = nn.layer_norm(h, p["lnf_g"], p["lnf_b"])
         cls_out = y[:, 0, :]
         emb = nn.linear(cls_out, p["head_w"], p["head_b"])
@@ -202,10 +202,11 @@ class TransformerBackbone(Backbone):
         dy[:, 0, :] = dcls_out
         dh, grads["lnf_g"], grads["lnf_b"] = nn.layer_norm_backward(dy, c_lnf)
         for i in reversed(range(cfg.n_layers)):
-            c_ln1, c_att, c_ln2, b, f1, g = blocks[i]
+            c_ln1, c_att, c_ln2, b, f1, cdf = blocks[i]
+            # f1 * cdf is the forward's GELU output, byte for byte
             dg, grads[f"ffn_w2_{i}"], grads[f"ffn_b2_{i}"] = nn.linear_backward(
-                dh, g, p[f"ffn_w2_{i}"])
-            df1 = nn.gelu_backward(dg, f1)
+                dh, f1 * cdf, p[f"ffn_w2_{i}"])
+            df1 = nn.gelu_backward(dg, f1, cdf)
             db, grads[f"ffn_w1_{i}"], grads[f"ffn_b1_{i}"] = nn.linear_backward(
                 df1, b, p[f"ffn_w1_{i}"])
             dh1, grads[f"ln2_g{i}"], grads[f"ln2_b{i}"] = nn.layer_norm_backward(db, c_ln2)

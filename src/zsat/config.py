@@ -41,6 +41,9 @@ class ExperimentConfig:
                 and all(isinstance(s, int) for s in self.seeds)):
             raise ConfigError(f"seeds must be a non-empty list of integers: {self.seeds!r}")
         check_dropout_rate(self.projection_dropout, "projection_dropout")
+        if not isinstance(self.fold_k, int) or isinstance(self.fold_k, bool):
+            raise ConfigError(f"fold_k must be an integer, not "
+                              f"{type(self.fold_k).__name__} {self.fold_k!r}")
         if self.backbone == "vggish" and self.conv.vggish_mels != self.mel.n_mels:
             raise ConfigError(f"vggish_mels {self.conv.vggish_mels} must equal the "
                               f"frontend's n_mels {self.mel.n_mels}")
@@ -129,7 +132,10 @@ def _override(block, changes: dict, path: str = ""):
         new[key] = value
     try:
         return dataclasses.replace(block, **new)
-    except (TypeError, ConfigError) as exc:
+    except TypeError as exc:
+        raise ConfigError(f"bad override for {path[:-1] or ', '.join(changes)}: "
+                          f"{exc}") from exc
+    except ConfigError as exc:
         if not path:
             raise
         raise ConfigError(f"bad override for {path[:-1]}: {exc}") from exc

@@ -68,10 +68,11 @@ def project_batch(a: np.ndarray, p: Projection, train: bool = False,
     w = p.params
     z = (a - p.stats["mean"]) / p.stats["std"]
     pre = nn.linear(z, w["w1"], w["b1"])
-    h = nn.gelu(pre)
+    cdf = np.empty_like(pre)
+    h = nn.gelu(pre, cdf)
     h, mask = nn.dropout(h, p.cfg.dropout_rate, rng) if train else (h, None)
     out = nn.linear(h, w["w2"], w["b2"])
-    return out, (a, z, pre, h, mask)
+    return out, (a, z, pre, cdf, h, mask)
 
 
 def project_backward(dout: np.ndarray, p: Projection, cache):
@@ -82,11 +83,11 @@ def project_backward(dout: np.ndarray, p: Projection, cache):
     finite differences). `dout` is cast to `p.dtype`.
     """
     dout = dout.astype(p.dtype, copy=False)
-    a, z, pre, h, mask = cache
+    a, z, pre, cdf, h, mask = cache
     std = p.stats["std"]
     dh, dw2, db2 = nn.linear_backward(dout, h, p.params["w2"])
     dh = nn.dropout_backward(dh, mask)
-    dpre = nn.gelu_backward(dh, pre)
+    dpre = nn.gelu_backward(dh, pre, cdf)
     dz, dw1, db1 = nn.linear_backward(dpre, z, p.params["w1"])
     da = dz / std
     flat_dz = dz.reshape(-1, p.cfg.m)

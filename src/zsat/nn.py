@@ -30,15 +30,32 @@ def init_linear(rng: np.random.Generator, fan_out: int, fan_in: int, dtype=np.fl
 # Pointwise
 
 
-def gelu(x):
-    """Exact Gaussian-CDF GELU: x * Phi(x)."""
-    return 0.5 * x * (1.0 + erf(x / SQRT2))
+def _normal_cdf(x, out=None):
+    """Phi(x) = (erf(x / sqrt 2) + 1) * 0.5, written into `out` if given."""
+    cdf = erf(x / SQRT2, out=out)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
 
 
-def gelu_backward(dout, x):
-    phi = INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    cdf = 0.5 * (1.0 + erf(x / SQRT2))
-    return dout * (cdf + x * phi)
+def gelu(x, cdf=None):
+    """Exact Gaussian-CDF GELU: x * Phi(x). `cdf`, if given, is a buffer
+    shaped like x that receives Phi(x) for `gelu_backward` to reuse."""
+    return x * _normal_cdf(x, out=cdf)
+
+
+def gelu_backward(dout, x, cdf=None):
+    """`cdf` is the Phi(x) that `gelu` wrote; it is recomputed if None."""
+    if cdf is None:
+        cdf = _normal_cdf(x)
+    d = x * -0.5
+    d *= x
+    np.exp(d, out=d)
+    d *= INV_SQRT_2PI                   # phi(x)
+    d *= x
+    d += cdf
+    # in place unless dout's dtype is wider, which promotes as `dout * d` does
+    return np.multiply(d, dout, out=d if d.dtype == np.result_type(d, dout) else None)
 
 
 def relu(x):
@@ -67,7 +84,9 @@ def dropout_backward(dout, mask):
 
 def linear(x, w, b):
     """x: (..., in), w: (out, in), b: (out,)."""
-    return x @ w.T + b
+    y = x @ w.T
+    y += b
+    return y
 
 
 def linear_backward(dout, x, w):
@@ -86,8 +105,11 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    return xhat * gamma + beta, (xhat, inv, gamma)
+    xhat = xc
+    xhat *= inv
+    y = xhat * gamma
+    y += beta
+    return y, (xhat, inv, gamma)
 
 
 def layer_norm_backward(dout, cache):
@@ -106,13 +128,17 @@ def layer_norm_backward(dout, cache):
 
 
 def softmax(x, axis=-1):
-    z = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def softmax_backward(dout, s, axis=-1):
-    return s * (dout - (dout * s).sum(axis=axis, keepdims=True))
+    d = dout * s
+    np.subtract(dout, d.sum(axis=axis, keepdims=True), out=d)
+    d *= s
+    return d
 
 
 def attention(x, wq, wk, wv, wo, bq, bk, bv, bo, n_heads: int):
@@ -126,7 +152,8 @@ def attention(x, wq, wk, wv, wo, bq, bk, bv, bo, n_heads: int):
     q, k, v = linear(x, wq, bq), linear(x, wk, bk), linear(x, wv, bv)
     qh, kh, vh = split(q), split(k), split(v)
     scale = 1.0 / math.sqrt(dh)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
+    scores = qh @ kh.transpose(0, 1, 3, 2)
+    scores *= scale
     attn = softmax(scores)
     ctx = attn @ vh  # (N, h, T, dh)
     merged = ctx.transpose(0, 2, 1, 3).reshape(n, t, d)
@@ -150,13 +177,16 @@ def attention_backward(dout, cache):
     dctx = split(dmerged)
     dattn = dctx @ vh.transpose(0, 1, 3, 2)
     dvh = attn.transpose(0, 1, 3, 2) @ dctx
-    dscores = softmax_backward(dattn, attn) * scale
+    dscores = softmax_backward(dattn, attn)
+    dscores *= scale
     dqh = dscores @ kh
     dkh = dscores.transpose(0, 1, 3, 2) @ qh
     dxq, dwq, dbq = linear_backward(merge(dqh), x, wq)
     dxk, dwk, dbk = linear_backward(merge(dkh), x, wk)
     dxv, dwv, dbv = linear_backward(merge(dvh), x, wv)
-    dx = dxq + dxk + dxv
+    dx = dxq
+    dx += dxk
+    dx += dxv
     grads = {"wq": dwq, "bq": dbq, "wk": dwk, "bk": dbk,
              "wv": dwv, "bv": dbv, "wo": dwo, "bo": dbo}
     return dx, grads

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
+
+from zsat import nn
 
 
 def fd_gradcheck(params: dict, forward, grads_fn, n_coords: int = 30,
@@ -44,6 +49,94 @@ def stacked_conv2d(x, w, b):
     cols = cols.reshape(n, c * kh * kw, h * wd)
     out = np.matmul(w.reshape(cout, -1), cols) + b[None, :, None]
     return out.reshape(n, cout, h, wd), (x, cols, w)
+
+
+# The transformer's pointwise layers as plain formulas, each result a new
+# array: the references whose bytes the in-place layers of `nn` must match.
+# Each takes the same arguments and returns the same cache as the layer it
+# names, so `HEAD_LAYERS` can stand in for them.
+
+
+def reference_gelu(x, cdf=None):
+    if cdf is not None:
+        cdf[...] = 0.5 * (1.0 + erf(x / nn.SQRT2))
+    return 0.5 * x * (1.0 + erf(x / nn.SQRT2))
+
+
+def reference_gelu_backward(dout, x, cdf=None):
+    phi = nn.INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    cdf = 0.5 * (1.0 + erf(x / nn.SQRT2))
+    return dout * (cdf + x * phi)
+
+
+def reference_linear(x, w, b):
+    return x @ w.T + b
+
+
+def reference_layer_norm(x, gamma, beta, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return xhat * gamma + beta, (xhat, inv, gamma)
+
+
+def reference_softmax(x, axis=-1):
+    z = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def reference_softmax_backward(dout, s, axis=-1):
+    return s * (dout - (dout * s).sum(axis=axis, keepdims=True))
+
+
+def reference_attention(x, wq, wk, wv, wo, bq, bk, bv, bo, n_heads: int):
+    n, t, d = x.shape
+    dh = d // n_heads
+
+    def split(z):
+        return z.reshape(n, t, n_heads, dh).transpose(0, 2, 1, 3)
+
+    q, k, v = (reference_linear(x, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    qh, kh, vh = split(q), split(k), split(v)
+    scale = 1.0 / math.sqrt(dh)
+    attn = reference_softmax((qh @ kh.transpose(0, 1, 3, 2)) * scale)
+    merged = (attn @ vh).transpose(0, 2, 1, 3).reshape(n, t, d)
+    out = reference_linear(merged, wo, bo)
+    return out, (x, qh, kh, vh, attn, merged, wq, wk, wv, wo, n_heads, scale)
+
+
+def reference_attention_backward(dout, cache):
+    x, qh, kh, vh, attn, merged, wq, wk, wv, wo, n_heads, scale = cache
+    n, t, d = x.shape
+
+    def split(z):
+        return z.reshape(n, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+    def merge(z):
+        return z.transpose(0, 2, 1, 3).reshape(n, t, d)
+
+    dmerged, dwo, dbo = nn.linear_backward(dout, merged, wo)
+    dctx = split(dmerged)
+    dattn = dctx @ vh.transpose(0, 1, 3, 2)
+    dvh = attn.transpose(0, 1, 3, 2) @ dctx
+    dscores = reference_softmax_backward(dattn, attn) * scale
+    dxq, dwq, dbq = nn.linear_backward(merge(dscores @ kh), x, wq)
+    dxk, dwk, dbk = nn.linear_backward(merge(dscores.transpose(0, 1, 3, 2) @ qh), x, wk)
+    dxv, dwv, dbv = nn.linear_backward(merge(dvh), x, wv)
+    grads = {"wq": dwq, "bq": dbq, "wk": dwk, "bk": dbk,
+             "wv": dwv, "bv": dbv, "wo": dwo, "bo": dbo}
+    return dxq + dxk + dxv, grads
+
+
+HEAD_LAYERS = {
+    "gelu": reference_gelu, "gelu_backward": reference_gelu_backward,
+    "linear": reference_linear, "layer_norm": reference_layer_norm,
+    "softmax": reference_softmax, "softmax_backward": reference_softmax_backward,
+    "attention": reference_attention, "attention_backward": reference_attention_backward,
+}
 
 
 @pytest.fixture(scope="session")

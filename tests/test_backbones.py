@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from conftest import fd_gradcheck, stacked_conv2d
+from conftest import HEAD_LAYERS, fd_gradcheck, stacked_conv2d
 from zsat import backbones, checkpoint, crossmodal, dsp, nn, protocol
 from zsat.backbones import ClassifierHead, ConvConfig, HeadConfig, TransformerConfig
 from zsat.errors import ConfigError, DataError
@@ -290,6 +290,31 @@ def test_conv_backbone_bytes_match_stacked_columns(kind, monkeypatch):
     got = _conv_run_bytes(kind)
     monkeypatch.setattr(nn, "conv2d", stacked_conv2d)
     assert got == _conv_run_bytes(kind)
+
+
+def _transformer_run_bytes():
+    """The bytes of a toy float32 transformer's eval embedding, and of one
+    train-mode `embed_batch` (patchout on) and `backward` with every
+    gradient."""
+    model = small_transformer(dtype=np.float32, n_freq_drop=1, n_time_drop=1)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((3, 12, 16))
+    out = {"eval": model.embed_batch(x)[0]}
+    out["train"], cache = model.embed_batch(x, train=True, rng=np.random.default_rng(4))
+    # in the model dtype, as pretraining passes it
+    demb = rng.standard_normal(out["train"].shape).astype(np.float32)
+    out.update(model.backward(demb, cache))
+    return {k: (v.dtype, v.shape, v.tobytes()) for k, v in out.items()}
+
+
+def test_transformer_bytes_match_plain_layer_formulas(monkeypatch):
+    """The transformer computes the same bytes, forward and backward, as with
+    GELU, softmax, layer norm, attention and linear written as plain formulas
+    that return new arrays and recompute GELU's CDF in its backward."""
+    got = _transformer_run_bytes()
+    for name, reference in HEAD_LAYERS.items():
+        monkeypatch.setattr(nn, name, reference)
+    assert got == _transformer_run_bytes()
 
 
 # --- classification head and pretraining ----------------------------------------

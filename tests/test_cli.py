@@ -142,6 +142,24 @@ def test_zero_epochs_is_a_config_error(tmp_path):
                          "--out", str(tmp_path / f"{stage}.ckpt")]) == 2
 
 
+@pytest.mark.parametrize("override, message", [
+    ({"projection_dropout": "x"}, "bad override for projection_dropout: "),
+    ({"fold_k": 1.5}, "fold_k must be an integer, not float 1.5"),
+    ({"fold_k": "x"}, "fold_k must be an integer, not str 'x'"),
+])
+def test_top_level_value_of_a_wrong_type_exits_2(tmp_path, capsys, override, message):
+    """A top-level value that `ExperimentConfig`'s checks cannot use is a
+    configuration error naming its key, raised before anything is written."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        resolve_config("toy", override)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"preset": "toy", **override}))
+    for cmd in (["synth"], ["fold-split", "--counts", str(tmp_path / "counts.csv")]):
+        _assert_exits([*cmd, "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+                      2, capsys)
+        assert not (tmp_path / "out").exists()
+
+
 def test_config_file_loading(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"preset": "toy", "projection_hidden": 32}))

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_gradcheck
-from zsat import checkpoint, crossmodal, protocol
+from conftest import HEAD_LAYERS, fd_gradcheck
+from zsat import checkpoint, crossmodal, nn, protocol
 from zsat.backbones import Backbone
 from zsat.crossmodal import Projection, ProjectionConfig, TrainConfig
 from zsat.errors import ConfigError, DataError, NumericalError
@@ -42,6 +42,26 @@ def test_projection_gradients_match_finite_differences():
         return g
 
     assert fd_gradcheck(tensors, forward, grads, n_coords=60) < 1e-6
+
+
+def _projection_run_bytes():
+    """The bytes of one train-mode projection (dropout on) and its backward."""
+    p = make_params(dropout=0.2)
+    rng = np.random.default_rng(2)
+    out, cache = crossmodal.project_batch(rng.standard_normal((5, 6)), p, train=True,
+                                          rng=np.random.default_rng(3))
+    da, grads = crossmodal.project_backward(rng.standard_normal(out.shape), p, cache)
+    return [(k, v.dtype, v.tobytes()) for k, v in (("out", out), ("da", da), *grads.items())]
+
+
+def test_projection_bytes_match_plain_layer_formulas(monkeypatch):
+    """The projection computes the same bytes, forward and backward, as with
+    GELU and linear written as plain formulas that return new arrays and
+    recompute GELU's CDF in its backward."""
+    got = _projection_run_bytes()
+    for name, reference in HEAD_LAYERS.items():
+        monkeypatch.setattr(nn, name, reference)
+    assert got == _projection_run_bytes()
 
 
 def test_project_rejects_dim_mismatch():

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import fd_gradcheck, stacked_conv2d
 from zsat import nn
 
@@ -165,3 +168,179 @@ def test_batch_norm2d_train_gradients_match_finite_differences():
 
     assert fd_gradcheck(t, forward, grads, n_coords=60) < 1e-4
     assert run(train=False)[1] is None
+
+
+# --- the transformer's pointwise layers, against their plain formulas --------
+
+
+def _same_bytes(got, want, dtype):
+    assert got.dtype == want.dtype == dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _attention_inputs(rng, n, t, heads, dh, dtype):
+    d = heads * dh
+    x = rng.standard_normal((n, t, d)).astype(dtype)
+    ws = [(rng.standard_normal((d, d)) / math.sqrt(d)).astype(dtype) for _ in range(4)]
+    bs = [rng.standard_normal(d).astype(dtype) for _ in range(4)]
+    return x, (*ws, *bs, heads)
+
+
+layer_shapes = dict(n=st.integers(1, 3), t=st.integers(1, 7), heads=st.integers(1, 3),
+                    dh=st.integers(1, 5), scale=st.sampled_from([0.1, 1.0, 8.0]),
+                    dtype=st.sampled_from([np.float32, np.float64]),
+                    seed=st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**layer_shapes)
+def test_pointwise_layers_match_their_formulas_byte_for_byte(n, t, heads, dh, scale,
+                                                              dtype, seed):
+    """GELU (its backward with and without the forward's CDF), softmax, layer
+    norm and linear equal, byte for byte and in dtype, the plain formulas."""
+    rng = np.random.default_rng(seed)
+    x = (scale * rng.standard_normal((n, t, heads * dh))).astype(dtype)
+    dout = rng.standard_normal(x.shape).astype(dtype)
+
+    cdf, want_cdf = np.empty_like(x), np.empty_like(x)
+    _same_bytes(nn.gelu(x, cdf), conftest.reference_gelu(x, want_cdf), dtype)
+    _same_bytes(cdf, want_cdf, dtype)
+    _same_bytes(nn.gelu(x), conftest.reference_gelu(x), dtype)
+    want = conftest.reference_gelu_backward(dout, x)
+    _same_bytes(nn.gelu_backward(dout, x, cdf), want, dtype)
+    _same_bytes(nn.gelu_backward(dout, x), want, dtype)
+    wide = dout.astype(np.float64)      # promotes the gradient, as `wide * d` does
+    _same_bytes(nn.gelu_backward(wide, x, cdf), conftest.reference_gelu_backward(wide, x),
+                np.float64)
+
+    for axis in (-1, 1):
+        s = nn.softmax(x, axis)
+        _same_bytes(s, conftest.reference_softmax(x, axis), dtype)
+        _same_bytes(nn.softmax_backward(dout, s, axis),
+                    conftest.reference_softmax_backward(dout, s, axis), dtype)
+
+    gamma, beta = (rng.standard_normal(x.shape[-1]).astype(dtype) for _ in range(2))
+    y, (xhat, inv, g) = nn.layer_norm(x, gamma, beta)
+    want_y, (want_xhat, want_inv, _) = conftest.reference_layer_norm(x, gamma, beta)
+    for got, want in ((y, want_y), (xhat, want_xhat), (inv, want_inv)):
+        _same_bytes(got, want, dtype)
+    assert g is gamma
+
+    w = rng.standard_normal((4, x.shape[-1])).astype(dtype)
+    b = rng.standard_normal(4).astype(dtype)
+    _same_bytes(nn.linear(x, w, b), conftest.reference_linear(x, w, b), dtype)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**layer_shapes)
+def test_attention_matches_its_formula_byte_for_byte(n, t, heads, dh, scale, dtype, seed):
+    """The output, every cached array and every gradient of attention equal,
+    byte for byte and in dtype, those of the plain formulas."""
+    rng = np.random.default_rng(seed)
+    x, args = _attention_inputs(rng, n, t, heads, dh, dtype)
+    x *= dtype(scale)
+    out, cache = nn.attention(x, *args)
+    want_out, want_cache = conftest.reference_attention(x, *args)
+    _same_bytes(out, want_out, dtype)
+    for got, want in zip(cache, want_cache):
+        if isinstance(want, np.ndarray):
+            _same_bytes(got, want, dtype)
+        else:
+            assert got == want
+    dout = rng.standard_normal(out.shape).astype(dtype)
+    dx, grads = nn.attention_backward(dout, cache)
+    want_dx, want_grads = conftest.reference_attention_backward(dout, want_cache)
+    _same_bytes(dx, want_dx, dtype)
+    assert grads.keys() == want_grads.keys()
+    for name in grads:
+        _same_bytes(grads[name], want_grads[name], dtype)
+
+
+def test_gelu_and_softmax_gradients_match_finite_differences():
+    rng = np.random.default_rng(0)
+    t = {"x": 2.0 * rng.standard_normal((3, 5, 7))}
+    w = rng.standard_normal((3, 5, 7))
+    for layer, backward in ((nn.gelu, nn.gelu_backward),
+                            (nn.softmax, lambda dout, x: nn.softmax_backward(
+                                dout, nn.softmax(x)))):
+        def forward():
+            out = layer(t["x"])
+            return float(np.sum(out * w) + 0.5 * np.sum(out ** 2))
+
+        def grads():
+            return {"x": backward(w + layer(t["x"]), t["x"])}
+
+        assert fd_gradcheck(t, forward, grads, n_coords=60) < 1e-5, layer.__name__
+
+
+# --- no layer writes into an array its caller passed ---------------------------
+
+
+def _frozen(value):
+    """`value` with every array in it made read-only, so a write raises."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            _frozen(v)
+    return value
+
+
+def _layer_calls(rng):
+    """(name, forward thunk, backward from (dout, cache)) for every layer."""
+    f32 = np.float32
+
+    def arr(*shape):
+        return rng.standard_normal(shape).astype(f32)
+
+    x3, x4 = arr(2, 5, 8), arr(2, 3, 6, 5)
+    w, b, gamma, beta = arr(4, 8), arr(4), arr(8), arr(8)
+    _, att_args = _attention_inputs(rng, 2, 5, 2, 4, f32)
+    cw, cb, c3 = arr(4, 3, 3, 3), arr(4), arr(3)
+    calls = [
+        ("gelu", lambda: (nn.gelu(x3), x3), lambda d, c: nn.gelu_backward(d, c)),
+        ("gelu with cdf", lambda: (nn.gelu(x3, cdf := np.empty_like(x3)), (x3, cdf)),
+         lambda d, c: nn.gelu_backward(d, *c)),
+        ("relu", lambda: (nn.relu(x3), x3), nn.relu_backward),
+        ("dropout", lambda: nn.dropout(x3, 0.5, np.random.default_rng(0)),
+         nn.dropout_backward),
+        ("linear", lambda: (nn.linear(x3, w, b), x3),
+         lambda d, c: nn.linear_backward(d, c, w)),
+        ("layer_norm", lambda: nn.layer_norm(x3, gamma, beta), nn.layer_norm_backward),
+        ("softmax", lambda: (s := nn.softmax(x3), s),
+         lambda d, c: nn.softmax_backward(d, c)),
+        ("attention", lambda: nn.attention(x3, *att_args), nn.attention_backward),
+        ("conv2d", lambda: nn.conv2d(x4, cw, cb), nn.conv2d_backward),
+        ("batch_norm2d", lambda: nn.batch_norm2d(x4, c3, c3, np.zeros(3, f32),
+                                                 np.ones(3, f32), True),
+         nn.batch_norm2d_backward),
+        ("avg_pool2d", lambda: nn.avg_pool2d(x4), nn.avg_pool2d_backward),
+        ("max_pool2d", lambda: nn.max_pool2d(x4), nn.max_pool2d_backward),
+    ]
+    return calls, (x3, x4, w, b, gamma, beta, att_args, cw, cb, c3)
+
+
+def test_no_layer_writes_into_its_inputs():
+    """Every forward and backward runs on read-only inputs and caches (the
+    gelu CDF buffer and batch norm's running statistics are the outputs they
+    write) and gives the same bytes as on writable ones."""
+    def run(freeze):
+        rng = np.random.default_rng(0)
+        calls, inputs = _layer_calls(rng)
+        if freeze:
+            _frozen(inputs)
+        results = []
+        for name, forward, backward in calls:
+            out, cache = forward()
+            dout = np.random.default_rng(1).standard_normal(out.shape).astype(out.dtype)
+            if freeze:
+                _frozen((dout, cache))
+            grads = backward(dout, cache)
+            grads = grads if isinstance(grads, tuple) else (grads,)
+            for g in (out, *grads):
+                results.append((name, g if isinstance(g, np.ndarray) else
+                                np.concatenate([v.ravel() for v in g.values()])))
+        return results
+
+    for (name, got), (_, want) in zip(run(True), run(False), strict=True):
+        assert got.tobytes() == want.tobytes(), name
