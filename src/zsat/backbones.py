@@ -94,10 +94,10 @@ class Backbone(Module):
     ExperimentConfig field holding its settings) and defines
     `embed_batch(x, train=False, rng=None)`, which maps (N, f, t)
     spectrograms of any float dtype to (embeddings (N, m) in `dtype`,
-    cache), and `backward(demb, cache)`, which returns the gradient of every
-    tensor in `params`. Only training differentiates a backbone: an eval
-    `embed_batch` returns `None` in place of its cache, and `backward` takes
-    only a train-mode cache.
+    cache), and `backward(demb, cache)`, which casts `demb` to `dtype` and
+    returns the gradient of every tensor in `params`, in `dtype`. Only
+    training differentiates a backbone: an eval `embed_batch` returns `None`
+    in place of its cache, and `backward` takes only a train-mode cache.
     """
 
     config_key: str
@@ -193,6 +193,7 @@ class TransformerBackbone(Backbone):
 
     def backward(self, demb: np.ndarray, cache) -> dict:
         p, cfg = self.params, self.cfg
+        demb = demb.astype(self.dtype, copy=False)
         patch_cache, blocks, c_lnf, cls_out, yshape = cache
         flat, rows, cols, fp, tp = patch_cache
         grads = {}
@@ -324,6 +325,7 @@ class Cnn14Backbone(ConvBackbone):
 
     def backward(self, demb: np.ndarray, cache) -> dict:
         p = self.params
+        demb = demb.astype(self.dtype, copy=False)
         caches, fshape, oshape, arg_t, feat, fc, fcr = cache
         grads = {}
         dfcr, grads["head_w"], grads["head_b"] = nn.linear_backward(demb, fcr, p["head_w"])
@@ -390,6 +392,7 @@ class VggishBackbone(ConvBackbone):
 
     def backward(self, demb: np.ndarray, cache) -> dict:
         p = self.params
+        demb = demb.astype(self.dtype, copy=False)
         caches, shape, flat, f1, r1, f2, r2, per = cache
         dchunks = np.repeat(demb / per, per, axis=0)
         grads = {}
@@ -460,7 +463,7 @@ def pretrain_backbone(model, head: ClassifierHead, manifest, class_ids: list,
 
         def backward(dlogits):
             demb, dw, db = nn.linear_backward(dlogits, emb, head_w)
-            grads = model.backward(demb.astype(emb.dtype), cache)
+            grads = model.backward(demb, cache)
             return {**{f"bb.{k}": v for k, v in grads.items()},
                     "head.weight": dw, "head.bias": db}
         return nn.linear(emb, head_w, head_b), targets, backward

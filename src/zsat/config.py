@@ -15,6 +15,14 @@ from .errors import ConfigError
 from .protocol import SyntheticSpec
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _typed(value) -> str:
+    return f"{type(value).__name__} {value!r}"
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     preset: str
@@ -41,9 +49,20 @@ class ExperimentConfig:
                 and all(isinstance(s, int) for s in self.seeds)):
             raise ConfigError(f"seeds must be a non-empty list of integers: {self.seeds!r}")
         check_dropout_rate(self.projection_dropout, "projection_dropout")
-        if not isinstance(self.fold_k, int) or isinstance(self.fold_k, bool):
-            raise ConfigError(f"fold_k must be an integer, not "
-                              f"{type(self.fold_k).__name__} {self.fold_k!r}")
+        if not _is_int(self.fold_k):
+            raise ConfigError(f"fold_k must be an integer, not {_typed(self.fold_k)}")
+        if not (_is_int(self.projection_hidden) and self.projection_hidden > 0):
+            raise ConfigError(f"projection_hidden must be a positive integer, not "
+                              f"{_typed(self.projection_hidden)}")
+        fraction = self.projection_val_fraction
+        if not (isinstance(fraction, (int, float)) and not isinstance(fraction, bool)
+                and 0 < fraction < 1):
+            raise ConfigError(f"projection_val_fraction must be a number in (0, 1), "
+                              f"not {_typed(fraction)}")
+        if not (isinstance(self.pinned_labels, tuple)
+                and all(isinstance(s, str) for s in self.pinned_labels)):
+            raise ConfigError(f"pinned_labels must be a list of strings, not "
+                              f"{_typed(self.pinned_labels)}")
         if self.backbone == "vggish" and self.conv.vggish_mels != self.mel.n_mels:
             raise ConfigError(f"vggish_mels {self.conv.vggish_mels} must equal the "
                               f"frontend's n_mels {self.mel.n_mels}")

@@ -218,24 +218,38 @@ def conv2d(x, w, b):
     for k, view in enumerate(_windows(xp, (kh, kw), 1, h, wd)):
         cols[:, :, k] = view
     cols = cols.reshape(n, c * kh * kw, h * wd)
-    out = np.matmul(w.reshape(cout, -1), cols) + b[None, :, None]
+    out = np.matmul(w.reshape(cout, -1), cols)
+    out += b[None, :, None]
     return out.reshape(n, cout, h, wd), (x, cols, w)
+
+
+def _shift(size, d):
+    """(to, from): the slices that add a plane shifted by d along an axis of
+    `size` into an unshifted one, dropping what falls off either edge."""
+    keep = max(size - abs(d), 0)
+    return slice(max(d, 0), max(d, 0) + keep), slice(max(-d, 0), max(-d, 0) + keep)
 
 
 def conv2d_backward(dout, cache):
     x, cols, w = cache
     n, c, h, wd = x.shape
     cout, cin, kh, kw = w.shape
-    ph, pw = kh // 2, kw // 2
     dflat = dout.reshape(n, cout, -1)
-    dw = np.matmul(dflat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    # cols @ dflat^T has C*kh*kw rows, not Cout, so a small Cout does not
+    # leave BLAS's row tiles half empty. Each entry sums the same h*w
+    # products as dflat @ cols^T; whether in the same order is up to the
+    # BLAS kernels, which pick by CPU
+    dw = np.matmul(cols, dflat.transpose(0, 2, 1)).sum(axis=0).T.reshape(w.shape)
     db = dflat.sum(axis=(0, 2))
     dcols = np.matmul(w.reshape(cout, -1).T, dflat)
     dcols = dcols.reshape(n, c, kh * kw, h, wd)
-    dxp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=dout.dtype)
-    for k, view in enumerate(_windows(dxp, (kh, kw), 1, h, wd)):
-        view += dcols[:, :, k]
-    return dxp[:, :, ph:ph + h, pw:pw + wd], dw, db
+    # col2im into the unpadded gradient: window (i, j) feeds input row
+    # y + i - kh // 2 and column z + j - kw // 2, in the k order of `_windows`
+    dx = np.zeros((n, c, h, wd), dtype=dout.dtype)
+    for k in range(kh * kw):
+        (ty, fy), (tz, fz) = _shift(h, k // kw - kh // 2), _shift(wd, k % kw - kw // 2)
+        dx[:, :, ty, tz] += dcols[:, :, k, fy, fz]
+    return dx, dw, db
 
 
 # ---------------------------------------------------------------------------
@@ -244,33 +258,49 @@ def conv2d_backward(dout, cache):
 
 def batch_norm2d(x, gamma, beta, running_mean, running_var, train: bool,
                  momentum=0.1, eps=1e-5):
-    """Returns (out, cache); the cache is None in eval. Updates running
-    stats in place when training."""
-    if train:
-        mu = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-    else:
+    """Returns (out, cache); the cache is None in eval. Training normalizes
+    by the batch's statistics: it centres x once, for both the variance
+    (squared, summed and divided as `np.var` does) and `xhat`, writes its
+    temporaries in place and updates the running stats in place. Eval reads
+    the running stats and returns new arrays."""
+    if not train:
         mu, var = running_mean, running_var
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat = (x - mu[None, :, None, None]) * inv[None, :, None, None]
+        out = xhat * gamma[None, :, None, None] + beta[None, :, None, None]
+        return out, None
+    mu = x.mean(axis=(0, 2, 3), keepdims=True)
+    xc = x - mu
+    var = np.square(xc).mean(axis=(0, 2, 3))
+    running_mean *= 1.0 - momentum
+    running_mean += momentum * mu.reshape(-1)
+    running_var *= 1.0 - momentum
+    running_var += momentum * var
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu[None, :, None, None]) * inv[None, :, None, None]
-    out = xhat * gamma[None, :, None, None] + beta[None, :, None, None]
-    return out, (xhat, inv, gamma) if train else None
+    xhat = xc
+    xhat *= inv[None, :, None, None]
+    out = xhat * gamma[None, :, None, None]
+    out += beta[None, :, None, None]
+    return out, (xhat, inv, gamma)
 
 
 def batch_norm2d_backward(dout, cache):
     xhat, inv, gamma = cache
     m = dout.shape[0] * dout.shape[2] * dout.shape[3]
-    dgamma = (dout * xhat).sum(axis=(0, 2, 3))
+    t = dout * xhat
+    dgamma = t.sum(axis=(0, 2, 3))
     dbeta = dout.sum(axis=(0, 2, 3))
     dxhat = dout * gamma[None, :, None, None]
-    dx = (inv[None, :, None, None] / m) * (
-        m * dxhat
-        - dxhat.sum(axis=(0, 2, 3))[None, :, None, None]
-        - xhat * (dxhat * xhat).sum(axis=(0, 2, 3))[None, :, None, None])
+    np.multiply(dxhat, xhat, out=t)
+    s2 = t.sum(axis=(0, 2, 3))
+    s1 = dxhat.sum(axis=(0, 2, 3))
+    np.multiply(xhat, s2[None, :, None, None], out=t)
+    # inv / m * (m * dxhat - s1 - xhat * s2), in that order
+    dx = dxhat
+    dx *= m
+    dx -= s1[None, :, None, None]
+    dx -= t
+    dx *= (inv / m)[None, :, None, None]
     return dx, dgamma, dbeta
 
 
@@ -286,7 +316,10 @@ def avg_pool2d(x):
     a, b, c, d = _corners(x)
     # summed in pairs, as np.mean sums a window when the output is wider
     # than one column; a + b + c + d rounds differently
-    return ((a + b) + (c + d)) / 4, x.shape
+    out = a + b
+    out += c + d
+    out /= 4
+    return out, x.shape
 
 
 def avg_pool2d_backward(dout, shape):

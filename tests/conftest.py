@@ -139,6 +139,72 @@ HEAD_LAYERS = {
 }
 
 
+# The conv stack's training-path layers as plain formulas, each result a new
+# array: the references whose bytes the in-place layers of `nn` must match.
+# The weight gradient uses the same GEMM call as `nn.conv2d_backward`; its
+# rounding against the (Cout, C*kh*kw) orientation depends on the BLAS
+# kernels, so it is not pinned here.
+
+
+def reference_conv2d_backward(dout, cache):
+    """col2im through a zero-padded input gradient, cropped at the end."""
+    x, cols, w = cache
+    n, c, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    ph, pw = kh // 2, kw // 2
+    dflat = dout.reshape(n, cout, -1)
+    dw = np.matmul(cols, dflat.transpose(0, 2, 1)).sum(axis=0).T.reshape(w.shape)
+    db = dflat.sum(axis=(0, 2))
+    dcols = np.matmul(w.reshape(cout, -1).T, dflat).reshape(n, c, kh * kw, h, wd)
+    dxp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw), dtype=dout.dtype)
+    for k in range(kh * kw):
+        i, j = divmod(k, kw)
+        dxp[:, :, i:i + h, j:j + wd] += dcols[:, :, k]
+    return dxp[:, :, ph:ph + h, pw:pw + wd], dw, db
+
+
+def reference_batch_norm2d(x, gamma, beta, running_mean, running_var, train: bool,
+                           momentum=0.1, eps=1e-5):
+    if train:
+        mu = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mu
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+    else:
+        mu, var = running_mean, running_var
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu[None, :, None, None]) * inv[None, :, None, None]
+    out = xhat * gamma[None, :, None, None] + beta[None, :, None, None]
+    return out, (xhat, inv, gamma) if train else None
+
+
+def reference_batch_norm2d_backward(dout, cache):
+    xhat, inv, gamma = cache
+    m = dout.shape[0] * dout.shape[2] * dout.shape[3]
+    dxhat = dout * gamma[None, :, None, None]
+    dx = (inv[None, :, None, None] / m) * (
+        m * dxhat
+        - dxhat.sum(axis=(0, 2, 3))[None, :, None, None]
+        - xhat * (dxhat * xhat).sum(axis=(0, 2, 3))[None, :, None, None])
+    return dx, (dout * xhat).sum(axis=(0, 2, 3)), dout.sum(axis=(0, 2, 3))
+
+
+def reference_avg_pool2d(x):
+    h, w = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2
+    a, b, c, d = (x[:, :, i:h:2, j:w:2] for i in (0, 1) for j in (0, 1))
+    return ((a + b) + (c + d)) / 4, x.shape
+
+
+CONV_LAYERS = {
+    "conv2d": stacked_conv2d, "conv2d_backward": reference_conv2d_backward,
+    "batch_norm2d": reference_batch_norm2d,
+    "batch_norm2d_backward": reference_batch_norm2d_backward,
+    "avg_pool2d": reference_avg_pool2d,
+}
+
+
 @pytest.fixture(scope="session")
 def tiny_corpus(tmp_path_factory):
     """A small synthetic corpus shared by tests that just need real data."""

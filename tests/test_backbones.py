@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from conftest import HEAD_LAYERS, fd_gradcheck, stacked_conv2d
+from conftest import CONV_LAYERS, HEAD_LAYERS, fd_gradcheck
 from zsat import backbones, checkpoint, crossmodal, dsp, nn, protocol
 from zsat.backbones import ClassifierHead, ConvConfig, HeadConfig, TransformerConfig
 from zsat.errors import ConfigError, DataError
@@ -181,6 +181,25 @@ def test_eval_forward_keeps_no_cache(kind):
         k: v.shape for k, v in model.params.items()}
 
 
+@pytest.mark.parametrize("kind", sorted(backbones.BACKBONE_KINDS))
+def test_backward_casts_a_wider_demb_to_the_model_dtype(kind):
+    """A float32 backbone given a float64 `demb` returns float32 gradients,
+    with the bytes the same values in float32 give."""
+    model, x = _small_backbones()[kind]
+
+    def grads(dtype):
+        emb, cache = model.embed_batch(np.stack([x, -x]), train=True,
+                                       rng=np.random.default_rng(0))
+        demb = np.random.default_rng(1).standard_normal(emb.shape).astype(np.float32)
+        return model.backward(demb.astype(dtype), cache)
+
+    want, got = grads(np.float32), grads(np.float64)
+    assert got.keys() == want.keys() == model.params.keys()
+    for k in want:
+        assert got[k].dtype == want[k].dtype == np.float32, k
+        assert got[k].tobytes() == want[k].tobytes(), k
+
+
 def _float_arrays(value):
     """Every floating-point array in a layer's output, with tuples, lists
     and dicts walked."""
@@ -286,9 +305,11 @@ def _conv_run_bytes(kind):
 def test_conv_backbone_bytes_match_stacked_columns(kind, monkeypatch):
     """A conv backbone computes the same bytes, forward, backward and in
     its running statistics, as with `nn.conv2d` building its columns by
-    `np.pad` and `np.stack`."""
+    `np.pad` and `np.stack`, and conv backward, batch norm and average
+    pooling written as plain formulas that return new arrays."""
     got = _conv_run_bytes(kind)
-    monkeypatch.setattr(nn, "conv2d", stacked_conv2d)
+    for name, reference in CONV_LAYERS.items():
+        monkeypatch.setattr(nn, name, reference)
     assert got == _conv_run_bytes(kind)
 
 

@@ -146,6 +146,11 @@ def test_zero_epochs_is_a_config_error(tmp_path):
     ({"projection_dropout": "x"}, "bad override for projection_dropout: "),
     ({"fold_k": 1.5}, "fold_k must be an integer, not float 1.5"),
     ({"fold_k": "x"}, "fold_k must be an integer, not str 'x'"),
+    ({"projection_hidden": "x"}, "projection_hidden must be a positive integer, not str"),
+    ({"projection_hidden": 0}, "projection_hidden must be a positive integer, not int 0"),
+    ({"projection_val_fraction": "x"}, "projection_val_fraction must be a number in (0, 1)"),
+    ({"projection_val_fraction": 2.0}, "projection_val_fraction must be a number in (0, 1)"),
+    ({"pinned_labels": 5}, "pinned_labels must be a list of strings, not int 5"),
 ])
 def test_top_level_value_of_a_wrong_type_exits_2(tmp_path, capsys, override, message):
     """A top-level value that `ExperimentConfig`'s checks cannot use is a

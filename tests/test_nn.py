@@ -170,6 +170,47 @@ def test_batch_norm2d_train_gradients_match_finite_differences():
     assert run(train=False)[1] is None
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n, c, cout, h, wd", [
+    (1, 1, 2, 1, 1), (1, 2, 3, 2, 1), (1, 3, 2, 1, 2), (2, 3, 4, 5, 7),
+    (3, 2, 5, 9, 3), (1, 4, 8, 6, 10)])
+def test_conv_stack_layers_match_their_formulas_byte_for_byte(n, c, cout, h, wd, dtype):
+    """Conv backward, batch norm (train, eval and backward, with the running
+    statistics it leaves) and average pooling equal, byte for byte and in
+    dtype, the plain formulas of `conftest.CONV_LAYERS`."""
+    rng = np.random.default_rng(n * 1000 + h * 10 + wd)
+    x = rng.standard_normal((n, c, h, wd)).astype(dtype)
+    w = rng.standard_normal((cout, c, 3, 3)).astype(dtype)
+    b = rng.standard_normal(cout).astype(dtype)
+    out, cache = nn.conv2d(x, w, b)
+    _same_bytes(out, stacked_conv2d(x, w, b)[0], dtype)
+    dout = rng.standard_normal(out.shape).astype(dtype)
+    for got, want in zip(nn.conv2d_backward(dout, cache),
+                         conftest.reference_conv2d_backward(dout, cache), strict=True):
+        _same_bytes(got, want, dtype)
+
+    y = 3.0 * out + 1.0
+    gamma, beta = (rng.standard_normal(cout).astype(dtype) for _ in range(2))
+    stats = [np.zeros(cout, dtype), np.ones(cout, dtype)]
+    want_stats = [s.copy() for s in stats]
+    got, (xhat, inv, g) = nn.batch_norm2d(y, gamma, beta, *stats, True)
+    want, want_cache = conftest.reference_batch_norm2d(y, gamma, beta, *want_stats, True)
+    for got_a, want_a in zip((got, xhat, inv, *stats), (want, *want_cache[:2], *want_stats)):
+        _same_bytes(got_a, want_a, dtype)
+    assert g is gamma
+    for got_a, want_a in zip(nn.batch_norm2d_backward(dout, (xhat, inv, gamma)),
+                             conftest.reference_batch_norm2d_backward(dout, want_cache),
+                             strict=True):
+        _same_bytes(got_a, want_a, dtype)
+    got, none = nn.batch_norm2d(y, gamma, beta, *stats, False)
+    _same_bytes(got, conftest.reference_batch_norm2d(y, gamma, beta, *stats, False)[0], dtype)
+    assert none is None
+
+    got, shape = nn.avg_pool2d(y)
+    _same_bytes(got, conftest.reference_avg_pool2d(y)[0], dtype)
+    assert shape == y.shape
+
+
 # --- the transformer's pointwise layers, against their plain formulas --------
 
 
