@@ -462,7 +462,9 @@ def pretrain_backbone(model, head: ClassifierHead, manifest, class_ids: list,
         emb, cache = model.embed_batch(batch, train=True, rng=rng)
 
         def backward(dlogits):
-            demb, dw, db = nn.linear_backward(dlogits, emb, head_w)
+            # the float64 loss gradient, cast once to the head's dtype
+            demb, dw, db = nn.linear_backward(dlogits.astype(head_w.dtype, copy=False),
+                                              emb, head_w)
             grads = model.backward(demb, cache)
             return {**{f"bb.{k}": v for k, v in grads.items()},
                     "head.weight": dw, "head.bias": db}

@@ -334,9 +334,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _limit_threads(max(1, args.threads))
-
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        _limit_threads(args.threads)
         return _COMMANDS[args.command](args)
     except (ConfigError, DataError, NumericalError) as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)

@@ -51,8 +51,9 @@ def stacked_conv2d(x, w, b):
     return out.reshape(n, cout, h, wd), (x, cols, w)
 
 
-# The transformer's pointwise layers as plain formulas, each result a new
-# array: the references whose bytes the in-place layers of `nn` must match.
+# The transformer's layers as plain formulas, each result a new array and
+# each stacked operand multiplied as a stack: the references whose bytes the
+# layers of `nn` must match.
 # Each takes the same arguments and returns the same cache as the layer it
 # names, so `HEAD_LAYERS` can stand in for them.
 
@@ -71,6 +72,12 @@ def reference_gelu_backward(dout, x, cdf=None):
 
 def reference_linear(x, w, b):
     return x @ w.T + b
+
+
+def reference_linear_backward(dout, x, w):
+    """The input gradient as `dout @ w` on the stack, one GEMM per sample."""
+    flat = dout.reshape(-1, dout.shape[-1])
+    return dout @ w, flat.T @ x.reshape(-1, x.shape[-1]), flat.sum(axis=0)
 
 
 def reference_layer_norm(x, gamma, beta, eps=1e-5):
@@ -133,7 +140,8 @@ def reference_attention_backward(dout, cache):
 
 HEAD_LAYERS = {
     "gelu": reference_gelu, "gelu_backward": reference_gelu_backward,
-    "linear": reference_linear, "layer_norm": reference_layer_norm,
+    "linear": reference_linear, "linear_backward": reference_linear_backward,
+    "layer_norm": reference_layer_norm,
     "softmax": reference_softmax, "softmax_backward": reference_softmax_backward,
     "attention": reference_attention, "attention_backward": reference_attention_backward,
 }

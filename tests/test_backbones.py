@@ -418,6 +418,30 @@ def test_pretrain_clips_of_two_lengths_raise_before_any_step():
     assert all(np.array_equal(before[k], model.params[k]) for k in before)
 
 
+@pytest.mark.parametrize("kind", ["transformer", "cnn14", "vggish"])
+def test_pretrain_hands_adamw_only_model_dtype_gradients(kind, monkeypatch):
+    """Every gradient that pretraining hands AdamW, the head's included, is
+    float32 like the float32 model and head."""
+    shape = (12, 16) if kind == "transformer" else (32, 32)
+    records, specs, class_ids = _toy_pretrain_inputs(shape=shape)
+    rng = np.random.default_rng(0)
+    model = (small_transformer(dtype=np.float32) if kind == "transformer"
+             else small_conv(kind))
+    head = ClassifierHead(HeadConfig(len(class_ids), model.cfg.embed_dim), rng)
+    seen = set()
+    real_adamw = crossmodal.adamw_step
+
+    def recording_adamw(params, grads, state, lr, cfg):
+        seen.update((k, g.dtype) for k, g in grads.items())
+        real_adamw(params, grads, state, lr, cfg)
+    monkeypatch.setattr(crossmodal, "adamw_step", recording_adamw)
+    backbones.pretrain_backbone(model, head, records, class_ids, specs,
+                                _pretrain_cfg(epochs=1), dsp.AugmentConfig(), rng)
+    assert {k for k, _ in seen} == {*(f"bb.{k}" for k in model.params),
+                                    "head.weight", "head.bias"}
+    assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
+
+
 def test_pretrain_empty_class_set_raises():
     records, specs, _ = _toy_pretrain_inputs()
     model = small_transformer()

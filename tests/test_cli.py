@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import os
 import pkgutil
 import re
 from pathlib import Path
@@ -624,6 +625,20 @@ def _assert_exits(argv, code, capsys, case=None):
 def test_exit_code_config_error(tmp_path, capsys):
     _assert_exits(["synth", "--preset", "nope", "--out", str(tmp_path / "x")],
                   2, capsys)
+
+
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_threads_below_1_exits_2(tmp_path, capsys, monkeypatch, threads):
+    """`--threads` below 1 is a configuration error naming the flag, raised
+    before any thread cap is set or any file written."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    capsys.readouterr()
+    assert cli.main(["synth", "--preset", "toy", "--threads", threads,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"configuration error: --threads must be "
+                                       f">= 1, got {threads}\n")
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "7"
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_data_error(tmp_path, cli_env, capsys):

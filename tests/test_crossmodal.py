@@ -207,13 +207,109 @@ def test_adamw_single_step_hand_values():
     assert params["w"][0] == pytest.approx(0.89, abs=1e-12)
 
 
-def test_adamw_rejects_nonfinite_gradient():
-    cfg = TrainConfig(initial_lr=1.0, warmup_epochs=0.5, decay_start_epoch=1,
-                      decay_end_epoch=2, final_lr=1.0)
-    params = {"w": np.ones(2)}
+def _adamw_inputs(dtype, seed=0):
+    """Three parameters of mixed shapes, a bias among them, and a stream of
+    gradients for them whose scales differ by tensor and by step."""
+    rng = np.random.default_rng(seed)
+    shapes = {"w": (4, 3), "b": (4,), "k": (2, 3, 2)}
+    params = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+    grads = [{k: (rng.standard_normal(s) * 10.0 ** rng.integers(-3, 2)).astype(dtype)
+              for k, s in shapes.items()} for _ in range(6)]
+    return params, grads
+
+
+def _plain_adamw(params, grads, lr, cfg):
+    """AdamW as the plain per-tensor formula, each result a new array, with
+    moments in the params' dtype."""
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v2 = {k: np.zeros_like(v) for k, v in params.items()}
+    for t, step in enumerate(grads, start=1):
+        for k, theta in params.items():
+            g = step[k]
+            m[k] = cfg.beta1 * m[k] + (1 - cfg.beta1) * g
+            v2[k] = cfg.beta2 * v2[k] + (1 - cfg.beta2) * g * g
+            mhat = m[k] / (1 - cfg.beta1 ** t)
+            vhat = v2[k] / (1 - cfg.beta2 ** t)
+            params[k] = theta - (lr * cfg.weight_decay * theta
+                                 + lr * mhat / (np.sqrt(vhat) + cfg.epsilon))
+    return m, v2
+
+
+ADAMW_CFG = TrainConfig(weight_decay=0.05)
+
+
+def test_adamw_matches_the_plain_formula_in_float64():
+    """Float64 params keep float64 moments, and every parameter and moment
+    equals the plain per-tensor formula's byte for byte over several steps."""
+    params, grads = _adamw_inputs(np.float64)
+    want = dict(params)
+    want_m, want_v = _plain_adamw(want, grads, 3e-2, ADAMW_CFG)
     state = crossmodal.init_adamw_state(params)
-    with pytest.raises(NumericalError, match="non-finite gradient for parameter 'w'"):
-        crossmodal.adamw_step(params, {"w": np.array([np.nan, 0.0])}, state, 1.0, cfg)
+    for step in grads:
+        crossmodal.adamw_step(params, step, state, 3e-2, ADAMW_CFG)
+    assert state["step"] == len(grads)
+    assert state["m"].dtype == state["v"].dtype == np.float64
+    assert state["m"].tobytes() == np.concatenate([want_m[k].ravel() for k in params]).tobytes()
+    assert state["v"].tobytes() == np.concatenate([want_v[k].ravel() for k in params]).tobytes()
+    for k in params:
+        assert params[k].tobytes() == want[k].tobytes(), k
+
+
+def test_float32_adamw_tracks_the_float64_formula():
+    """Float32 params get float32 moments, and after several steps they agree
+    with float64 AdamW from the same start to float32 tolerance."""
+    params, grads = _adamw_inputs(np.float32)
+    want = {k: v.astype(np.float64) for k, v in params.items()}
+    want_m, want_v = _plain_adamw(
+        want, [{k: g.astype(np.float64) for k, g in s.items()} for s in grads],
+        3e-2, ADAMW_CFG)
+    state = crossmodal.init_adamw_state(params)
+    assert state["m"].dtype == state["v"].dtype == np.float32
+    for step in grads:
+        crossmodal.adamw_step(params, step, state, 3e-2, ADAMW_CFG)
+    for k in params:
+        assert params[k].dtype == np.float32
+        np.testing.assert_allclose(params[k], want[k], rtol=1e-5, atol=1e-6, err_msg=k)
+    np.testing.assert_allclose(state["m"], np.concatenate([want_m[k].ravel() for k in params]),
+                               rtol=1e-5, atol=1e-9)
+    np.testing.assert_allclose(state["v"], np.concatenate([want_v[k].ravel() for k in params]),
+                               rtol=1e-5, atol=1e-12)
+
+
+def _adamw_snapshot(params, state):
+    return ({k: v.tobytes() for k, v in params.items()}, state["step"],
+            state["m"].tobytes(), state["v"].tobytes())
+
+
+def test_adamw_rejects_nonfinite_gradient():
+    """A non-finite gradient, in any tensor, raises naming its parameter
+    and leaves every parameter, both moments and the step count as they were."""
+    params, grads = _adamw_inputs(np.float32)
+    state = crossmodal.init_adamw_state(params)
+    crossmodal.adamw_step(params, grads[0], state, 1e-2, ADAMW_CFG)
+    for name, bad in (("k", np.nan), ("b", np.inf), ("w", -np.inf)):
+        step = dict(grads[1])
+        step[name] = step[name].copy()
+        step[name].flat[-1] = bad
+        before = _adamw_snapshot(params, state)
+        with pytest.raises(NumericalError, match=f"non-finite gradient for parameter '{name}'"):
+            crossmodal.adamw_step(params, step, state, 1e-2, ADAMW_CFG)
+        assert _adamw_snapshot(params, state) == before
+
+
+def test_adamw_rejects_a_gradient_unlike_its_parameter():
+    """A gradient of another dtype or shape than its parameter is an error
+    naming it, so the flat gather never casts or misaligns; nothing moves."""
+    params, grads = _adamw_inputs(np.float32)
+    state = crossmodal.init_adamw_state(params)
+    for name, bad, what in (("b", grads[0]["b"].astype(np.float64), "float64 \\(4,\\)"),
+                            ("w", grads[0]["w"].T.copy(), "float32 \\(3, 4\\)")):
+        before = _adamw_snapshot(params, state)
+        with pytest.raises(ValueError, match=f"gradient for parameter '{name}' is {what}"):
+            crossmodal.adamw_step(params, {**grads[0], name: bad}, state, 1e-2, ADAMW_CFG)
+        assert _adamw_snapshot(params, state) == before
+    with pytest.raises(ValueError, match="one dtype"):
+        crossmodal.init_adamw_state({"a": np.zeros(2, np.float32), "b": np.zeros(2)})
 
 
 # --- the shared training loop ------------------------------------------------------

@@ -238,7 +238,8 @@ layer_shapes = dict(n=st.integers(1, 3), t=st.integers(1, 7), heads=st.integers(
 def test_pointwise_layers_match_their_formulas_byte_for_byte(n, t, heads, dh, scale,
                                                               dtype, seed):
     """GELU (its backward with and without the forward's CDF), softmax, layer
-    norm and linear equal, byte for byte and in dtype, the plain formulas."""
+    norm and linear (forward and backward) equal, byte for byte and in dtype,
+    the plain formulas."""
     rng = np.random.default_rng(seed)
     x = (scale * rng.standard_normal((n, t, heads * dh))).astype(dtype)
     dout = rng.standard_normal(x.shape).astype(dtype)
@@ -270,6 +271,10 @@ def test_pointwise_layers_match_their_formulas_byte_for_byte(n, t, heads, dh, sc
     w = rng.standard_normal((4, x.shape[-1])).astype(dtype)
     b = rng.standard_normal(4).astype(dtype)
     _same_bytes(nn.linear(x, w, b), conftest.reference_linear(x, w, b), dtype)
+    dy = rng.standard_normal((*x.shape[:-1], 4)).astype(dtype)
+    for got, want in zip(nn.linear_backward(dy, x, w),
+                         conftest.reference_linear_backward(dy, x, w)):
+        _same_bytes(got, want, dtype)
 
 
 @settings(max_examples=60, deadline=None)
