@@ -82,29 +82,17 @@ def dropout_backward(dout, mask):
 # Linear
 
 
-def _rows(a, w):
-    """`a` (..., k) as one (rows, k) operand of a product with `w`, so that
-    a stack of samples takes one GEMM where numpy would run one per sample.
-    A stack stays a stack where numpy takes each sample's product as a
-    matrix-vector one (a sample of one row, or an inner or outer size of 1),
-    which rounds differently from a GEMM."""
-    if a.ndim > 2 and min(a.shape[-2], *w.shape) > 1:
-        return a.reshape(-1, a.shape[-1])
-    return a
-
-
 def linear(x, w, b):
     """x: (..., in), w: (out, in), b: (out,)."""
-    y = _rows(x, w) @ w.T
+    y = x @ w.T
     y += b
-    return y.reshape(*x.shape[:-1], w.shape[0])
+    return y
 
 
 def linear_backward(dout, x, w):
-    flat = dout.reshape(-1, dout.shape[-1])
-    dx = (_rows(dout, w) @ w).reshape(*dout.shape[:-1], w.shape[1])
-    dw = flat.T @ x.reshape(-1, x.shape[-1])
-    db = flat.sum(axis=0)
+    dx = dout @ w
+    dw = dout.reshape(-1, dout.shape[-1]).T @ x.reshape(-1, x.shape[-1])
+    db = dout.reshape(-1, dout.shape[-1]).sum(axis=0)
     return dx, dw, db
 
 
