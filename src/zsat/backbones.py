@@ -5,16 +5,14 @@ classification head."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import nn, protocol
 from .checkpoint import Module
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, settings
 
 
-@dataclass(frozen=True)
+@settings
 class TransformerConfig:
     d: int = 768
     n_heads: int = 12
@@ -31,8 +29,8 @@ class TransformerConfig:
     n_time_drop: int = 0
 
     def __post_init__(self):
-        if self.d % self.n_heads != 0:
-            raise ConfigError("d must be divisible by n_heads")
+        if self.n_heads < 1 or self.d % self.n_heads != 0:
+            raise ConfigError("d must be divisible by n_heads >= 1")
         if self.n_freq_drop < 0 or self.n_time_drop < 0:
             raise ConfigError("drop counts must be >= 0")
 
@@ -50,17 +48,16 @@ class TransformerConfig:
         return fp, tp
 
 
-@dataclass(frozen=True)
+@settings
 class ConvConfig:
-    channels: tuple = (64, 128, 256, 512, 1024, 2048)
+    channels: tuple[int, ...] = (64, 128, 256, 512, 1024, 2048)
     fc_units: int = 2048
     embed_dim: int = 768
     vggish_time: int = 96
     vggish_mels: int = 64
 
     def __post_init__(self):
-        if not (isinstance(self.channels, (tuple, list)) and self.channels
-                and all(isinstance(c, int) and c > 0 for c in self.channels)):
+        if not (self.channels and all(c > 0 for c in self.channels)):
             raise ConfigError(f"conv channels must be a non-empty list of positive "
                               f"ints, not {self.channels!r}")
         pooled = 2 ** len(VggishBackbone.POOL_AFTER)
@@ -226,7 +223,9 @@ class TransformerBackbone(Backbone):
         grads["pos_t"] = np.zeros_like(p["pos_t"])
         np.add.at(grads["pos_f"], rows, dpos.sum(axis=1))
         np.add.at(grads["pos_t"], cols, dpos.sum(axis=0))
-        _, grads["proj_w"], grads["proj_b"] = nn.linear_backward(dtok, flat, p["proj_w"])
+        # `nn.linear_backward`'s dw and db; nothing reads the patches' gradient
+        dtok = dtok.reshape(-1, cfg.d)
+        grads["proj_w"], grads["proj_b"] = dtok.T @ flat.reshape(len(dtok), -1), dtok.sum(axis=0)
         return grads
 
 
@@ -412,7 +411,7 @@ BACKBONE_KINDS = {cls.kind: cls for cls in
 # Supervised pretraining
 
 
-@dataclass(frozen=True)
+@settings
 class HeadConfig:
     n_classes: int   # |C_trn|
     m: int           # backbone embedding dim

@@ -151,8 +151,7 @@ class Module:
         _, hp, tensors = load_checkpoint(path, cls.kind)
         # conv checkpoints written while ConvConfig had a `kind` field still
         # carry it; the checkpoint header's kind tag is the one that counts
-        hp = {k: tuple(v) if isinstance(v, list) else v
-              for k, v in hp.items() if k != "kind"}
+        hp.pop("kind", None)
         module = cls.__new__(cls)
         try:
             module.cfg = cls.config_type(**hp)

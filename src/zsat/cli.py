@@ -71,10 +71,7 @@ def _limit_threads(n: int) -> None:
 
 def _resolve(args):
     from .config import load_config_file, resolve_config
-    if args.config:
-        cfg = load_config_file(args.config)
-    else:
-        cfg = resolve_config(args.preset)
+    cfg = load_config_file(args.config) if args.config else resolve_config(args.preset)
     seeds = tuple(args.seed) if args.seed else cfg.seeds
     return cfg, seeds
 
@@ -116,7 +113,7 @@ def cmd_fold_split(args) -> int:
     pinned = [cid for cid, lab in labels.items() if lab in cfg.pinned_labels]
     split = protocol.balance_folds({c: n for c, (_, n) in table.items()},
                                    cfg.fold_k, pinned=pinned)
-    _write_json(args.out, {**split.to_json(),
+    _write_json(args.out, {**vars(split),
                            "pinned_labels": [labels[c] for c in split.pinned]},
                 cfg)
     print(f"wrote {cfg.fold_k}-fold split to {args.out}")

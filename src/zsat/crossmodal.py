@@ -6,17 +6,16 @@ best-validation-mAP checkpoint selection."""
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn, protocol
 from .checkpoint import Module
-from .errors import ConfigError, DataError, DivergenceError, NumericalError
+from .errors import ConfigError, DataError, DivergenceError, NumericalError, settings
 from .evaluation import average_precision, mean_ap
 
 
-@dataclass(frozen=True)
+@settings
 class ProjectionConfig:
     m: int                # audio embedding dim
     n: int                # semantic dim
@@ -132,7 +131,7 @@ def bce_loss_backward(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
 # Optimizer and schedule
 
 
-@dataclass(frozen=True)
+@settings
 class TrainConfig:
     initial_lr: float = 2e-5
     warmup_epochs: float = 5.0
@@ -151,10 +150,9 @@ class TrainConfig:
             raise ConfigError("require 0 < final_lr <= initial_lr")
         if not (self.warmup_epochs <= self.decay_start_epoch < self.decay_end_epoch):
             raise ConfigError("require warmup <= decay_start < decay_end")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
+        for name in ("batch_size", "epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
 
 
 def lr_at(epoch: float, cfg: TrainConfig) -> float:

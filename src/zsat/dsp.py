@@ -5,14 +5,13 @@ from __future__ import annotations
 import functools
 import struct
 import wave
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, settings
 
 
-@dataclass(frozen=True)
+@settings
 class MelConfig:
     sample_rate: int = 32000
     window_len: int = 800
@@ -27,13 +26,12 @@ class MelConfig:
             raise ConfigError("require window_len >= hop_len > 0")
         if not (0 <= self.fmin < self.fmax <= self.sample_rate / 2):
             raise ConfigError("require 0 <= fmin < fmax <= sample_rate/2")
-        if self.n_mels <= 0:
-            raise ConfigError("n_mels must be positive")
-        if self.log_floor <= 0:
-            raise ConfigError("log_floor must be positive")
+        for name in ("n_mels", "log_floor"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
+@settings
 class AugmentConfig:
     mixup_alpha: float = 0.0            # 0 turns mixup off
     n_time_masks: int = 0
@@ -44,14 +42,9 @@ class AugmentConfig:
     gain_range_db: float = 0.0
 
     def __post_init__(self):
-        if self.mixup_alpha < 0:
-            raise ConfigError("mixup_alpha must be >= 0")
-        for name in ("n_time_masks", "n_freq_masks", "max_mask_width",
-                     "max_time_shift", "max_freq_shift"):
-            if getattr(self, name) < 0:
+        for name, value in vars(self).items():
+            if value < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        if self.gain_range_db < 0:
-            raise ConfigError("gain_range_db must be >= 0")
 
 
 def n_frames(n_samples: int, window_len: int, hop_len: int) -> int:

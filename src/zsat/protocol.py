@@ -12,16 +12,16 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, semantics
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, settings
 
 SPLITS = ("train", "val", "test")
 
 
-@dataclass(frozen=True)
+@settings
 class ClipRecord:
     clip_id: str
     path: str
-    tags: tuple
+    tags: tuple[str, ...]
     split: str  # one of SPLITS
 
 
@@ -30,11 +30,6 @@ class FoldSplit:
     folds: list          # list of lists of class ids
     totals: list         # per-fold tag totals
     pinned: list         # class ids excluded from all folds
-
-    def to_json(self) -> dict:
-        return {"folds": [list(f) for f in self.folds],
-                "totals": [int(t) for t in self.totals],
-                "pinned": list(self.pinned)}
 
 
 def load_json(path, shape: type = dict, keys=()):
@@ -52,8 +47,7 @@ def load_json(path, shape: type = dict, keys=()):
 
 def load_manifest(path) -> list:
     """JSON-lines manifest: {"id", "path", "tags": [...], "split"} per line."""
-    records = []
-    seen = {}
+    records, seen = [], {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -61,8 +55,8 @@ def load_manifest(path) -> list:
             try:
                 rec = json.loads(line)
                 r = ClipRecord(clip_id=rec["id"], path=rec["path"],
-                               tags=tuple(rec["tags"]), split=rec["split"])
-            except (ValueError, KeyError, TypeError) as exc:
+                               tags=rec["tags"], split=rec["split"])
+            except (ValueError, KeyError, TypeError, ConfigError) as exc:
                 raise DataError(f"{path}:{lineno}: bad manifest record: {exc!r}") from exc
             if r.split not in SPLITS:
                 raise DataError(f"{path}:{lineno}: split {r.split!r} is not one of {SPLITS}")
@@ -203,7 +197,7 @@ def balanced_sampler(records, class_ids, seed: int):
 # Synthetic corpus generator
 
 
-@dataclass(frozen=True)
+@settings
 class SyntheticSpec:
     n_classes: int = 12
     clips_per_class: int = 20
@@ -216,7 +210,7 @@ class SyntheticSpec:
     semantic_dim: int = 8
     mel: dsp.MelConfig = field(default_factory=lambda: dsp.MelConfig(n_mels=64))
     # held-out (zero-shot) classes; the rest are training classes
-    test_classes: tuple = (2, 5, 8, 11)
+    test_classes: tuple[int, ...] = (2, 5, 8, 11)
 
     def class_id(self, i: int) -> str:
         return f"c{i:02d}"

@@ -68,6 +68,14 @@ def test_patchout_eval_mode_is_identity():
     assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
 
 
+def test_head_count_below_1_is_a_config_error():
+    """No head count below 1 divides `d`: zero heads is a configuration
+    error, not a `ZeroDivisionError`, and a negative count is refused."""
+    for n_heads in (0, -4):
+        with pytest.raises(ConfigError, match="divisible by n_heads"):
+            TransformerConfig(d=8, n_heads=n_heads)
+
+
 def test_patchout_config_validation():
     with pytest.raises(ConfigError, match="drop counts"):
         TransformerConfig(n_freq_drop=-1)
@@ -673,3 +681,24 @@ def test_conv_checkpoint_without_channels_is_a_data_error(tmp_path):
     for channels in ((), (4, 0, 4, 4, 4, 4), (4.0, 4, 4, 4, 4, 4)):
         with pytest.raises(ConfigError, match="channels"):
             ConvConfig(channels=channels)
+
+
+def test_checkpoint_hyperparameter_of_a_wrong_type_is_a_data_error(tmp_path):
+    """A hyperparameter of the wrong type is a data error naming the field,
+    found when the file is loaded, not once the model runs; a list comes
+    back as the tuple that was saved."""
+    tcfg = TransformerConfig(d=8, n_heads=2, n_layers=1, patch_f=4, patch_t=4,
+                             max_f_patches=3, max_t_patches=4, embed_dim=5)
+    model = backbones.TransformerBackbone(tcfg, np.random.default_rng(0))
+    tensors = {**model.params, **model.stats}
+    for field, value in (("n_heads", 4.0), ("patch_f", True), ("n_layers", "1")):
+        path = tmp_path / f"{field}.ckpt"
+        checkpoint.save_checkpoint(path, "transformer",
+                                   {**model.hyperparams(), field: value}, tensors)
+        with pytest.raises(DataError, match=rf"{field} must be an integer, not "
+                                            rf"{type(value).__name__}"):
+            backbones.TransformerBackbone.load(path)
+    ccfg = ConvConfig(channels=(2, 2, 3, 3, 4, 4), fc_units=6, embed_dim=4)
+    conv = backbones.Cnn14Backbone(ccfg, np.random.default_rng(0))
+    conv.save(tmp_path / "cnn.ckpt")
+    assert backbones.Cnn14Backbone.load(tmp_path / "cnn.ckpt").cfg.channels == ccfg.channels

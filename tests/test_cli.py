@@ -144,12 +144,12 @@ def test_zero_epochs_is_a_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("override, message", [
-    ({"projection_dropout": "x"}, "bad override for projection_dropout: "),
+    ({"projection_dropout": "x"}, "projection_dropout must be a number, not str 'x'"),
     ({"fold_k": 1.5}, "fold_k must be an integer, not float 1.5"),
     ({"fold_k": "x"}, "fold_k must be an integer, not str 'x'"),
-    ({"projection_hidden": "x"}, "projection_hidden must be a positive integer, not str"),
+    ({"projection_hidden": "x"}, "projection_hidden must be an integer, not str 'x'"),
     ({"projection_hidden": 0}, "projection_hidden must be a positive integer, not int 0"),
-    ({"projection_val_fraction": "x"}, "projection_val_fraction must be a number in (0, 1)"),
+    ({"projection_val_fraction": "x"}, "projection_val_fraction must be a number, not str 'x'"),
     ({"projection_val_fraction": 2.0}, "projection_val_fraction must be a number in (0, 1)"),
     ({"pinned_labels": 5}, "pinned_labels must be a list of strings, not int 5"),
 ])
@@ -164,6 +164,60 @@ def test_top_level_value_of_a_wrong_type_exits_2(tmp_path, capsys, override, mes
         _assert_exits([*cmd, "--config", str(cfg_path), "--out", str(tmp_path / "out")],
                       2, capsys)
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dotted, value, noun", [
+    ("pretrain.epochs", 2.5, "an integer"),
+    ("pretrain.batch_size", 8.0, "an integer"),
+    ("transformer.n_heads", 4.0, "an integer"),
+    ("mel.n_mels", 64.0, "an integer"),
+    ("transformer.n_freq_drop", True, "an integer"),
+    ("augment.n_time_masks", 1.5, "an integer"),
+    ("synthetic.test_classes", [2, "5"], "a list of integers"),
+    ("conv.channels", [8, 16.0], "a list of integers"),
+    ("synthetic.mel.n_mels", 64.0, "an integer"),
+])
+def test_nested_value_of_a_wrong_type_exits_2(tmp_path, capsys, dotted, value, noun):
+    """A value of the wrong type inside a settings block, at any depth, is a
+    configuration error naming the block and the field, raised before
+    anything is written."""
+    *block, key = dotted.split(".")
+    overrides = {key: value}
+    for name in reversed(block):
+        overrides = {name: overrides}
+    message = (f"bad override for {'.'.join(block)}: {key} must be {noun}, not "
+               f"{type(value).__name__} {value!r}")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        resolve_config("toy", overrides)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"preset": "toy", **overrides}))
+    _assert_exits(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+                  2, capsys)
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_settings_block_checks_its_types():
+    """Code-built settings get the rule that config files get: an int field
+    takes no bool or float, a float field takes an int but no bool, a tuple
+    field takes a list and stores a tuple, and a nested block takes only its
+    own class."""
+    toy = PRESETS["toy"]
+    assert dataclasses.replace(toy.pretrain, warmup_epochs=3).warmup_epochs == 3
+    conv = dataclasses.replace(toy.conv, channels=[8, 16, 32, 32, 64, 64])
+    assert conv.channels == (8, 16, 32, 32, 64, 64)
+    for block, field, value in ((toy.transformer, "d", True), (toy.mel, "hop_len", 320.0),
+                                (toy.pretrain, "initial_lr", False),
+                                (toy.augment, "mixup_alpha", "0.5"),
+                                (toy, "preset", None), (toy, "mel", toy.augment),
+                                (toy.synthetic, "test_classes", (2, 5.0)),
+                                (toy, "pinned_labels", "Speech")):
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            dataclasses.replace(block, **{field: value})
+    for value in (4.0, True):
+        with pytest.raises(ConfigError, match="^n_classes must be an integer"):
+            backbones.HeadConfig(n_classes=value, m=8)
+    with pytest.raises(ConfigError, match="^n must be an integer"):
+        crossmodal.ProjectionConfig(m=8, n=4.0, hidden=4, dropout_rate=0.1)
 
 
 def test_config_file_loading(tmp_path):
@@ -443,6 +497,10 @@ def _exit_code_cases(cli_env, tmp_path):
     short_b1_proj = tmp_path / "short_b1_proj.ckpt"
     checkpoint.save_checkpoint(short_b1_proj, "projection", params.hyperparams(),
                                {**params.params, **params.stats, "b1": np.zeros(3)})
+    float_heads_bb = tmp_path / "float_heads_bb.ckpt"
+    checkpoint.save_checkpoint(float_heads_bb, model.kind,
+                               {**model.hyperparams(), "n_heads": 4.0},
+                               {**model.params, **model.stats})
     no_channels_bb = tmp_path / "no_channels_bb.ckpt"
     checkpoint.save_checkpoint(no_channels_bb, "cnn14", {
         **dataclasses.asdict(cfg_obj.conv), "channels": []}, {})
@@ -489,6 +547,8 @@ def _exit_code_cases(cli_env, tmp_path):
         r for r in recs if r["split"] != "val"])
     bad_split = _corpus_variant(cli_env, tmp_path / "bad_split", lambda recs: [
         {**r, "split": "Test"} if r is recs[-1] else r for r in recs])
+    str_tags = _corpus_variant(cli_env, tmp_path / "str_tags", lambda recs: [
+        {**r, "tags": "".join(r["tags"])} if r is recs[0] else r for r in recs])
     no_labels = _corpus_variant(cli_env, tmp_path / "no_labels", lambda recs: recs)
     (Path(no_labels) / "classes.json").write_text(
         json.dumps({"labels": {}, "train": [], "test": []}))
@@ -504,6 +564,8 @@ def _exit_code_cases(cli_env, tmp_path):
         ("duplicate clip id", [*pretrain, "--config", cfg, "--corpus", dup], 3, True),
         ("empty val split", [*project, "--config", cfg, "--corpus", no_val], 3, False),
         ("unknown split", [*evaluate, "--config", cfg, "--corpus", bad_split], 3, True),
+        ("manifest tags a string", [*pretrain, "--config", cfg, "--corpus", str_tags],
+         3, True),
         ("empty labels map", [*evaluate, "--config", cfg, "--corpus", no_labels],
          3, True),
         ("NaN backbone checkpoint", ["train-projection", "--backbone", str(nan_bb),
@@ -556,6 +618,9 @@ def _exit_code_cases(cli_env, tmp_path):
           "--out", out, "--config", cfg, "--corpus", corpus], 3, True),
         ("backbone block with an unknown field",
          ["evaluate", "--backbone", str(bogus_bb), "--projection", str(proj),
+          "--out", out, "--config", cfg, "--corpus", corpus], 3, True),
+        ("backbone n_heads a float",
+         ["evaluate", "--backbone", str(float_heads_bb), "--projection", str(proj),
           "--out", out, "--config", cfg, "--corpus", corpus], 3, True),
         ("vggish block with 5 channels",
          ["evaluate", "--backbone", str(vggish5_bb), "--projection", str(proj),

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -146,6 +147,25 @@ def test_manifest_rejects_an_unknown_split(tmp_path):
                     json.dumps({"id": "b", "path": "2.wav", "tags": [], "split": "Test"})
                     + "\n")
     with pytest.raises(DataError, match=r"m\.jsonl:2: split 'Test' is not one of"):
+        protocol.load_manifest(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("tags", "c01", "tags must be a list of strings, not str 'c01'"),
+    ("tags", ["c01", 1], "tags must be a list of strings, not list ['c01', 1]"),
+    ("id", 7, "clip_id must be a string, not int 7"),
+    ("split", None, "split must be a string, not NoneType None"),
+])
+def test_manifest_field_of_a_wrong_type_is_a_data_error(tmp_path, field, value, message):
+    """A manifest field of the wrong type is an error naming its line and
+    the field; tags given as one string would otherwise read as its
+    characters, and the clip would carry no class."""
+    good = {"id": "a", "path": "1.wav", "tags": ["c01"], "split": "train"}
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "b", field: value})
+                    + "\n")
+    with pytest.raises(DataError, match=r"m\.jsonl:2: bad manifest record: .*"
+                       + re.escape(message)):
         protocol.load_manifest(path)
 
 
