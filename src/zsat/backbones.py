@@ -154,71 +154,75 @@ class TransformerBackbone(Backbone):
         pos = p["pos_f"][rows][:, None, :] + p["pos_t"][cols][None, :, :]
         tok = tok + pos.reshape(1, r * c, -1)
         cls = np.broadcast_to(p["cls"], (n, 1, self.cfg.d))
-        seq = np.concatenate([cls, tok], axis=1)
-        return seq, (flat, rows, cols, fp, tp)
+        return np.concatenate([cls, tok], axis=1), (flat, rows, cols, fp, tp)
 
     # -- forward / backward -------------------------------------------------
+
+    def _block(self, i: int, h: np.ndarray, rows: slice):
+        """Block i on h (N, T, d) -> (its output rows `rows`, cache). Every
+        token gives keys and values; only `rows` are computed past them.
+        `embed_batch` gives the last block the class token, the one row read."""
+        p = self.params
+        a, c_ln1 = nn.layer_norm(h, p[f"ln1_g{i}"], p[f"ln1_b{i}"])
+        att, c_att = nn.attention(a, *(p[f"{wb}{nm}{i}"] for wb in "wb" for nm in "qkvo"),
+                                  self.cfg.n_heads, rows)
+        h1 = h[:, rows] + att
+        b, c_ln2 = nn.layer_norm(h1, p[f"ln2_g{i}"], p[f"ln2_b{i}"])
+        f1 = nn.linear(b, p[f"ffn_w1_{i}"], p[f"ffn_b1_{i}"])
+        cdf = np.empty_like(f1)
+        f2 = nn.linear(nn.gelu(f1, cdf), p[f"ffn_w2_{i}"], p[f"ffn_b2_{i}"])
+        return h1 + f2, (i, rows, c_ln1, c_att, c_ln2, b, f1, cdf)
+
+    def _block_backward(self, dh: np.ndarray, cache, grads: dict) -> np.ndarray:
+        """The gradient of a block's input from `dh`, that of its output
+        rows; adds the block's parameter gradients to `grads`."""
+        i, rows, c_ln1, c_att, c_ln2, b, f1, cdf = cache
+        # f1 * cdf is the forward's GELU output, byte for byte
+        dg, grads[f"ffn_w2_{i}"], grads[f"ffn_b2_{i}"] = nn.linear_backward(
+            dh, f1 * cdf, self.params[f"ffn_w2_{i}"])
+        df1 = nn.gelu_backward(dg, f1, cdf)
+        db, grads[f"ffn_w1_{i}"], grads[f"ffn_b1_{i}"] = nn.linear_backward(
+            df1, b, self.params[f"ffn_w1_{i}"])
+        dh1, grads[f"ln2_g{i}"], grads[f"ln2_b{i}"] = nn.layer_norm_backward(db, c_ln2)
+        dh1 += dh
+        da, att_grads = nn.attention_backward(dh1, c_att)
+        grads.update({f"{nm}{i}": g for nm, g in att_grads.items()})
+        dskip, grads[f"ln1_g{i}"], grads[f"ln1_b{i}"] = nn.layer_norm_backward(da, c_ln1)
+        dskip[:, rows] += dh1
+        return dskip
 
     def embed_batch(self, x: np.ndarray, train: bool = False,
                     rng: np.random.Generator | None = None):
         """x: (N, f, t) -> (embeddings (N, m), cache for backward).
         `train` turns patchout on; `rng` draws the dropped rows and columns."""
-        p, cfg = self.params, self.cfg
+        p, n_layers = self.params, self.cfg.n_layers
         x = x.astype(self.dtype, copy=False)
-        seq, patch_cache = self._token_sequence(x, train, rng)
-        h = seq
+        h, patch_cache = self._token_sequence(x, train, rng)
         blocks = []
-        for i in range(cfg.n_layers):
-            a, c_ln1 = nn.layer_norm(h, p[f"ln1_g{i}"], p[f"ln1_b{i}"])
-            att, c_att = nn.attention(a, p[f"wq{i}"], p[f"wk{i}"], p[f"wv{i}"],
-                                      p[f"wo{i}"], p[f"bq{i}"], p[f"bk{i}"],
-                                      p[f"bv{i}"], p[f"bo{i}"], cfg.n_heads)
-            h1 = h + att
-            b, c_ln2 = nn.layer_norm(h1, p[f"ln2_g{i}"], p[f"ln2_b{i}"])
-            f1 = nn.linear(b, p[f"ffn_w1_{i}"], p[f"ffn_b1_{i}"])
-            cdf = np.empty_like(f1)
-            f2 = nn.linear(nn.gelu(f1, cdf), p[f"ffn_w2_{i}"], p[f"ffn_b2_{i}"])
-            h = h1 + f2
+        for i in range(n_layers):
+            h, block = self._block(i, h, slice(0, 1) if i == n_layers - 1 else slice(None))
             if train:
-                blocks.append((c_ln1, c_att, c_ln2, b, f1, cdf))
+                blocks.append(block)
         y, c_lnf = nn.layer_norm(h, p["lnf_g"], p["lnf_b"])
         cls_out = y[:, 0, :]
         emb = nn.linear(cls_out, p["head_w"], p["head_b"])
-        if not train:
-            return emb, None
-        return emb, (patch_cache, blocks, c_lnf, cls_out, y.shape)
+        return emb, (patch_cache, blocks, c_lnf, cls_out) if train else None
 
     def backward(self, demb: np.ndarray, cache) -> dict:
         p, cfg = self.params, self.cfg
         demb = demb.astype(self.dtype, copy=False)
-        patch_cache, blocks, c_lnf, cls_out, yshape = cache
+        patch_cache, blocks, c_lnf, cls_out = cache
         flat, rows, cols, fp, tp = patch_cache
         grads = {}
         dcls_out, grads["head_w"], grads["head_b"] = nn.linear_backward(
             demb, cls_out, p["head_w"])
-        dy = np.zeros(yshape, dtype=demb.dtype)
-        dy[:, 0, :] = dcls_out
-        dh, grads["lnf_g"], grads["lnf_b"] = nn.layer_norm_backward(dy, c_lnf)
-        for i in reversed(range(cfg.n_layers)):
-            c_ln1, c_att, c_ln2, b, f1, cdf = blocks[i]
-            # f1 * cdf is the forward's GELU output, byte for byte
-            dg, grads[f"ffn_w2_{i}"], grads[f"ffn_b2_{i}"] = nn.linear_backward(
-                dh, f1 * cdf, p[f"ffn_w2_{i}"])
-            df1 = nn.gelu_backward(dg, f1, cdf)
-            db, grads[f"ffn_w1_{i}"], grads[f"ffn_b1_{i}"] = nn.linear_backward(
-                df1, b, p[f"ffn_w1_{i}"])
-            dh1, grads[f"ln2_g{i}"], grads[f"ln2_b{i}"] = nn.layer_norm_backward(db, c_ln2)
-            dh1 = dh1 + dh
-            datt = dh1
-            da, att_grads = nn.attention_backward(datt, c_att)
-            for nm, gval in att_grads.items():
-                grads[f"{nm}{i}"] = gval
-            dskip, grads[f"ln1_g{i}"], grads[f"ln1_b{i}"] = nn.layer_norm_backward(da, c_ln1)
-            dh = dh1 + dskip
+        dh, grads["lnf_g"], grads["lnf_b"] = nn.layer_norm_backward(
+            dcls_out[:, None, :], c_lnf)
+        for block in reversed(blocks):
+            dh = self._block_backward(dh, block, grads)
         grads["cls"] = dh[:, 0, :].sum(axis=0)
         dtok = dh[:, 1:, :]
-        r, c = rows.size, cols.size
-        dpos = dtok.sum(axis=0).reshape(r, c, cfg.d)
+        dpos = dtok.sum(axis=0).reshape(rows.size, cols.size, cfg.d)
         grads["pos_f"] = np.zeros_like(p["pos_f"])
         grads["pos_t"] = np.zeros_like(p["pos_t"])
         np.add.at(grads["pos_f"], rows, dpos.sum(axis=1))

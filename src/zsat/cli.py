@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -120,18 +121,25 @@ def cmd_fold_split(args) -> int:
     return 0
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def _select_train_ids(args, corpus):
     """C_trn from the corpus metadata, a held-out fold, or an exclusion list."""
     from . import protocol
     train_ids = list(corpus.train_ids)
     if args.folds:
         split = protocol.load_json(args.folds, dict, ("folds",))
-        folds = split["folds"]
+        folds, pinned = split["folds"], split.get("pinned", [])
+        if not (_strings(pinned) and isinstance(folds, list) and all(map(_strings, folds))):
+            raise DataError(f"{args.folds}: 'folds' must be a list of lists of class "
+                            f"ids and 'pinned' a list of class ids")
         if not 0 <= args.fold_id < len(folds):
             raise DataError(f"fold id {args.fold_id} out of range "
                             f"(have {len(folds)} folds)")
         held_out = set(folds[args.fold_id])
-        all_ids = [c for f in folds for c in f] + list(split.get("pinned", []))
+        all_ids = [c for f in folds for c in f] + pinned
         unknown = sorted(set(all_ids) - set(corpus.labels))
         if unknown:
             raise DataError(f"{args.folds}: classes {unknown} are not in the corpus")
@@ -163,6 +171,12 @@ def _read_resume(out: Path, cfg, train_ids: list):
     prev = protocol.load_json(info_path, dict, ("epochs_done", "loss_history",
                                                 "train_classes", "backbone_sha256",
                                                 "head_sha256"))
+    done, history = prev["epochs_done"], prev["loss_history"]
+    if not (type(done) is int and done >= 0 and isinstance(history, list)
+            and len(history) == done
+            and all(type(v) in (int, float) and math.isfinite(v) for v in history)):
+        raise DataError(f"--resume: {info_path} must record 'epochs_done' as an int "
+                        f">= 0 and 'loss_history' as a list of that many finite numbers")
     if prev["train_classes"] != train_ids:
         raise DataError(f"--resume: {info_path} trained on classes "
                         f"{prev['train_classes']}, this run selects {train_ids}")
@@ -177,7 +191,7 @@ def _read_resume(out: Path, cfg, train_ids: list):
         raise DataError(f"--resume: head {head_path} maps {head.cfg.m} dims to "
                         f"{head.cfg.n_classes} classes; this run needs "
                         f"{want.m} to {want.n_classes}")
-    return model, head, prev["epochs_done"], prev["loss_history"]
+    return model, head, done, history
 
 
 def _check_patch_grids(cfg, corpus) -> None:

@@ -141,51 +141,49 @@ def softmax_backward(dout, s, axis=-1):
     return d
 
 
-def attention(x, wq, wk, wv, wo, bq, bk, bv, bo, n_heads: int):
-    """Multi-head self-attention over (N, T, d); returns (out, cache)."""
-    n, t, d = x.shape
-    dh = d // n_heads
+def _split_heads(z, n_heads: int):
+    """(N, T, d) -> (N, h, T, d / h)."""
+    n, t, d = z.shape
+    return z.reshape(n, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
-    def split(z):  # (N, T, d) -> (N, h, T, dh)
-        return z.reshape(n, t, n_heads, dh).transpose(0, 2, 1, 3)
 
-    q, k, v = linear(x, wq, bq), linear(x, wk, bk), linear(x, wv, bv)
-    qh, kh, vh = split(q), split(k), split(v)
-    scale = 1.0 / math.sqrt(dh)
+def _merge_heads(z):
+    """(N, h, T, dh) -> (N, T, h * dh), the inverse of `_split_heads`."""
+    n, h, t, dh = z.shape
+    return z.transpose(0, 2, 1, 3).reshape(n, t, h * dh)
+
+
+def attention(x, wq, wk, wv, wo, bq, bk, bv, bo, n_heads: int, rows=slice(None)):
+    """Multi-head self-attention over (N, T, d) -> (out (N, len(rows), d),
+    cache): only the query rows `rows` attend, to the keys of every row."""
+    q, k, v = linear(x[:, rows], wq, bq), linear(x, wk, bk), linear(x, wv, bv)
+    qh, kh, vh = (_split_heads(z, n_heads) for z in (q, k, v))
+    scale = 1.0 / math.sqrt(qh.shape[-1])
     scores = qh @ kh.transpose(0, 1, 3, 2)
     scores *= scale
     attn = softmax(scores)
-    ctx = attn @ vh  # (N, h, T, dh)
-    merged = ctx.transpose(0, 2, 1, 3).reshape(n, t, d)
+    merged = _merge_heads(attn @ vh)
     out = linear(merged, wo, bo)
-    cache = (x, qh, kh, vh, attn, merged, wq, wk, wv, wo, n_heads, scale)
+    cache = (x, qh, kh, vh, attn, merged, wq, wk, wv, wo, n_heads, scale, rows)
     return out, cache
 
 
 def attention_backward(dout, cache):
-    x, qh, kh, vh, attn, merged, wq, wk, wv, wo, n_heads, scale = cache
-    n, t, d = x.shape
-    dh = d // n_heads
-
-    def split(z):
-        return z.reshape(n, t, n_heads, dh).transpose(0, 2, 1, 3)
-
-    def merge(z):
-        return z.transpose(0, 2, 1, 3).reshape(n, t, d)
-
+    x, qh, kh, vh, attn, merged, wq, wk, wv, wo, n_heads, scale, rows = cache
     dmerged, dwo, dbo = linear_backward(dout, merged, wo)
-    dctx = split(dmerged)
+    dctx = _split_heads(dmerged, n_heads)
     dattn = dctx @ vh.transpose(0, 1, 3, 2)
     dvh = attn.transpose(0, 1, 3, 2) @ dctx
     dscores = softmax_backward(dattn, attn)
     dscores *= scale
     dqh = dscores @ kh
     dkh = dscores.transpose(0, 1, 3, 2) @ qh
-    dxq, dwq, dbq = linear_backward(merge(dqh), x, wq)
-    dxk, dwk, dbk = linear_backward(merge(dkh), x, wk)
-    dxv, dwv, dbv = linear_backward(merge(dvh), x, wv)
-    dx = dxq
-    dx += dxk
+    dxq, dwq, dbq = linear_backward(_merge_heads(dqh), x[:, rows], wq)
+    dxk, dwk, dbk = linear_backward(_merge_heads(dkh), x, wk)
+    dxv, dwv, dbv = linear_backward(_merge_heads(dvh), x, wv)
+    # (dxk + dxq) + dxv: with every row, the bytes of (dxq + dxk) + dxv
+    dx = dxk
+    dx[:, rows] += dxq
     dx += dxv
     grads = {"wq": dwq, "bq": dbq, "wk": dwk, "bk": dbk,
              "wv": dwv, "bv": dbv, "wo": dwo, "bo": dbo}

@@ -99,40 +99,46 @@ def reference_softmax_backward(dout, s, axis=-1):
     return s * (dout - (dout * s).sum(axis=axis, keepdims=True))
 
 
-def reference_attention(x, wq, wk, wv, wo, bq, bk, bv, bo, n_heads: int):
+def reference_attention(x, wq, wk, wv, wo, bq, bk, bv, bo, n_heads: int,
+                        rows=slice(None)):
     n, t, d = x.shape
     dh = d // n_heads
 
     def split(z):
-        return z.reshape(n, t, n_heads, dh).transpose(0, 2, 1, 3)
+        return z.reshape(n, -1, n_heads, dh).transpose(0, 2, 1, 3)
 
-    q, k, v = (reference_linear(x, w, b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    q, k, v = (reference_linear(z, w, b) for z, w, b in
+               ((x[:, rows], wq, bq), (x, wk, bk), (x, wv, bv)))
     qh, kh, vh = split(q), split(k), split(v)
     scale = 1.0 / math.sqrt(dh)
     attn = reference_softmax((qh @ kh.transpose(0, 1, 3, 2)) * scale)
-    merged = (attn @ vh).transpose(0, 2, 1, 3).reshape(n, t, d)
+    merged = (attn @ vh).transpose(0, 2, 1, 3).reshape(n, -1, d)
     out = reference_linear(merged, wo, bo)
-    return out, (x, qh, kh, vh, attn, merged, wq, wk, wv, wo, n_heads, scale)
+    return out, (x, qh, kh, vh, attn, merged, wq, wk, wv, wo, n_heads, scale, rows)
 
 
 def reference_attention_backward(dout, cache):
-    x, qh, kh, vh, attn, merged, wq, wk, wv, wo, n_heads, scale = cache
+    """The query rows' input gradient is scattered into zeros of x's shape,
+    then summed as (dxq + dxk) + dxv."""
+    x, qh, kh, vh, attn, merged, wq, wk, wv, wo, n_heads, scale, rows = cache
     n, t, d = x.shape
 
     def split(z):
-        return z.reshape(n, t, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+        return z.reshape(n, -1, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
     def merge(z):
-        return z.transpose(0, 2, 1, 3).reshape(n, t, d)
+        return z.transpose(0, 2, 1, 3).reshape(n, -1, d)
 
     dmerged, dwo, dbo = nn.linear_backward(dout, merged, wo)
     dctx = split(dmerged)
     dattn = dctx @ vh.transpose(0, 1, 3, 2)
     dvh = attn.transpose(0, 1, 3, 2) @ dctx
     dscores = reference_softmax_backward(dattn, attn) * scale
-    dxq, dwq, dbq = nn.linear_backward(merge(dscores @ kh), x, wq)
+    dxq_rows, dwq, dbq = nn.linear_backward(merge(dscores @ kh), x[:, rows], wq)
     dxk, dwk, dbk = nn.linear_backward(merge(dscores.transpose(0, 1, 3, 2) @ qh), x, wk)
     dxv, dwv, dbv = nn.linear_backward(merge(dvh), x, wv)
+    dxq = np.zeros_like(x)
+    dxq[:, rows] = dxq_rows
     grads = {"wq": dwq, "bq": dbq, "wk": dwk, "bk": dbk,
              "wv": dwv, "bv": dbv, "wo": dwo, "bo": dbo}
     return dxq + dxk + dxv, grads

@@ -11,8 +11,9 @@ from zsat.backbones import ClassifierHead, ConvConfig, HeadConfig, TransformerCo
 from zsat.errors import ConfigError, DataError
 
 
-def small_transformer(dtype=np.float64, seed=0, n_freq_drop=0, n_time_drop=0):
-    cfg = TransformerConfig(d=8, n_heads=2, n_layers=1, patch_f=4, patch_t=4,
+def small_transformer(dtype=np.float64, seed=0, n_freq_drop=0, n_time_drop=0,
+                      n_layers=1):
+    cfg = TransformerConfig(d=8, n_heads=2, n_layers=n_layers, patch_f=4, patch_t=4,
                             max_f_patches=3, max_t_patches=4, embed_dim=5,
                             n_freq_drop=n_freq_drop, n_time_drop=n_time_drop)
     return backbones.TransformerBackbone(cfg, np.random.default_rng(seed),
@@ -117,6 +118,26 @@ def test_embed_matches_per_clip_embed_batch_for_every_kind():
         for row, s in zip(emb, specs):
             one, _ = model.embed_batch(s[None])
             assert np.array_equal(row, one[0])
+
+
+def test_transformer_last_block_attends_from_the_class_token_only(monkeypatch):
+    """The embedding reads only the class token, so in training and in eval
+    the last block's attention returns one row per clip and every earlier
+    block's one row per token."""
+    shapes = []
+
+    def recorded(*args):
+        out = attention(*args)
+        shapes.append(out[0].shape)
+        return out
+    attention = nn.attention
+    monkeypatch.setattr(nn, "attention", recorded)
+    model = small_transformer(n_layers=3, n_freq_drop=1, n_time_drop=1)
+    x = np.random.default_rng(0).standard_normal((2, 12, 16))
+    model.embed_batch(x)
+    model.embed_batch(x, train=True, rng=np.random.default_rng(0))
+    # 1 + 3 x 4 tokens in eval, 1 + 2 x 3 after patchout
+    assert shapes == [(2, 13, 8), (2, 13, 8), (2, 1, 8), (2, 7, 8), (2, 7, 8), (2, 1, 8)]
 
 
 def test_transformer_patchout_reduces_sequence_but_keeps_dim():
@@ -268,7 +289,8 @@ def _loss_setup(model, x, w):
 
 
 def test_transformer_gradients_match_finite_differences():
-    model = small_transformer(dtype=np.float64)
+    """Two layers, so an all-token block feeds the class-token-only last one."""
+    model = small_transformer(dtype=np.float64, n_layers=2)
     rng = np.random.default_rng(4)
     x = rng.standard_normal((2, 12, 16))
     w = rng.standard_normal(5)
@@ -324,8 +346,9 @@ def test_conv_backbone_bytes_match_stacked_columns(kind, monkeypatch):
 def _transformer_run_bytes():
     """The bytes of a toy float32 transformer's eval embedding, and of one
     train-mode `embed_batch` (patchout on) and `backward` with every
-    gradient."""
-    model = small_transformer(dtype=np.float32, n_freq_drop=1, n_time_drop=1)
+    gradient. Two layers, so an all-token block feeds the class-token-only
+    last one."""
+    model = small_transformer(dtype=np.float32, n_freq_drop=1, n_time_drop=1, n_layers=2)
     rng = np.random.default_rng(3)
     x = rng.standard_normal((3, 12, 16))
     out = {"eval": model.embed_batch(x)[0]}

@@ -515,17 +515,17 @@ def _exit_code_cases(cli_env, tmp_path):
         (tmp_path / name).write_text(text)
         return str(tmp_path / name)
 
-    def resumable(name, head_tensors, hashed=True):
+    def resumable(name, head_tensors, hashed=True, **fields):
         """A backbone checkpoint at `name` with a one-epoch info file and a
         head holding `head_tensors` under the block its weight implies,
         ready for `pretrain --resume`. The info file records the two files'
-        sha256 unless `hashed` is false."""
+        sha256 unless `hashed` is false; `fields` replace its entries."""
         out = tmp_path / name
         out.write_bytes(bb.read_bytes())
         n_classes, m = head_tensors["weight"].shape
         checkpoint.save_checkpoint(f"{out}.head", "head",
                                    {"n_classes": n_classes, "m": m}, head_tensors)
-        info = {"epochs_done": 1, "loss_history": [0.7], "train_classes": train}
+        info = {"epochs_done": 1, "loss_history": [0.7], "train_classes": train, **fields}
         if hashed:
             for key, path in (("backbone", out), ("head", Path(f"{out}.head"))):
                 info[f"{key}_sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -558,6 +558,8 @@ def _exit_code_cases(cli_env, tmp_path):
     evaluate = ["evaluate", "--backbone", str(bb), "--projection", str(proj),
                 "--out", out]
     fold_split = ["fold-split", "--config", cfg, "--out", out, "--counts"]
+    resume = ["pretrain", "--config", cfg, "--corpus", corpus, "--resume", "--out"]
+    held_out = [*pretrain, "--config", cfg, "--corpus", corpus, "--fold-id", "1", "--folds"]
     # seed 0's inputs are good and seed 1's are bad
     two_seeds = ["--seed", "0", "--seed", "1", "--config", cfg, "--corpus", corpus]
     return [
@@ -646,6 +648,28 @@ def _exit_code_cases(cli_env, tmp_path):
         ("resume info file without the files' sha256",
          ["pretrain", "--config", cfg, "--corpus", corpus, "--resume",
           "--out", resumable("unhashed.ckpt", head, hashed=False)], 3, True),
+        ("resume epochs_done a string",
+         [*resume, resumable("str_done.ckpt", head, epochs_done="1")], 3, True),
+        ("resume epochs_done a bool",
+         [*resume, resumable("bool_done.ckpt", head, epochs_done=True)], 3, True),
+        ("resume epochs_done negative",
+         [*resume, resumable("neg_done.ckpt", head, epochs_done=-1, loss_history=[])],
+         3, True),
+        ("resume loss history shorter than its epochs",
+         [*resume, resumable("short_history.ckpt", head, loss_history=[])], 3, True),
+        ("resume loss history not finite",
+         [*resume, resumable("nan_history.ckpt", head, loss_history=[float("nan")])],
+         3, True),
+        ("resume loss history a string",
+         [*resume, resumable("str_history.ckpt", head, loss_history="0.7")], 3, True),
+        ("fold file folds an int",
+         [*held_out, write("int_folds.json", json.dumps({"folds": 5}))], 3, True),
+        ("fold file with a nested fold",
+         [*held_out, write("nested_folds.json", json.dumps(
+             {"folds": [[train[0]], [[train[1]]]]}))], 3, True),
+        ("fold file pinned an int",
+         [*held_out, write("int_pinned.json", json.dumps(
+             {"folds": [[train[0]], [train[1]]], "pinned": 5}))], 3, True),
         ("seed 1 backbone missing",
          ["train-projection", *two_seeds, "--backbone", per_seed("lone_bb", bb),
           "--out", str(tmp_path / "trained{seed}.ckpt")], 3, True),

@@ -278,15 +278,22 @@ def test_pointwise_layers_match_their_formulas_byte_for_byte(n, t, heads, dh, sc
 
 
 @settings(max_examples=60, deadline=None)
-@given(**layer_shapes)
-def test_attention_matches_its_formula_byte_for_byte(n, t, heads, dh, scale, dtype, seed):
+@given(**layer_shapes, data=st.data())
+def test_attention_matches_its_formula_byte_for_byte(n, t, heads, dh, scale, dtype, seed,
+                                                     data):
     """The output, every cached array and every gradient of attention equal,
-    byte for byte and in dtype, those of the plain formulas."""
+    byte for byte and in dtype, those of the plain formulas, for every query
+    row (the default) or a slice of them."""
     rng = np.random.default_rng(seed)
     x, args = _attention_inputs(rng, n, t, heads, dh, dtype)
     x *= dtype(scale)
-    out, cache = nn.attention(x, *args)
-    want_out, want_cache = conftest.reference_attention(x, *args)
+    start = data.draw(st.integers(0, t - 1))
+    rows = data.draw(st.sampled_from([slice(None), slice(start, data.draw(
+        st.integers(start + 1, t)))]))
+    query = (rows,) if rows != slice(None) else ()
+    out, cache = nn.attention(x, *args, *query)
+    want_out, want_cache = conftest.reference_attention(x, *args, rows)
+    assert out.shape == x[:, rows].shape
     _same_bytes(out, want_out, dtype)
     for got, want in zip(cache, want_cache):
         if isinstance(want, np.ndarray):
@@ -300,6 +307,32 @@ def test_attention_matches_its_formula_byte_for_byte(n, t, heads, dh, scale, dty
     assert grads.keys() == want_grads.keys()
     for name in grads:
         _same_bytes(grads[name], want_grads[name], dtype)
+
+
+@pytest.mark.parametrize("rows", [slice(0, 1), slice(2, 5), slice(4, 7)])
+def test_sliced_attention_is_full_attention_on_its_rows(rows):
+    """In float64, attention over the query rows `rows` gives full
+    attention's output on those rows, and, from a gradient that is zero on
+    every other row, full attention's gradients. The key bias is left out:
+    softmax ignores a shift shared by every key, so its gradient is zero
+    up to rounding either way."""
+    rng = np.random.default_rng(2)
+    x, args = _attention_inputs(rng, 3, 7, 2, 4, np.float64)
+    full, full_cache = nn.attention(x, *args)
+    out, cache = nn.attention(x, *args, rows)
+    assert out.shape == (3, rows.stop - rows.start, 8)
+    np.testing.assert_allclose(out, full[:, rows], rtol=0, atol=1e-12)
+    dout = rng.standard_normal(out.shape)
+    dfull = np.zeros_like(full)
+    dfull[:, rows] = dout
+    dx, grads = nn.attention_backward(dout, cache)
+    want_dx, want = nn.attention_backward(dfull, full_cache)
+    np.testing.assert_allclose(dx, want_dx, rtol=1e-12, atol=1e-12)
+    assert grads.keys() == want.keys()
+    for name in grads.keys() - {"bk"}:
+        np.testing.assert_allclose(grads[name], want[name], rtol=1e-12, atol=1e-12,
+                                   err_msg=name)
+    assert np.abs(grads["bk"]).max() < 1e-12 and np.abs(want["bk"]).max() < 1e-12
 
 
 def test_gelu_and_softmax_gradients_match_finite_differences():
