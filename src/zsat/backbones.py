@@ -256,15 +256,22 @@ class ConvBackbone(Backbone):
     def _stack_forward(self, h: np.ndarray, train: bool):
         """h: (N, 1, f, t) -> (feature map, per-layer caches). `train`
         normalizes batch norm by batch statistics and keeps the caches
-        `_stack_backward` reads."""
+        `_stack_backward` reads. Eval batch norm is a fixed affine map: each
+        layer folds it into its conv weight and bias for this call alone,
+        so eval runs conv and ReLU, in place on the conv output, and keeps
+        one folded weight at a time."""
         p, st = self.params, self.stats
         caches = []
         for sfx, _, pool in self.layers():
-            h, c_conv = nn.conv2d(h, p[f"conv_w{sfx}"], p[f"conv_b{sfx}"])
-            h, c_bn = nn.batch_norm2d(h, p[f"bn_g{sfx}"], p[f"bn_b{sfx}"],
-                                      st[f"bn_mean{sfx}"], st[f"bn_var{sfx}"], train)
-            pre = h
-            h = nn.relu(h)
+            w, b = p[f"conv_w{sfx}"], p[f"conv_b{sfx}"]
+            bn = (p[f"bn_g{sfx}"], p[f"bn_b{sfx}"], st[f"bn_mean{sfx}"], st[f"bn_var{sfx}"])
+            if train:
+                h, c_conv = nn.conv2d(h, w, b)
+                pre, c_bn = nn.batch_norm2d(h, *bn, True)
+                h = nn.relu(pre)
+            else:
+                h = nn.conv2d(h, *nn.fold_batch_norm2d(w, b, *bn))[0]
+                h = nn.relu(h, out=h)
             c_pool = None
             if pool:
                 # looked up per call, so a wrapper installed on `nn` sees it
@@ -274,14 +281,21 @@ class ConvBackbone(Backbone):
         return h, caches
 
     def _stack_backward(self, dh: np.ndarray, caches: list, grads: dict) -> dict:
-        """Adds the conv layers' gradients to `grads` and returns it."""
-        for (sfx, _, pool), (c_conv, c_bn, pre, c_pool) in zip(
-                reversed(self.layers()), reversed(caches), strict=True):
+        """Adds the conv layers' gradients to `grads` and returns it. Nothing
+        reads the gradient of the input spectrogram, so the first conv
+        layer gives its weight and bias gradients alone."""
+        for k, ((sfx, _, pool), (c_conv, c_bn, pre, c_pool)) in enumerate(zip(
+                reversed(self.layers()), reversed(caches), strict=True)):
             if pool:
                 dh = getattr(nn, f"{pool}_pool2d_backward")(dh, c_pool)
             dh = nn.relu_backward(dh, pre)
             dh, grads[f"bn_g{sfx}"], grads[f"bn_b{sfx}"] = nn.batch_norm2d_backward(dh, c_bn)
-            dh, grads[f"conv_w{sfx}"], grads[f"conv_b{sfx}"] = nn.conv2d_backward(dh, c_conv)
+            if k == len(caches) - 1:
+                grads[f"conv_w{sfx}"], grads[f"conv_b{sfx}"] = nn.conv2d_param_backward(
+                    dh, c_conv)
+            else:
+                dh, grads[f"conv_w{sfx}"], grads[f"conv_b{sfx}"] = nn.conv2d_backward(
+                    dh, c_conv)
         return grads
 
 

@@ -121,10 +121,6 @@ def cmd_fold_split(args) -> int:
     return 0
 
 
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
 def _select_train_ids(args, corpus):
     """C_trn from the corpus metadata, a held-out fold, or an exclusion list."""
     from . import protocol
@@ -132,7 +128,8 @@ def _select_train_ids(args, corpus):
     if args.folds:
         split = protocol.load_json(args.folds, dict, ("folds",))
         folds, pinned = split["folds"], split.get("pinned", [])
-        if not (_strings(pinned) and isinstance(folds, list) and all(map(_strings, folds))):
+        if not (protocol.is_string_list(pinned) and isinstance(folds, list)
+                and all(map(protocol.is_string_list, folds))):
             raise DataError(f"{args.folds}: 'folds' must be a list of lists of class "
                             f"ids and 'pinned' a list of class ids")
         if not 0 <= args.fold_id < len(folds):

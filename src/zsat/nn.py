@@ -58,8 +58,10 @@ def gelu_backward(dout, x, cdf=None):
     return np.multiply(d, dout, out=d if d.dtype == np.result_type(d, dout) else None)
 
 
-def relu(x):
-    return np.maximum(x, 0)
+def relu(x, out=None):
+    """max(x, 0), written into `out` if given: the eval conv stack passes the
+    conv output it owns."""
+    return np.maximum(x, 0, out=out)
 
 
 def relu_backward(dout, x):
@@ -228,17 +230,25 @@ def _shift(size, d):
     return slice(max(d, 0), max(d, 0) + keep), slice(max(-d, 0), max(-d, 0) + keep)
 
 
-def conv2d_backward(dout, cache):
-    x, cols, w = cache
-    n, c, h, wd = x.shape
-    cout, cin, kh, kw = w.shape
-    dflat = dout.reshape(n, cout, -1)
+def conv2d_param_backward(dout, cache):
+    """(dw, db) of `conv2d_backward` without the input gradient, which no
+    caller of a first layer reads."""
+    _, cols, w = cache
+    dflat = dout.reshape(dout.shape[0], w.shape[0], -1)
     # cols @ dflat^T has C*kh*kw rows, not Cout, so a small Cout does not
     # leave BLAS's row tiles half empty. Each entry sums the same h*w
     # products as dflat @ cols^T; whether in the same order is up to the
     # BLAS kernels, which pick by CPU
     dw = np.matmul(cols, dflat.transpose(0, 2, 1)).sum(axis=0).T.reshape(w.shape)
-    db = dflat.sum(axis=(0, 2))
+    return dw, dflat.sum(axis=(0, 2))
+
+
+def conv2d_backward(dout, cache):
+    x, cols, w = cache
+    n, c, h, wd = x.shape
+    cout, cin, kh, kw = w.shape
+    dw, db = conv2d_param_backward(dout, cache)
+    dflat = dout.reshape(n, cout, -1)
     dcols = np.matmul(w.reshape(cout, -1).T, dflat)
     dcols = dcols.reshape(n, c, kh * kw, h, wd)
     # col2im into the unpadded gradient: window (i, j) feeds input row
@@ -256,17 +266,15 @@ def conv2d_backward(dout, cache):
 
 def batch_norm2d(x, gamma, beta, running_mean, running_var, train: bool,
                  momentum=0.1, eps=1e-5):
-    """Returns (out, cache); the cache is None in eval. Training normalizes
-    by the batch's statistics: it centres x once, for both the variance
-    (squared, summed and divided as `np.var` does) and `xhat`, writes its
-    temporaries in place and updates the running stats in place. Eval reads
-    the running stats and returns new arrays."""
+    """Training batch norm: returns (out, cache) and normalizes by the
+    batch's statistics. It centres x once, for both the variance (squared,
+    summed and divided as `np.var` does) and `xhat`, writes its temporaries
+    in place and updates the running stats in place. Eval batch norm is a
+    fixed affine map that `fold_batch_norm2d` folds into the conv before it,
+    so `train=False` is an error."""
     if not train:
-        mu, var = running_mean, running_var
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x - mu[None, :, None, None]) * inv[None, :, None, None]
-        out = xhat * gamma[None, :, None, None] + beta[None, :, None, None]
-        return out, None
+        raise ValueError("eval batch norm is folded into the conv weights by "
+                         "nn.fold_batch_norm2d; batch_norm2d runs in training only")
     mu = x.mean(axis=(0, 2, 3), keepdims=True)
     xc = x - mu
     var = np.square(xc).mean(axis=(0, 2, 3))
@@ -280,6 +288,19 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, train: bool,
     out = xhat * gamma[None, :, None, None]
     out += beta[None, :, None, None]
     return out, (xhat, inv, gamma)
+
+
+def fold_batch_norm2d(w, b, gamma, beta, running_mean, running_var, eps=1e-5):
+    """The conv weight and bias (w', b') whose `conv2d` is `conv2d(w, b)`
+    followed by eval batch norm: with s = gamma / sqrt(running_var + eps),
+    w' = w * s and b' = (b - running_mean) * s + beta per output channel.
+    Returns new arrays and writes into none of its inputs."""
+    s = gamma / np.sqrt(running_var + eps)
+    wf = w * s[:, None, None, None]
+    bf = b - running_mean
+    bf *= s
+    bf += beta
+    return wf, bf
 
 
 def batch_norm2d_backward(dout, cache):

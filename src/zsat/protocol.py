@@ -32,6 +32,10 @@ class FoldSplit:
     pinned: list         # class ids excluded from all folds
 
 
+def is_string_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def load_json(path, shape: type = dict, keys=()):
     """An input JSON file whose top level must be a `shape` (dict or list);
     a dict must hold every key in `keys`."""

@@ -153,8 +153,9 @@ HEAD_LAYERS = {
 }
 
 
-# The conv stack's training-path layers as plain formulas, each result a new
-# array: the references whose bytes the in-place layers of `nn` must match.
+# The conv stack's layers and eval batch-norm fold as plain formulas, each
+# result a new array: the references whose bytes the in-place layers of `nn`
+# must match. Batch norm's eval branch is the formula the fold replaces.
 # The weight gradient uses the same GEMM call as `nn.conv2d_backward`; its
 # rounding against the (Cout, C*kh*kw) orientation depends on the BLAS
 # kernels, so it is not pinned here.
@@ -177,6 +178,10 @@ def reference_conv2d_backward(dout, cache):
     return dxp[:, :, ph:ph + h, pw:pw + wd], dw, db
 
 
+def reference_conv2d_param_backward(dout, cache):
+    return reference_conv2d_backward(dout, cache)[1:]
+
+
 def reference_batch_norm2d(x, gamma, beta, running_mean, running_var, train: bool,
                            momentum=0.1, eps=1e-5):
     if train:
@@ -192,6 +197,11 @@ def reference_batch_norm2d(x, gamma, beta, running_mean, running_var, train: boo
     xhat = (x - mu[None, :, None, None]) * inv[None, :, None, None]
     out = xhat * gamma[None, :, None, None] + beta[None, :, None, None]
     return out, (xhat, inv, gamma) if train else None
+
+
+def reference_fold_batch_norm2d(w, b, gamma, beta, running_mean, running_var, eps=1e-5):
+    s = gamma / np.sqrt(running_var + eps)
+    return w * s[:, None, None, None], (b - running_mean) * s + beta
 
 
 def reference_batch_norm2d_backward(dout, cache):
@@ -213,7 +223,9 @@ def reference_avg_pool2d(x):
 
 CONV_LAYERS = {
     "conv2d": stacked_conv2d, "conv2d_backward": reference_conv2d_backward,
+    "conv2d_param_backward": reference_conv2d_param_backward,
     "batch_norm2d": reference_batch_norm2d,
+    "fold_batch_norm2d": reference_fold_batch_norm2d,
     "batch_norm2d_backward": reference_batch_norm2d_backward,
     "avg_pool2d": reference_avg_pool2d,
 }

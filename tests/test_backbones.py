@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from conftest import CONV_LAYERS, HEAD_LAYERS, fd_gradcheck
+from conftest import CONV_LAYERS, HEAD_LAYERS, fd_gradcheck, reference_batch_norm2d
 from zsat import backbones, checkpoint, crossmodal, dsp, nn, protocol
 from zsat.backbones import ClassifierHead, ConvConfig, HeadConfig, TransformerConfig
 from zsat.errors import ConfigError, DataError
@@ -271,6 +271,66 @@ def test_every_layer_computes_in_the_model_dtype(kind, monkeypatch):
     assert model.dtype == np.float32
 
 
+def _plain_eval_stack(model):
+    """An eval `_stack_forward` for `model` as plain formulas: conv, then
+    eval batch norm by the running statistics, then ReLU, per layer."""
+    p, st = model.params, model.stats
+
+    def forward(h, train):
+        assert not train
+        for sfx, _, pool in model.layers():
+            h, _ = nn.conv2d(h, p[f"conv_w{sfx}"], p[f"conv_b{sfx}"])
+            h, _ = reference_batch_norm2d(h, p[f"bn_g{sfx}"], p[f"bn_b{sfx}"],
+                                          st[f"bn_mean{sfx}"], st[f"bn_var{sfx}"], False)
+            h = np.maximum(h, 0)
+            if pool:
+                h, _ = getattr(nn, f"{pool}_pool2d")(h)
+        return h, []
+    return forward
+
+
+@pytest.mark.parametrize("kind", ["cnn14", "vggish"])
+@pytest.mark.parametrize("dtype, bound", [(np.float64, 1e-12), (np.float32, 1e-6)])
+def test_conv_eval_folds_batch_norm_into_the_conv(kind, dtype, bound, monkeypatch):
+    """With random running statistics, gammas and betas, an eval embedding
+    equals conv, eval batch norm and ReLU written as plain formulas, up to
+    the rounding of folding batch norm into the conv weights. The draws
+    leave every layer's ReLU some live outputs, so no layer passes on its
+    bias alone."""
+    model = small_conv(kind, dtype=dtype)
+    rng = np.random.default_rng(7)
+    for sfx, cout, _ in model.layers():
+        model.params[f"bn_g{sfx}"][...] = rng.uniform(0.5, 2.0, cout)
+        model.params[f"bn_b{sfx}"][...] = rng.uniform(-0.5, 1.0, cout)
+        model.stats[f"bn_mean{sfx}"][...] = 0.1 * rng.standard_normal(cout)
+        model.stats[f"bn_var{sfx}"][...] = rng.uniform(0.1, 3.0, cout)
+    x = rng.standard_normal((2, 32, 48))
+    got, _ = model.embed_batch(x)
+    monkeypatch.setattr(model, "_stack_forward", _plain_eval_stack(model))
+    want, _ = model.embed_batch(x)
+    assert got.dtype == want.dtype == dtype
+    assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind", ["cnn14", "vggish"])
+def test_conv_eval_runs_no_batch_norm_pass(kind, monkeypatch):
+    """Eval batch norm is folded into the conv weights, so an eval
+    `embed_batch` calls `nn.batch_norm2d` not once; a train one calls it
+    once per conv layer."""
+    calls = []
+
+    def recorded(*args):
+        calls.append(args[5])
+        return batch_norm2d(*args)
+    batch_norm2d = nn.batch_norm2d
+    monkeypatch.setattr(nn, "batch_norm2d", recorded)
+    model, x = _small_backbones()[kind]
+    model.embed_batch(x[None])
+    assert calls == []
+    model.embed_batch(np.stack([x, -x]), train=True)
+    assert calls == [True] * len(model.layers())
+
+
 # --- gradients ------------------------------------------------------------------
 
 def _loss_setup(model, x, w):
@@ -289,13 +349,21 @@ def _loss_setup(model, x, w):
 
 
 def test_transformer_gradients_match_finite_differences():
-    """Two layers, so an all-token block feeds the class-token-only last one."""
+    """Two layers, so an all-token block feeds the class-token-only last one.
+    Softmax ignores a shift shared by every key, so the key biases `bk<i>`
+    cannot move the loss: their gradient is zero but for rounding, and is
+    checked against zero rather than judged by finite differences."""
     model = small_transformer(dtype=np.float64, n_layers=2)
     rng = np.random.default_rng(4)
     x = rng.standard_normal((2, 12, 16))
     w = rng.standard_normal(5)
     forward, grads = _loss_setup(model, x, w)
-    assert fd_gradcheck(model.params, forward, grads, n_coords=60) < 1e-4
+    key_bias = [k for k in model.params if k.startswith("bk")]
+    assert len(key_bias) == 2
+    g = grads()
+    assert max(np.abs(g[k]).max() for k in key_bias) < 1e-12
+    rest = {k: v for k, v in model.params.items() if k not in key_bias}
+    assert fd_gradcheck(rest, forward, grads, n_coords=60) < 1e-6
 
 
 def _conv_gradient_error(kind):

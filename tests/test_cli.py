@@ -549,9 +549,14 @@ def _exit_code_cases(cli_env, tmp_path):
         {**r, "split": "Test"} if r is recs[-1] else r for r in recs])
     str_tags = _corpus_variant(cli_env, tmp_path / "str_tags", lambda recs: [
         {**r, "tags": "".join(r["tags"])} if r is recs[0] else r for r in recs])
-    no_labels = _corpus_variant(cli_env, tmp_path / "no_labels", lambda recs: recs)
-    (Path(no_labels) / "classes.json").write_text(
-        json.dumps({"labels": {}, "train": [], "test": []}))
+    meta = json.loads((Path(corpus) / "classes.json").read_text())
+
+    def classes(name, **fields):
+        """A copy of the test corpus whose classes.json has `fields` replaced."""
+        root = _corpus_variant(cli_env, tmp_path / name, lambda recs: recs)
+        (Path(root) / "classes.json").write_text(json.dumps({**meta, **fields}))
+        return root
+    no_labels = classes("no_labels", labels={}, train=[], test=[])
     out = str(tmp_path / "out")
     pretrain = ["pretrain", "--out", out]
     project = ["train-projection", "--backbone", str(bb), "--out", out]
@@ -570,6 +575,16 @@ def _exit_code_cases(cli_env, tmp_path):
          3, True),
         ("empty labels map", [*evaluate, "--config", cfg, "--corpus", no_labels],
          3, True),
+        ("classes train an int",
+         [*pretrain, "--config", cfg, "--corpus", classes("train_int", train=5)], 3, True),
+        ("classes test an int",
+         [*evaluate, "--config", cfg, "--corpus", classes("test_int", test=5)], 3, True),
+        ("classes train holding a list",
+         [*pretrain, "--config", cfg, "--corpus", classes("train_nested", train=[train])],
+         3, True),
+        ("classes label an int",
+         [*evaluate, "--config", cfg, "--corpus", classes("label_int", labels={
+             **meta["labels"], train[0]: 5})], 3, True),
         ("NaN backbone checkpoint", ["train-projection", "--backbone", str(nan_bb),
                                      "--out", out, "--config", cfg, "--corpus", corpus],
          3, True),

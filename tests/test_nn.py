@@ -147,7 +147,8 @@ def test_conv2d_dtype(x_dtype, w_dtype, want):
 
 def test_batch_norm2d_train_gradients_match_finite_differences():
     """Train mode normalizes by the batch's own statistics, so the gradient
-    of x flows through them too; eval mode keeps no cache."""
+    of x flows through them too; eval batch norm is folded into the conv, so
+    `train=False` is an error naming the fold."""
     rng = np.random.default_rng(0)
     t = {"x": rng.standard_normal((3, 4, 5, 6)), "gamma": 0.5 + rng.random(4),
          "beta": rng.standard_normal(4)}
@@ -167,7 +168,8 @@ def test_batch_norm2d_train_gradients_match_finite_differences():
                         nn.batch_norm2d_backward(w + out, cache)))
 
     assert fd_gradcheck(t, forward, grads, n_coords=60) < 1e-4
-    assert run(train=False)[1] is None
+    with pytest.raises(ValueError, match="fold_batch_norm2d"):
+        run(train=False)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -175,9 +177,10 @@ def test_batch_norm2d_train_gradients_match_finite_differences():
     (1, 1, 2, 1, 1), (1, 2, 3, 2, 1), (1, 3, 2, 1, 2), (2, 3, 4, 5, 7),
     (3, 2, 5, 9, 3), (1, 4, 8, 6, 10)])
 def test_conv_stack_layers_match_their_formulas_byte_for_byte(n, c, cout, h, wd, dtype):
-    """Conv backward, batch norm (train, eval and backward, with the running
-    statistics it leaves) and average pooling equal, byte for byte and in
-    dtype, the plain formulas of `conftest.CONV_LAYERS`."""
+    """Conv backward (with and without the input gradient), batch norm
+    (train and backward, with the running statistics it leaves), the eval
+    batch-norm fold and average pooling equal, byte for byte and in dtype,
+    the plain formulas of `conftest.CONV_LAYERS`."""
     rng = np.random.default_rng(n * 1000 + h * 10 + wd)
     x = rng.standard_normal((n, c, h, wd)).astype(dtype)
     w = rng.standard_normal((cout, c, 3, 3)).astype(dtype)
@@ -187,6 +190,9 @@ def test_conv_stack_layers_match_their_formulas_byte_for_byte(n, c, cout, h, wd,
     dout = rng.standard_normal(out.shape).astype(dtype)
     for got, want in zip(nn.conv2d_backward(dout, cache),
                          conftest.reference_conv2d_backward(dout, cache), strict=True):
+        _same_bytes(got, want, dtype)
+    for got, want in zip(nn.conv2d_param_backward(dout, cache),
+                         conftest.reference_conv2d_param_backward(dout, cache), strict=True):
         _same_bytes(got, want, dtype)
 
     y = 3.0 * out + 1.0
@@ -202,9 +208,11 @@ def test_conv_stack_layers_match_their_formulas_byte_for_byte(n, c, cout, h, wd,
                              conftest.reference_batch_norm2d_backward(dout, want_cache),
                              strict=True):
         _same_bytes(got_a, want_a, dtype)
-    got, none = nn.batch_norm2d(y, gamma, beta, *stats, False)
-    _same_bytes(got, conftest.reference_batch_norm2d(y, gamma, beta, *stats, False)[0], dtype)
-    assert none is None
+    mean, var = rng.standard_normal(cout).astype(dtype), rng.random(cout).astype(dtype)
+    for got, want in zip(nn.fold_batch_norm2d(w, b, gamma, beta, mean, var),
+                         conftest.reference_fold_batch_norm2d(w, b, gamma, beta, mean, var),
+                         strict=True):
+        _same_bytes(got, want, dtype)
 
     got, shape = nn.avg_pool2d(y)
     _same_bytes(got, conftest.reference_avg_pool2d(y)[0], dtype)
@@ -376,6 +384,7 @@ def _layer_calls(rng):
     w, b, gamma, beta = arr(4, 8), arr(4), arr(8), arr(8)
     _, att_args = _attention_inputs(rng, 2, 5, 2, 4, f32)
     cw, cb, c3 = arr(4, 3, 3, 3), arr(4), arr(3)
+    bn = (arr(4), arr(4), arr(4), np.abs(arr(4)))
     calls = [
         ("gelu", lambda: (nn.gelu(x3), x3), lambda d, c: nn.gelu_backward(d, c)),
         ("gelu with cdf", lambda: (nn.gelu(x3, cdf := np.empty_like(x3)), (x3, cdf)),
@@ -390,19 +399,22 @@ def _layer_calls(rng):
          lambda d, c: nn.softmax_backward(d, c)),
         ("attention", lambda: nn.attention(x3, *att_args), nn.attention_backward),
         ("conv2d", lambda: nn.conv2d(x4, cw, cb), nn.conv2d_backward),
+        ("conv2d param grads", lambda: nn.conv2d(x4, cw, cb), nn.conv2d_param_backward),
         ("batch_norm2d", lambda: nn.batch_norm2d(x4, c3, c3, np.zeros(3, f32),
                                                  np.ones(3, f32), True),
          nn.batch_norm2d_backward),
         ("avg_pool2d", lambda: nn.avg_pool2d(x4), nn.avg_pool2d_backward),
         ("max_pool2d", lambda: nn.max_pool2d(x4), nn.max_pool2d_backward),
+        ("fold_batch_norm2d", lambda: (nn.fold_batch_norm2d(cw, cb, *bn), None), None),
     ]
-    return calls, (x3, x4, w, b, gamma, beta, att_args, cw, cb, c3)
+    return calls, (x3, x4, w, b, gamma, beta, att_args, cw, cb, c3, bn)
 
 
 def test_no_layer_writes_into_its_inputs():
-    """Every forward and backward runs on read-only inputs and caches (the
-    gelu CDF buffer and batch norm's running statistics are the outputs they
-    write) and gives the same bytes as on writable ones."""
+    """Every forward and backward, and the eval batch-norm fold, which has
+    no backward, runs on read-only inputs and caches (the gelu CDF buffer
+    and batch norm's running statistics are the outputs they write) and
+    gives the same bytes as on writable ones."""
     def run(freeze):
         rng = np.random.default_rng(0)
         calls, inputs = _layer_calls(rng)
@@ -411,6 +423,9 @@ def test_no_layer_writes_into_its_inputs():
         results = []
         for name, forward, backward in calls:
             out, cache = forward()
+            if backward is None:
+                results.extend((name, a) for a in out)
+                continue
             dout = np.random.default_rng(1).standard_normal(out.shape).astype(out.dtype)
             if freeze:
                 _frozen((dout, cache))
