@@ -94,6 +94,14 @@ def _seed_path(template: str, seed: int, multi: bool) -> Path:
     return Path(template)
 
 
+def _check_out_dirs(paths) -> None:
+    """The directory of each output path must exist: checked before any
+    input is read, so a run does not end on a missing one after its work."""
+    for p in map(Path, paths):
+        if not p.parent.is_dir():
+            raise DataError(f"output directory {p.parent} does not exist")
+
+
 def cmd_synth(args) -> int:
     from . import protocol
     cfg, seeds = _resolve(args)
@@ -109,6 +117,7 @@ def cmd_synth(args) -> int:
 def cmd_fold_split(args) -> int:
     from . import protocol
     cfg, _ = _resolve(args)
+    _check_out_dirs([args.out])
     table = protocol.load_tag_counts(args.counts)
     labels = {cid: lab for cid, (lab, _) in table.items()}
     pinned = [cid for cid, lab in labels.items() if lab in cfg.pinned_labels]
@@ -126,12 +135,9 @@ def _select_train_ids(args, corpus):
     from . import protocol
     train_ids = list(corpus.train_ids)
     if args.folds:
-        split = protocol.load_json(args.folds, dict, ("folds",))
-        folds, pinned = split["folds"], split.get("pinned", [])
-        if not (protocol.is_string_list(pinned) and isinstance(folds, list)
-                and all(map(protocol.is_string_list, folds))):
-            raise DataError(f"{args.folds}: 'folds' must be a list of lists of class "
-                            f"ids and 'pinned' a list of class ids")
+        split = protocol.load_json(args.folds, {"folds": tuple[tuple[str, ...], ...],
+                                                "pinned": tuple[str, ...]}, pinned=[])
+        folds, pinned = split["folds"], split["pinned"]
         if not 0 <= args.fold_id < len(folds):
             raise DataError(f"fold id {args.fold_id} out of range "
                             f"(have {len(folds)} folds)")
@@ -142,8 +148,9 @@ def _select_train_ids(args, corpus):
             raise DataError(f"{args.folds}: classes {unknown} are not in the corpus")
         train_ids = [c for c in all_ids if c not in held_out]
     if args.exclude:
-        exclusion = protocol.load_json(args.exclude, list)
-        synonyms = protocol.load_json(args.synonyms) if args.synonyms else None
+        exclusion = protocol.load_json(args.exclude, tuple[str, ...])
+        synonyms = (protocol.load_json(args.synonyms, dict[str, tuple[str, ...]])
+                    if args.synonyms else None)
         labels = {c: corpus.labels[c] for c in train_ids}
         train_ids, removed = protocol.exclude_overlap(labels, exclusion, synonyms)
         print(f"excluded {len(removed)} classes: "
@@ -165,15 +172,12 @@ def _read_resume(out: Path, cfg, train_ids: list):
         raise DataError(f"--resume: no checkpoint at {out}")
     head_path = out.with_suffix(out.suffix + ".head")
     info_path = out.with_suffix(out.suffix + ".json")
-    prev = protocol.load_json(info_path, dict, ("epochs_done", "loss_history",
-                                                "train_classes", "backbone_sha256",
-                                                "head_sha256"))
+    prev = protocol.load_json(info_path, {
+        "epochs_done": int, "loss_history": tuple[float, ...],
+        "train_classes": tuple[str, ...], "backbone_sha256": str, "head_sha256": str})
     done, history = prev["epochs_done"], prev["loss_history"]
-    if not (type(done) is int and done >= 0 and isinstance(history, list)
-            and len(history) == done
-            and all(type(v) in (int, float) and math.isfinite(v) for v in history)):
-        raise DataError(f"--resume: {info_path} must record 'epochs_done' as an int "
-                        f">= 0 and 'loss_history' as a list of that many finite numbers")
+    if len(history) != done or not all(map(math.isfinite, history)):
+        raise DataError(f"--resume: {info_path} must record one finite loss per epoch done")
     if prev["train_classes"] != train_ids:
         raise DataError(f"--resume: {info_path} trained on classes "
                         f"{prev['train_classes']}, this run selects {train_ids}")
@@ -211,10 +215,10 @@ def cmd_pretrain(args) -> int:
         raise ConfigError("--folds and --fold-id must be given together")
     if args.synonyms and not args.exclude:
         raise ConfigError("--synonyms needs --exclude")
+    outs = [_seed_path(args.out, s, len(seeds) > 1) for s in seeds]
+    _check_out_dirs(outs)
     corpus = experiments.load_corpus(args.corpus, cfg.mel, splits=())
     corpus.train_ids = train_ids = _select_train_ids(args, corpus)
-    multi = len(seeds) > 1
-    outs = [_seed_path(args.out, seed, multi) for seed in seeds]
     starts = [_read_resume(out, cfg, train_ids) if args.resume else (None, None, 0, [])
               for out in outs]
     # a patchout as wide as the grid fails here, before any log-mel
@@ -269,13 +273,16 @@ def cmd_train_projection(args) -> int:
     from . import experiments
     cfg, seeds = _resolve(args)
     multi = len(seeds) > 1
+    outs = [_seed_path(args.out, s, multi) for s in seeds]
+    agg = Path(args.out.replace("{seed}", ""))
+    agg = agg.with_name(f"{agg.stem}_aggregate.json")
+    _check_out_dirs(outs + [agg] * multi)
     corpus = experiments.load_corpus(args.corpus, cfg.mel, splits=())
     models = [_read_backbone(_seed_path(args.backbone, s, multi), cfg) for s in seeds]
     # the projection trains on the train split and selects its epoch on val
     experiments.compute_spectrograms(corpus, cfg.mel, ("train", "val"))
     best_maps = {}
-    for seed, model in zip(seeds, models):
-        out = _seed_path(args.out, seed, multi)
+    for seed, model, out in zip(seeds, models, outs):
         proj, report = experiments.run_projection(cfg, corpus, model, seed)
         proj.save(out)
         _write_json(out.with_suffix(out.suffix + ".json"),
@@ -285,8 +292,6 @@ def cmd_train_projection(args) -> int:
               f"val mAP {report['best_val_map']:.4f} -> {out}")
     if multi:
         import numpy as np
-        agg = Path(args.out.replace("{seed}", ""))
-        agg = agg.with_name(f"{agg.stem}_aggregate.json")
         _write_json(agg, {"seeds": list(best_maps),
                           "best_val_map_per_seed": best_maps,
                           "mean_best_val_map": float(np.mean(list(best_maps.values())))},
@@ -301,15 +306,14 @@ def cmd_evaluate(args) -> int:
     from . import experiments, protocol
     cfg, seeds = _resolve(args)
     multi = len(seeds) > 1
+    _check_out_dirs([args.out])
     corpus = experiments.load_corpus(args.corpus, cfg.mel, splits=())
     n = next(iter(corpus.class_embeddings.values())).shape[0]
     models = [_read_backbone(_seed_path(args.backbone, s, multi), cfg) for s in seeds]
     projs = [_read_projection(_seed_path(args.projection, s, multi), model, n)
              for s, model in zip(seeds, models)]
-    category_map = (protocol.load_json(args.category_map)
+    category_map = (protocol.load_json(args.category_map, dict[str, str])
                     if args.category_map else None)
-    if category_map and not all(isinstance(v, str) for v in category_map.values()):
-        raise DataError(f"{args.category_map}: every category must be a string")
     # zero-shot evaluation reads only the test split's clips
     experiments.compute_spectrograms(corpus, cfg.mel, ("test",))
     results = []

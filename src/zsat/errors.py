@@ -1,8 +1,9 @@
 """The three kinds of failure a run ends with, each with its exit code and
-stderr label, and `settings`, the one type rule of every settings block.
-Any other exception that reaches `zsat` is a bug."""
+stderr label, and `check`, the one type rule of every settings block and
+JSON input file. Any other exception that reaches `zsat` is a bug."""
 
 import dataclasses
+import functools
 import typing
 
 
@@ -32,40 +33,46 @@ def _is(*types):
     return lambda v: isinstance(v, types) and not isinstance(v, bool)
 
 
-# a scalar annotation: (test, noun, plural noun); a bool is no number
-_SCALARS = {int: (_is(int), "an integer", "integers"),
-            float: (_is(int, float), "a number", "numbers"),
-            str: (_is(str), "a string", "strings")}
+# a plain annotation: (test, noun, plural noun); a bool is no number
+_PLAIN = {int: (_is(int), "an integer", "integers"),
+          float: (_is(int, float), "a number", "numbers"),
+          str: (_is(str), "a string", "strings"),
+          tuple: (_is(list, tuple), "a list", "lists"),
+          dict: (_is(dict), "an object", "objects")}
 
 
+@functools.cache
 def _rule(tp) -> tuple:
-    """(test, noun, stored as a tuple) of a field annotated `tp`: a scalar,
-    `tuple[scalar, ...]`, which takes a list too, or a settings class."""
-    if typing.get_origin(tp) is tuple:
-        item, _, plural = _SCALARS[typing.get_args(tp)[0]]
-        return (lambda v: isinstance(v, (list, tuple)) and all(map(item, v)),
-                f"a list of {plural}", True)
-    return (*_SCALARS.get(tp, (_is(tp), f"a {tp.__name__}"))[:2], False)
+    """(test, noun, plural noun) of the annotation `tp`: a plain type, a
+    settings class, or `tuple[T, ...]` or `dict[str, T]` of any such T."""
+    if (origin := typing.get_origin(tp)) is None:
+        return _PLAIN.get(tp) or (_is(tp), f"a {tp.__name__}", f"{tp.__name__}s")
+    test, noun, plural = _rule(origin)
+    item, _, items = _rule(typing.get_args(tp)[origin is dict])   # the T of either
+    return (lambda v: test(v) and all(map(item, v.values() if origin is dict else v)),
+            f"{noun} of {items}", f"{plural} of {items}")
+
+
+def check(name: str, value, tp):
+    """`value`, with a list as a tuple, if the annotation `tp` allows it;
+    else a `ConfigError` naming `name`."""
+    test, noun, _ = _rule(tp)
+    if not test(value):
+        raise ConfigError(f"{name} must be {noun}, not {type(value).__name__} {value!r}")
+    return tuple(value) if isinstance(value, list) else value
 
 
 def settings(cls):
-    """`cls` as a frozen dataclass that checks each field against its
+    """`cls` as a frozen dataclass that `check`s each field against its
     annotation, resolved once here, before its own `__post_init__` runs. A
     field of the wrong type is a `ConfigError` naming it."""
-    own = cls.__dict__.get("__post_init__")
+    hints = typing.get_type_hints(cls)
+    own = cls.__dict__.get("__post_init__", lambda self: None)
 
     def __post_init__(self):
-        for name, test, noun, as_tuple in rules:
-            value = getattr(self, name)
-            if not test(value):
-                raise ConfigError(f"{name} must be {noun}, not "
-                                  f"{type(value).__name__} {value!r}")
-            if as_tuple:
-                object.__setattr__(self, name, tuple(value))
-        if own:
-            own(self)
+        for name, tp in hints.items():
+            object.__setattr__(self, name, check(name, getattr(self, name), tp))
+        own(self)
 
     cls.__post_init__ = __post_init__
-    cls = dataclasses.dataclass(frozen=True)(cls)
-    rules = [(name, *_rule(tp)) for name, tp in typing.get_type_hints(cls).items()]
-    return cls
+    return dataclasses.dataclass(frozen=True)(cls)

@@ -47,13 +47,9 @@ def load_corpus(corpus_dir, mel: dsp.MelConfig, splits=protocol.SPLITS) -> Corpu
         if not p.exists():
             raise DataError(f"corpus is missing {p.name} (looked in {root})")
     records = protocol.load_manifest(manifest_path)
-    meta = protocol.load_json(classes_path, dict, ("labels", "train", "test"))
+    meta = protocol.load_json(classes_path, {"labels": dict[str, str],
+                                             "train": tuple[str, ...], "test": tuple[str, ...]})
     labels = meta["labels"]
-    if not (isinstance(labels, dict) and all(isinstance(v, str) for v in labels.values())
-            and protocol.is_string_list(meta["train"])
-            and protocol.is_string_list(meta["test"])):
-        raise DataError(f"{classes_path}: 'labels' must map class ids to label strings, "
-                        f"and 'train' and 'test' must be lists of class ids")
     if not labels:
         raise DataError(f"{classes_path}: the labels map is empty")
     unknown = sorted((set(meta["train"]) | set(meta["test"])) - set(labels))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, semantics
-from .errors import ConfigError, DataError, settings
+from .errors import ConfigError, DataError, check, settings
 
 SPLITS = ("train", "val", "test")
 
@@ -32,20 +32,22 @@ class FoldSplit:
     pinned: list         # class ids excluded from all folds
 
 
-def is_string_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-def load_json(path, shape: type = dict, keys=()):
-    """An input JSON file whose top level must be a `shape` (dict or list);
-    a dict must hold every key in `keys`."""
+def load_json(path, tp, **defaults):
+    """The JSON file at `path`, `check`ed against the annotation `tp`; a dict
+    `tp` maps each key the file's object must hold, or take from `defaults`,
+    to its annotation. A mismatch is a `DataError` naming the file and key."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, shape):
-        raise DataError(f"{path}: expected a JSON {'object' if shape is dict else 'array'}")
-    for key in keys:
-        if key not in data:
-            raise DataError(f"{path}: missing key {key!r}")
+    try:
+        if not isinstance(tp, dict):
+            return check("the file", data, tp)
+        data = {**defaults, **check("the file", data, dict)}
+        for key, key_tp in tp.items():
+            if key not in data:
+                raise DataError(f"{path}: missing key {key!r}")
+            check(key, data[key], key_tp)
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     return data
 
 
@@ -216,6 +218,11 @@ class SyntheticSpec:
     # held-out (zero-shot) classes; the rest are training classes
     test_classes: tuple[int, ...] = (2, 5, 8, 11)
 
+    def __post_init__(self):
+        # the size of `synthetic_word_vector`'s features, checked before a file is written
+        if self.semantic_dim != 8:
+            raise ConfigError("semantic_dim must be 8 for this generator")
+
     def class_id(self, i: int) -> str:
         return f"c{i:02d}"
 
@@ -255,8 +262,6 @@ def synthetic_word_vector(spec: SyntheticSpec, i: int) -> np.ndarray:
         0.3 * fn, 0.3 * (1.0 - fn),
         0.3 * harmonics[1], 0.3 * harmonics[2],
     ])
-    if spec.semantic_dim != feats.size:
-        raise ConfigError(f"semantic_dim must be {feats.size} for this generator")
     return feats / np.linalg.norm(feats)
 
 

@@ -565,6 +565,8 @@ def _exit_code_cases(cli_env, tmp_path):
     fold_split = ["fold-split", "--config", cfg, "--out", out, "--counts"]
     resume = ["pretrain", "--config", cfg, "--corpus", corpus, "--resume", "--out"]
     held_out = [*pretrain, "--config", cfg, "--corpus", corpus, "--fold-id", "1", "--folds"]
+    synonyms = [*pretrain, "--config", cfg, "--corpus", corpus, "--exclude",
+                write("first.json", json.dumps([train[0]])), "--synonyms"]
     # seed 0's inputs are good and seed 1's are bad
     two_seeds = ["--seed", "0", "--seed", "1", "--config", cfg, "--corpus", corpus]
     return [
@@ -685,6 +687,17 @@ def _exit_code_cases(cli_env, tmp_path):
         ("fold file pinned an int",
          [*held_out, write("int_pinned.json", json.dumps(
              {"folds": [[train[0]], [train[1]]], "pinned": 5}))], 3, True),
+        ("exclusion entry an int",
+         [*pretrain, "--config", cfg, "--corpus", corpus,
+          "--exclude", write("int_exclude.json", "[5]")], 3, True),
+        ("synonym value an int",
+         [*synonyms, write("int_synonyms.json", json.dumps({train[0]: 5}))], 3, True),
+        ("synonym value a string",
+         [*synonyms, write("str_synonyms.json", json.dumps({train[0]: train[1]}))],
+         3, True),
+        ("output directory missing",
+         ["pretrain", "--config", cfg, "--corpus", corpus,
+          "--out", str(tmp_path / "missing_dir" / "bb.ckpt")], 3, True),
         ("seed 1 backbone missing",
          ["train-projection", *two_seeds, "--backbone", per_seed("lone_bb", bb),
           "--out", str(tmp_path / "trained{seed}.ckpt")], 3, True),
@@ -749,6 +762,46 @@ def test_exit_code_data_error(tmp_path, cli_env, capsys):
     _assert_exits(["pretrain", "--config", cli_env["config"],
                    "--corpus", str(tmp_path / "missing"),
                    "--out", str(tmp_path / "x.ckpt")], 3, capsys)
+
+
+@pytest.mark.parametrize("command", [
+    ["fold-split", "--counts", "counts.csv"],
+    ["pretrain", "--corpus", "corpus"],
+    ["train-projection", "--corpus", "corpus", "--backbone", "bb.ckpt"],
+    ["evaluate", "--corpus", "corpus", "--backbone", "bb.ckpt", "--projection", "p.ckpt"],
+])
+def test_missing_output_directory_is_named_before_any_input(tmp_path, capsys, command):
+    """Each command that writes `--out` names a missing output directory
+    before it reads any input, none of which exists here."""
+    missing = tmp_path / "missing"
+    capsys.readouterr()
+    assert cli.main([*command, "--preset", "toy", "--seed", "0",
+                     "--out", str(missing / "out")]) == 3
+    assert capsys.readouterr().err == (f"data error: output directory {missing} "
+                                       f"does not exist\n")
+
+
+def test_train_projection_checks_its_aggregate_directory_first(tmp_path, capsys):
+    """With `{seed}` in a directory of `--out`, the aggregate goes to that
+    directory with `{seed}` removed, which must exist before any input is read."""
+    for seed in (0, 1):
+        (tmp_path / f"runs{seed}").mkdir()
+    capsys.readouterr()
+    assert cli.main(["train-projection", "--preset", "toy", "--seed", "0", "--seed", "1",
+                     "--corpus", "corpus", "--backbone", "bb{seed}.ckpt",
+                     "--out", str(tmp_path / "runs{seed}" / "proj.ckpt")]) == 3
+    assert capsys.readouterr().err == (f"data error: output directory "
+                                       f"{tmp_path / 'runs'} does not exist\n")
+
+
+def test_synth_semantic_dim_other_than_8_writes_nothing(tmp_path, capsys):
+    """The synthetic generator's word vectors have 8 dims; another
+    `semantic_dim` is a configuration error raised before any file is written."""
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"preset": "toy", "synthetic": {"semantic_dim": 4}}))
+    _assert_exits(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+                  2, capsys)
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_fold_id_out_of_range(cli_env, tmp_path, capsys):

@@ -169,6 +169,22 @@ def test_manifest_field_of_a_wrong_type_is_a_data_error(tmp_path, field, value, 
         protocol.load_manifest(path)
 
 
+def test_load_json_checks_each_key_against_its_nested_annotation(tmp_path):
+    """A key whose value does not fit its nested annotation is a data error
+    naming the file and the key; an absent key takes its default."""
+    spec = {"folds": tuple[tuple[str, ...], ...], "pinned": tuple[str, ...]}
+    path = tmp_path / "folds.json"
+    path.write_text(json.dumps({"folds": [["c00"], [["c01"]]]}))
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: folds must be a list "
+                       r"of lists of strings, not list \[\['c00'\], \[\['c01'\]\]\]$"):
+        protocol.load_json(path, spec, pinned=[])
+    path.write_text(json.dumps({"folds": [["c00"], ["c01"]]}))
+    assert protocol.load_json(path, spec, pinned=[]) == {"folds": [["c00"], ["c01"]],
+                                                         "pinned": []}
+    with pytest.raises(DataError, match=r"folds\.json: missing key 'pinned'$"):
+        protocol.load_json(path, spec)
+
+
 def test_tag_counts_csv(tmp_path):
     path = tmp_path / "counts.csv"
     path.write_text("class_id,label,count\nA,Alpha,10\nB,Bravo,3\n")
