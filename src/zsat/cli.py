@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -87,7 +86,7 @@ def _write_json(path, payload: dict, cfg) -> None:
 
 def _seed_path(template: str, seed: int, multi: bool) -> Path:
     if "{seed}" in template:
-        return Path(template.format(seed=seed))
+        return Path(template.replace("{seed}", str(seed)))
     if multi:
         p = Path(template)
         return p.with_name(f"{p.stem}_seed{seed}{p.suffix}")
@@ -176,8 +175,8 @@ def _read_resume(out: Path, cfg, train_ids: list):
         "epochs_done": int, "loss_history": tuple[float, ...],
         "train_classes": tuple[str, ...], "backbone_sha256": str, "head_sha256": str})
     done, history = prev["epochs_done"], prev["loss_history"]
-    if len(history) != done or not all(map(math.isfinite, history)):
-        raise DataError(f"--resume: {info_path} must record one finite loss per epoch done")
+    if len(history) != done:
+        raise DataError(f"--resume: {info_path} must record one loss per epoch done")
     if prev["train_classes"] != train_ids:
         raise DataError(f"--resume: {info_path} trained on classes "
                         f"{prev['train_classes']}, this run selects {train_ids}")

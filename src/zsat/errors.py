@@ -4,6 +4,7 @@ JSON input file. Any other exception that reaches `zsat` is a bug."""
 
 import dataclasses
 import functools
+import math
 import typing
 
 
@@ -33,9 +34,16 @@ def _is(*types):
     return lambda v: isinstance(v, types) and not isinstance(v, bool)
 
 
+def _is_number(v) -> bool:
+    """An int, or a finite float: JSON reads NaN and Infinity. An int is
+    not passed to `math.isfinite`, which overflows on a huge one."""
+    return (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, float) and math.isfinite(v))
+
+
 # a plain annotation: (test, noun, plural noun); a bool is no number
 _PLAIN = {int: (_is(int), "an integer", "integers"),
-          float: (_is(int, float), "a number", "numbers"),
+          float: (_is_number, "a number", "numbers"),
           str: (_is(str), "a string", "strings"),
           tuple: (_is(list, tuple), "a list", "lists"),
           dict: (_is(dict), "an object", "objects")}

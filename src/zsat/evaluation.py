@@ -39,16 +39,10 @@ def mean_ap(per_class) -> tuple:
     return float(np.mean(kept)), skipped
 
 
-def top1_accuracy(predictions, truths, restriction=None) -> float:
-    """Fraction of predictions equal to the truth; with a candidate
-    restriction, every truth must belong to it."""
+def top1_accuracy(predictions, truths) -> float:
+    """Fraction of predictions equal to the truth."""
     if len(predictions) != len(truths):
         raise ValueError("predictions/truths length mismatch")
-    if restriction is not None:
-        allowed = set(restriction)
-        for t in truths:
-            if t not in allowed:
-                raise ValueError(f"truth {t!r} outside candidate restriction")
     return float(np.mean([p == t for p, t in zip(predictions, truths)]))
 
 
@@ -73,21 +67,22 @@ def pearson_r(x, y) -> float | None:
     return float((xc * yc).mean() / (sx * sy))
 
 
-def proximity_correlation(test_aps: dict, test_random_aps: dict,
-                          train_embeddings: dict, test_embeddings: dict) -> dict:
-    """Correlate AP improvement over the random baseline with cosine proximity
-    to the nearest training-class embedding. Classes whose AP is None (no
-    positive test clip) are skipped, as in `mean_ap`. Returns the "per_class"
-    rows and "pearson_r", None when either variable has zero variance."""
+def nearest_similarity(vec, train: dict) -> float:
+    """Cosine similarity of `vec` to its nearest training-class embedding."""
+    return max(cosine(vec, train[t]) for t in sorted(train))
+
+
+def proximity_correlation(test_aps: dict, test_random_aps: dict, proximity: dict) -> dict:
+    """Correlate AP improvement over the random baseline with each class's
+    `proximity` to the training classes (`nearest_similarity`). Classes whose
+    AP is None (no positive test clip) are skipped, as in `mean_ap`. Returns
+    the "per_class" rows and "pearson_r", None when either variable has zero
+    variance."""
     kept = sorted(c for c, ap in test_aps.items() if ap is not None)
     if len(kept) < 3:
         raise DataError("need at least 3 test classes with a positive test clip")
-    rows = []
-    for cid in kept:
-        vec = test_embeddings[cid]
-        prox = max(cosine(vec, train_embeddings[t]) for t in sorted(train_embeddings))
-        rows.append({"class_id": cid, "ap": test_aps[cid],
-                     "random_ap": test_random_aps[cid], "proximity": prox})
+    rows = [{"class_id": c, "ap": test_aps[c], "random_ap": test_random_aps[c],
+             "proximity": proximity[c]} for c in kept]
     improvements = [r["ap"] - r["random_ap"] for r in rows]
     proximities = [r["proximity"] for r in rows]
     return {"per_class": rows, "pearson_r": pearson_r(improvements, proximities)}

@@ -158,60 +158,49 @@ def evaluate_zero_shot(corpus: Corpus, model, proj,
     m_ap, skipped = evaluation.mean_ap(list(aps.values()))
     baseline = float(np.mean(list(random_aps.values())))
     train_emb = {c: corpus.class_embeddings[c] for c in corpus.train_ids}
-    held_emb = {c: corpus.class_embeddings[c] for c in test_ids}
+    proximity = {c: evaluation.nearest_similarity(corpus.class_embeddings[c], train_emb)
+                 for c in test_ids if aps[c] is not None}
     result = {
         "n_test_clips": len(test_recs),
         "n_classified": len(truths),
         "accuracy": accuracy,
-        "random_accuracy": 1.0 / len(test_ids) if test_ids else None,
+        "random_accuracy": 1.0 / len(test_ids),
         "per_class_ap": {c: aps[c] for c in sorted(aps)},
         "random_ap": {c: random_aps[c] for c in sorted(random_aps)},
         "mean_ap": m_ap,
         "skipped_classes": skipped,
         "random_mean_ap": baseline,
-        "proximity": evaluation.proximity_correlation(aps, random_aps,
-                                                      train_emb, held_emb),
+        "proximity": evaluation.proximity_correlation(aps, random_aps, proximity),
     }
     if category_map:
         per_category = {}
         for cat in sorted(set(category_map.values())):
             ids = [c for c in test_ids if category_map.get(c) == cat]
             preds, cat_truths = forced_choice(ids) if len(ids) >= 2 else ([], [])
-            per_category[cat] = (evaluation.top1_accuracy(
-                preds, cat_truths, restriction=ids) if cat_truths else None)
+            per_category[cat] = (evaluation.top1_accuracy(preds, cat_truths)
+                                 if cat_truths else None)
         result["per_category_accuracy"] = per_category
     return result
 
 
 def aggregate_results(results: list) -> dict:
-    """Mean metrics over seeds; per-class precision averaged before any
-    cross-seed analysis so class-level noise is damped."""
-    seeds = [r["seed"] for r in results]
+    """Mean metrics over seeds; per-class precision averaged before the
+    proximity analysis, which damps per-seed class noise. The seeds share
+    the training classes and the test split, so a class has a positive test
+    clip in every seed or in none, and seed 0's proximities hold for all."""
     accs = [r["accuracy"] for r in results if r["accuracy"] is not None]
-    maps = [r["mean_ap"] for r in results if r["mean_ap"] is not None]
-    class_ids = sorted(results[0]["per_class_ap"])
-    mean_aps = {}
-    for c in class_ids:
-        vals = [r["per_class_ap"][c] for r in results
-                if r["per_class_ap"][c] is not None]
-        mean_aps[c] = float(np.mean(vals)) if vals else None
-    agg = {
-        "seeds": seeds,
+    mean_aps = {c: None if ap is None else float(np.mean([r["per_class_ap"][c]
+                                                          for r in results]))
+                for c, ap in sorted(results[0]["per_class_ap"].items())}
+    proximity = {row["class_id"]: row["proximity"]
+                 for row in results[0]["proximity"]["per_class"]}
+    return {
+        "seeds": [r["seed"] for r in results],
         "mean_accuracy": float(np.mean(accs)) if accs else None,
-        "mean_ap": float(np.mean(maps)) if maps else None,
+        "mean_ap": float(np.mean([r["mean_ap"] for r in results])),
         "random_mean_ap": results[0]["random_mean_ap"],
         "random_accuracy": results[0]["random_accuracy"],
         "per_class_mean_ap": mean_aps,
+        "proximity_r": evaluation.proximity_correlation(
+            mean_aps, results[0]["random_ap"], proximity)["pearson_r"],
     }
-    # proximity correlation recomputed on seed-averaged per-class precision,
-    # which damps per-seed class noise before the correlation
-    prox_by_class = {row["class_id"]: row["proximity"]
-                     for row in results[0]["proximity"]["per_class"]}
-    gains, proxs = [], []
-    for c in class_ids:
-        if mean_aps[c] is None:
-            continue
-        gains.append(mean_aps[c] - results[0]["random_ap"][c])
-        proxs.append(prox_by_class[c])
-    agg["proximity_r"] = evaluation.pearson_r(np.array(gains), np.array(proxs))
-    return agg

@@ -286,17 +286,14 @@ def generate_synthetic_corpus(spec: SyntheticSpec, out_dir, seed: int):
 
     Returns (manifest records, class labels dict, word-vector path).
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    audio_dir = out_dir / "audio"
-    audio_dir.mkdir(exist_ok=True)
-
     centers = dsp.mel_center_frequencies(spec.mel)
     f0s = [_class_signature(spec, i)[0] for i in range(spec.n_classes)]
     bins = [int(np.argmin(np.abs(centers - f))) for f in f0s]
     if len(set(bins)) != len(bins):
         raise ConfigError("class fundamentals closer than one mel bin; "
                           "widen [fmin_hz, fmax_hz] or reduce n_classes")
+    out_dir = Path(out_dir)
+    (out_dir / "audio").mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(seed)
     records = []

@@ -47,6 +47,8 @@ def load_word_vectors(path) -> dict:
                 raise DataError(f"{path}:{lineno}: unparsable float") from exc
             if vec.size == 0:
                 raise DataError(f"{path}:{lineno}: no vector components")
+            if not np.all(np.isfinite(vec)):
+                raise DataError(f"{path}:{lineno}: non-finite vector component")
             if dim is None:
                 dim = vec.size
             elif vec.size != dim:

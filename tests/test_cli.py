@@ -426,18 +426,21 @@ def test_pretrain_resume_rejects_a_backbone_its_info_file_does_not_describe(
 
 
 def test_multi_seed_aggregate_is_named_from_the_template(cli_env, tmp_path):
+    """`{seed}` is the one field of a path template; other braces are kept
+    as they are, in `--backbone` and `--out` alike."""
     _, bb, _ = _untrained_artifacts(cli_env, tmp_path)
-    (tmp_path / "bb1.ckpt").write_bytes(bb.read_bytes())
+    for seed in (0, 1):
+        (tmp_path / f"bb{seed}_{{run}}.ckpt").write_bytes(bb.read_bytes())
     out = tmp_path / "out"
     out.mkdir()
     assert cli.main(["train-projection", "--config", cli_env["config"],
                      "--corpus", cli_env["corpus"], "--seed", "0", "--seed", "1",
-                     "--backbone", str(tmp_path / "bb{seed}.ckpt"),
-                     "--out", str(out / "proj{seed}.ckpt")]) == 0
+                     "--backbone", str(tmp_path / "bb{seed}_{run}.ckpt"),
+                     "--out", str(out / "proj{seed}_{run}.ckpt")]) == 0
     assert sorted(p.name for p in out.iterdir()) == [
-        "proj0.ckpt", "proj0.ckpt.json", "proj1.ckpt", "proj1.ckpt.json",
-        "proj_aggregate.json"]
-    assert not [p for p in tmp_path.rglob("*") if "{" in str(p)]
+        "proj0_{run}.ckpt", "proj0_{run}.ckpt.json", "proj1_{run}.ckpt",
+        "proj1_{run}.ckpt.json", "proj_{run}_aggregate.json"]
+    assert not [p for p in tmp_path.rglob("*") if "{seed}" in str(p)]
 
 
 def test_fold_split_command(tmp_path):
@@ -557,6 +560,10 @@ def _exit_code_cases(cli_env, tmp_path):
         (Path(root) / "classes.json").write_text(json.dumps({**meta, **fields}))
         return root
     no_labels = classes("no_labels", labels={}, train=[], test=[])
+    nan_vectors = _corpus_variant(cli_env, tmp_path / "nan_vectors", lambda recs: recs)
+    vec_path = Path(nan_vectors) / "word_vectors.txt"
+    first, *rest = vec_path.read_text().splitlines(keepends=True)
+    vec_path.write_text(first.rsplit(" ", 1)[0] + " nan\n" + "".join(rest))
     out = str(tmp_path / "out")
     pretrain = ["pretrain", "--out", out]
     project = ["train-projection", "--backbone", str(bb), "--out", out]
@@ -587,6 +594,8 @@ def _exit_code_cases(cli_env, tmp_path):
         ("classes label an int",
          [*evaluate, "--config", cfg, "--corpus", classes("label_int", labels={
              **meta["labels"], train[0]: 5})], 3, True),
+        ("word vector not finite", [*project, "--config", cfg, "--corpus", nan_vectors],
+         3, True),
         ("NaN backbone checkpoint", ["train-projection", "--backbone", str(nan_bb),
                                      "--out", out, "--config", cfg, "--corpus", corpus],
          3, True),
@@ -794,11 +803,16 @@ def test_train_projection_checks_its_aggregate_directory_first(tmp_path, capsys)
                                        f"{tmp_path / 'runs'} does not exist\n")
 
 
-def test_synth_semantic_dim_other_than_8_writes_nothing(tmp_path, capsys):
-    """The synthetic generator's word vectors have 8 dims; another
-    `semantic_dim` is a configuration error raised before any file is written."""
+@pytest.mark.parametrize("synthetic", [
+    {"semantic_dim": 4},              # the generator's word vectors have 8 dims
+    {"n_classes": 60},                # fundamentals closer than one mel bin
+    {"clip_seconds": float("nan")},   # JSON's NaN
+], ids=["semantic_dim", "n_classes", "clip_seconds"])
+def test_synth_config_fault_writes_nothing(tmp_path, capsys, synthetic):
+    """A synthetic spec the generator cannot render is a configuration error
+    raised before any file is written."""
     cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps({"preset": "toy", "synthetic": {"semantic_dim": 4}}))
+    cfg_path.write_text(json.dumps({"preset": "toy", "synthetic": synthetic}))
     _assert_exits(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
                   2, capsys)
     assert not (tmp_path / "out").exists()

@@ -84,11 +84,6 @@ def test_top1_accuracy():
     assert evaluation.top1_accuracy(["a", "b", "c"], ["a", "b", "b"]) == pytest.approx(2 / 3)
 
 
-def test_top1_restriction_guards_truth():
-    with pytest.raises(ValueError):
-        evaluation.top1_accuracy(["a"], ["z"], restriction=["a", "b"])
-
-
 # --- baselines --------------------------------------------------------------------
 
 def test_random_baseline_ap_is_prevalence():
@@ -181,6 +176,16 @@ def test_pearson_zero_variance_is_none():
 
 # --- proximity --------------------------------------------------------------------
 
+def test_nearest_similarity_is_the_cosine_to_the_nearest_training_class():
+    train = {"x": np.array([1.0, 0.0]), "y": np.array([0.0, 2.0])}
+    assert evaluation.nearest_similarity(np.array([3.0, 4.0]), train) == pytest.approx(0.8)
+    assert evaluation.nearest_similarity(np.array([-1.0, 0.0]), train) == pytest.approx(0.0)
+
+
+def proximities(train, test):
+    return {c: evaluation.nearest_similarity(v, train) for c, v in test.items()}
+
+
 def test_proximity_correlation_sign():
     rng = np.random.default_rng(0)
     train = {f"t{i}": rng.standard_normal(4) for i in range(3)}
@@ -191,7 +196,7 @@ def test_proximity_correlation_sign():
             "far": -base}
     aps = {"near": 0.9, "mid": 0.5, "far": 0.1}
     rand = {k: 0.1 for k in aps}
-    rep = evaluation.proximity_correlation(aps, rand, train, test)
+    rep = evaluation.proximity_correlation(aps, rand, proximities(train, test))
     r = rep["pearson_r"]
     assert r is not None and -1.0 <= r <= 1.0
     assert r > 0.5  # gain tracks proximity by construction
@@ -200,19 +205,53 @@ def test_proximity_correlation_sign():
 def test_proximity_skips_classes_without_positives():
     rng = np.random.default_rng(0)
     train = {"t": rng.standard_normal(4)}
-    test = {c: rng.standard_normal(4) for c in "abcd"}
+    prox = proximities(train, {c: rng.standard_normal(4) for c in "abcd"})
     aps = {"a": 0.9, "b": 0.5, "c": None, "d": 0.1}
     rand = {c: 0.1 for c in aps}
-    rep = evaluation.proximity_correlation(aps, rand, train, test)
+    rep = evaluation.proximity_correlation(aps, rand, prox)
     assert [row["class_id"] for row in rep["per_class"]] == ["a", "b", "d"]
     kept = {c: aps[c] for c in "abd"}
-    assert rep == evaluation.proximity_correlation(kept, rand, train, test)
+    assert rep == evaluation.proximity_correlation(kept, rand, prox)
     with pytest.raises(DataError, match="at least 3 test classes"):
-        evaluation.proximity_correlation({**aps, "d": None}, rand, train, test)
+        evaluation.proximity_correlation({**aps, "d": None}, rand, prox)
 
 
 def test_proximity_needs_three_classes():
+    train = {"t": np.ones(2)}
     with pytest.raises(DataError, match="at least 3 test classes"):
         evaluation.proximity_correlation({"a": 0.5, "b": 0.5}, {"a": 0.1, "b": 0.1},
-                                         {"t": np.ones(2)},
-                                         {"a": np.ones(2), "b": np.ones(2)})
+                                         proximities(train, {"a": np.ones(2),
+                                                             "b": np.ones(2)}))
+
+
+# --- seed aggregate ---------------------------------------------------------------
+
+def test_aggregate_results_averages_seeds_before_the_proximity_analysis():
+    """Per-class APs are averaged over seeds, class "c" (no positive clip)
+    stays None, and a seed without an accuracy is left out of its mean.
+    `proximity_r` is the Pearson r of the seed-mean gains over chance
+    against seed 0's proximities, over the classes with a positive clip."""
+    rand = {"a": 0.125, "b": 0.25, "c": 0.0, "d": 0.125, "e": 0.25}
+    prox = {"a": 0.875, "b": 0.25, "d": 0.5, "e": 0.625}
+
+    def seed(s, accuracy, aps):
+        kept = [c for c in sorted(aps) if aps[c] is not None]
+        return {"seed": s, "accuracy": accuracy, "random_accuracy": 0.25,
+                "per_class_ap": aps, "random_ap": rand,
+                "mean_ap": float(np.mean([aps[c] for c in kept])),
+                "random_mean_ap": 0.15,
+                "proximity": {"per_class": [
+                    {"class_id": c, "ap": aps[c], "random_ap": rand[c],
+                     "proximity": prox[c]} for c in kept]}}
+    results = [seed(3, 0.5, {"a": 1.0, "b": 0.5, "c": None, "d": 0.25, "e": 0.75}),
+               seed(7, None, {"a": 0.5, "b": 0.25, "c": None, "d": 0.75, "e": 0.25})]
+    agg = experiments.aggregate_results(results)
+    mean = {"a": 0.75, "b": 0.375, "c": None, "d": 0.5, "e": 0.5}
+    assert agg["per_class_mean_ap"] == mean
+    assert agg["mean_ap"] == pytest.approx((0.625 + 0.4375) / 2)
+    assert agg["mean_accuracy"] == 0.5
+    assert agg["seeds"] == [3, 7]
+    assert (agg["random_mean_ap"], agg["random_accuracy"]) == (0.15, 0.25)
+    kept = ["a", "b", "d", "e"]
+    assert agg["proximity_r"] == evaluation.pearson_r(
+        [mean[c] - rand[c] for c in kept], [prox[c] for c in kept])

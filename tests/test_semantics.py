@@ -44,6 +44,13 @@ def test_unparsable_coordinate_names_line(tmp_path):
         semantics.load_word_vectors(path)
 
 
+@pytest.mark.parametrize("component", ["nan", "inf", "-Infinity"])
+def test_non_finite_component_names_line(tmp_path, component):
+    path = write_vectors(tmp_path, f"a 1 2\nb 3 {component}\n")
+    with pytest.raises(DataError, match=r":2: non-finite"):
+        semantics.load_word_vectors(path)
+
+
 def test_save_round_trip(tmp_path):
     words = ["alpha", "beta"]
     vecs = np.array([[1.5, -2.0], [0.25, 0.75]])
