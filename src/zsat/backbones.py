@@ -234,15 +234,18 @@ class TransformerBackbone(Backbone):
 
 
 class ConvBackbone(Backbone):
-    """A stack of 3x3 conv -> batch norm -> ReLU -> optional 2x2 pooling.
-    A subclass lists its layers in `layers()` as (name suffix, output
-    channels, pooling "avg" | "max" | None) and adds its own heads."""
+    """A stack of 3x3 conv -> batch norm -> ReLU -> optional 2x2 pooling over
+    windows of the input, pooled to features, then a fully-connected chain
+    with a ReLU between each two layers; a clip's embedding is the mean of
+    its windows'. A subclass lists its conv layers in `layers()` as (name
+    suffix, output channels, pooling "avg" | "max" | None) and its
+    fully-connected layers in `fc_layers()` as (name, out, in), the
+    embedding head last, and defines `_windows` and `_features`."""
 
     config_type = ConvConfig
     config_key = "conv"
 
     def tensors(self) -> list:
-        """The conv layers' rows; a subclass appends its heads' rows."""
         rows, cin = [], 1
         for sfx, cout, _ in self.layers():
             rows += [(f"conv_w{sfx}", (cout, cin, 3, 3), "uniform", True),
@@ -251,6 +254,8 @@ class ConvBackbone(Backbone):
                      (f"bn_mean{sfx}", (cout,), "zeros", False),
                      (f"bn_var{sfx}", (cout,), "ones", False)]
             cin = cout
+        for name, fan_out, fan_in in self.fc_layers():
+            rows += _linear(f"{name}_w", f"{name}_b", fan_out, fan_in)
         return rows
 
     def _stack_forward(self, h: np.ndarray, train: bool):
@@ -298,6 +303,33 @@ class ConvBackbone(Backbone):
                     dh, c_conv)
         return grads
 
+    def embed_batch(self, x: np.ndarray, train: bool = False,
+                    rng: np.random.Generator | None = None):
+        """x: (N, f, t) -> (embeddings (N, m), cache). `train` normalizes
+        batch norm by batch statistics; nothing here draws from `rng`."""
+        p = self.params
+        windows, per = self._windows(x.astype(self.dtype, copy=False))
+        fmap, caches = self._stack_forward(windows[:, None, :, :], train)
+        h, c_feat = self._features(fmap)
+        fc_in = []   # each layer's input; a ReLU output is > 0 where its input is
+        for k, (name, _, _) in enumerate(self.fc_layers()):
+            fc_in.append(nn.relu(h, out=h) if k else h)
+            h = nn.linear(fc_in[k], p[f"{name}_w"], p[f"{name}_b"])
+        emb = h.reshape(-1, per, h.shape[1]).mean(axis=1)
+        return emb, (caches, c_feat, fc_in, per) if train else None
+
+    def backward(self, demb: np.ndarray, cache) -> dict:
+        p = self.params
+        caches, c_feat, fc_in, per = cache
+        dh = np.repeat(demb.astype(self.dtype, copy=False) / per, per, axis=0)
+        grads = {}
+        for k, (name, _, _) in reversed(list(enumerate(self.fc_layers()))):
+            dh, grads[f"{name}_w"], grads[f"{name}_b"] = nn.linear_backward(
+                dh, fc_in[k], p[f"{name}_w"])
+            if k:
+                dh = nn.relu_backward(dh, fc_in[k])
+        return self._stack_backward(self._features_backward(dh, c_feat), caches, grads)
+
 
 class Cnn14Backbone(ConvBackbone):
     """Deep convnet: 6 blocks of two 3x3 convs with batch norm and ReLU,
@@ -307,54 +339,38 @@ class Cnn14Backbone(ConvBackbone):
     kind = "cnn14"
     POOLED_BLOCKS = 5  # no pooling after the last block
 
-    def tensors(self) -> list:
-        cfg = self.cfg
-        return [*super().tensors(),
-                *_linear("fc_w", "fc_b", cfg.fc_units, cfg.channels[-1]),
-                *_linear("head_w", "head_b", cfg.embed_dim, cfg.fc_units)]
-
     def layers(self) -> list:
         return [(f"{i}_{j}", cout, "avg" if j == 1 and i < self.POOLED_BLOCKS else None)
                 for i, cout in enumerate(self.cfg.channels) for j in range(2)]
 
-    def embed_batch(self, x: np.ndarray, train: bool = False,
-                    rng: np.random.Generator | None = None):
-        """x: (N, f, t) -> (embeddings (N, m), cache). `train` normalizes
-        batch norm by batch statistics; nothing here draws from `rng`."""
+    def fc_layers(self) -> list:
+        cfg = self.cfg
+        return [("fc", cfg.fc_units, cfg.channels[-1]), ("head", cfg.embed_dim, cfg.fc_units)]
+
+    def _windows(self, x: np.ndarray):
+        """The whole clip is its one window."""
         need = 2 ** self.POOLED_BLOCKS
         if min(x.shape[1:]) < need:
             raise DataError(f"input has {x.shape[1]} mel bins and {x.shape[2]} "
                             f"frames; needs at least {need} of each")
-        p = self.params
-        x = x.astype(self.dtype, copy=False)
-        fmap, caches = self._stack_forward(x[:, None, :, :], train)  # (N, C, f', t')
+        return x, 1
+
+    def _features(self, fmap: np.ndarray):
+        """(N, C, f', t') -> (N, C): the mean over frequency, then its mean
+        plus its max over time."""
         over_f = fmap.mean(axis=2)                 # (N, C, t')
-        mean_t = over_f.mean(axis=2)
         arg_t = over_f.argmax(axis=2)
         max_t = np.take_along_axis(over_f, arg_t[:, :, None], axis=2)[:, :, 0]
-        feat = mean_t + max_t
-        fc = nn.linear(feat, p["fc_w"], p["fc_b"])
-        fcr = nn.relu(fc)
-        emb = nn.linear(fcr, p["head_w"], p["head_b"])
-        if not train:
-            return emb, None
-        return emb, (caches, fmap.shape, over_f.shape, arg_t, feat, fc, fcr)
+        return over_f.mean(axis=2) + max_t, (fmap.shape, over_f.shape, arg_t)
 
-    def backward(self, demb: np.ndarray, cache) -> dict:
-        p = self.params
-        demb = demb.astype(self.dtype, copy=False)
-        caches, fshape, oshape, arg_t, feat, fc, fcr = cache
-        grads = {}
-        dfcr, grads["head_w"], grads["head_b"] = nn.linear_backward(demb, fcr, p["head_w"])
-        dfc = nn.relu_backward(dfcr, fc)
-        dfeat, grads["fc_w"], grads["fc_b"] = nn.linear_backward(dfc, feat, p["fc_w"])
-        dover = np.zeros(oshape, dtype=demb.dtype)
+    def _features_backward(self, dfeat: np.ndarray, cache) -> np.ndarray:
+        fshape, oshape, arg_t = cache
+        dover = np.zeros(oshape, dtype=dfeat.dtype)
         dover += dfeat[:, :, None] / oshape[2]     # mean over time
         np.put_along_axis(dover, arg_t[:, :, None],
                           np.take_along_axis(dover, arg_t[:, :, None], axis=2)
                           + dfeat[:, :, None], axis=2)
-        dfmap = np.broadcast_to(dover[:, :, None, :] / fshape[2], fshape).astype(demb.dtype)
-        return self._stack_backward(dfmap, caches, grads)
+        return np.broadcast_to(dover[:, :, None, :] / fshape[2], fshape).astype(dfeat.dtype)
 
 
 class VggishBackbone(ConvBackbone):
@@ -366,59 +382,36 @@ class VggishBackbone(ConvBackbone):
     # max pooling after these conv layer indices (0-based)
     POOL_AFTER = (0, 1, 3, 5)
 
-    def tensors(self) -> list:
+    def layers(self) -> list:
+        return [(f"{i}", cout, "max" if i in self.POOL_AFTER else None)
+                for i, cout in enumerate(self.cfg.channels)]
+
+    def fc_layers(self) -> list:
         cfg = self.cfg
         if len(cfg.channels) != 6:
             raise ConfigError("vggish preset needs 6 conv channel counts")
         ht = cfg.vggish_time // (2 ** len(self.POOL_AFTER))
         wf = cfg.vggish_mels // (2 ** len(self.POOL_AFTER))
-        return [*super().tensors(),
-                *_linear("fc1_w", "fc1_b", cfg.fc_units, cfg.channels[-1] * ht * wf),
-                *_linear("fc2_w", "fc2_b", cfg.fc_units, cfg.fc_units),
-                *_linear("head_w", "head_b", cfg.embed_dim, cfg.fc_units)]
+        return [("fc1", cfg.fc_units, cfg.channels[-1] * ht * wf),
+                ("fc2", cfg.fc_units, cfg.fc_units), ("head", cfg.embed_dim, cfg.fc_units)]
 
-    def layers(self) -> list:
-        return [(f"{i}", cout, "max" if i in self.POOL_AFTER else None)
-                for i, cout in enumerate(self.cfg.channels)]
-
-    def embed_batch(self, x: np.ndarray, train: bool = False,
-                    rng: np.random.Generator | None = None):
-        """x: (N, f, t); every clip contributes t//chunk chunks of
-        (t_chunk, f), clip-major, and the trailing remainder is discarded.
-        `train` normalizes batch norm by batch statistics; `rng` is unused."""
-        p, tlen = self.params, self.cfg.vggish_time
-        x = x.astype(self.dtype, copy=False)
+    def _windows(self, x: np.ndarray):
+        """Every clip's t//chunk chunks of (t_chunk, f), clip-major; the
+        trailing remainder is discarded."""
+        tlen = self.cfg.vggish_time
         n, f, t = x.shape
         if f != self.cfg.vggish_mels:
             raise DataError(f"expected {self.cfg.vggish_mels} mel bins, got {f}")
         if t < tlen:
             raise DataError(f"need at least {tlen} frames, got {t}")
         per = t // tlen
-        chunks = x[:, :, :per * tlen].transpose(0, 2, 1).reshape(n * per, tlen, f)
-        h, caches = self._stack_forward(chunks[:, None, :, :], train)
-        flat = h.reshape(h.shape[0], -1)
-        f1 = nn.linear(flat, p["fc1_w"], p["fc1_b"])
-        r1 = nn.relu(f1)
-        f2 = nn.linear(r1, p["fc2_w"], p["fc2_b"])
-        r2 = nn.relu(f2)
-        emb = nn.linear(r2, p["head_w"], p["head_b"])
-        emb = emb.reshape(n, per, -1).mean(axis=1)
-        if not train:
-            return emb, None
-        return emb, (caches, h.shape, flat, f1, r1, f2, r2, per)
+        return x[:, :, :per * tlen].transpose(0, 2, 1).reshape(n * per, tlen, f), per
 
-    def backward(self, demb: np.ndarray, cache) -> dict:
-        p = self.params
-        demb = demb.astype(self.dtype, copy=False)
-        caches, shape, flat, f1, r1, f2, r2, per = cache
-        dchunks = np.repeat(demb / per, per, axis=0)
-        grads = {}
-        dr2, grads["head_w"], grads["head_b"] = nn.linear_backward(dchunks, r2, p["head_w"])
-        df2 = nn.relu_backward(dr2, f2)
-        dr1, grads["fc2_w"], grads["fc2_b"] = nn.linear_backward(df2, r1, p["fc2_w"])
-        df1 = nn.relu_backward(dr1, f1)
-        dflat, grads["fc1_w"], grads["fc1_b"] = nn.linear_backward(df1, flat, p["fc1_w"])
-        return self._stack_backward(dflat.reshape(shape), caches, grads)
+    def _features(self, fmap: np.ndarray):
+        return fmap.reshape(len(fmap), -1), fmap.shape
+
+    def _features_backward(self, dfeat: np.ndarray, shape) -> np.ndarray:
+        return dfeat.reshape(shape)
 
 
 BACKBONE_KINDS = {cls.kind: cls for cls in

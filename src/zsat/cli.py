@@ -313,6 +313,8 @@ def cmd_evaluate(args) -> int:
              for s, model in zip(seeds, models)]
     category_map = (protocol.load_json(args.category_map, dict[str, str])
                     if args.category_map else None)
+    if unknown := sorted(set(category_map or ()) - set(corpus.labels)):
+        raise DataError(f"{args.category_map}: classes {unknown} are not in the corpus")
     # zero-shot evaluation reads only the test split's clips
     experiments.compute_spectrograms(corpus, cfg.mel, ("test",))
     results = []

@@ -3,7 +3,6 @@ stderr label, and `check`, the one type rule of every settings block and
 JSON input file. Any other exception that reaches `zsat` is a bug."""
 
 import dataclasses
-import functools
 import math
 import typing
 
@@ -41,32 +40,27 @@ def _is_number(v) -> bool:
             or isinstance(v, float) and math.isfinite(v))
 
 
-# a plain annotation: (test, noun, plural noun); a bool is no number
-_PLAIN = {int: (_is(int), "an integer", "integers"),
-          float: (_is_number, "a number", "numbers"),
-          str: (_is(str), "a string", "strings"),
-          tuple: (_is(list, tuple), "a list", "lists"),
-          dict: (_is(dict), "an object", "objects")}
-
-
-@functools.cache
-def _rule(tp) -> tuple:
-    """(test, noun, plural noun) of the annotation `tp`: a plain type, a
-    settings class, or `tuple[T, ...]` or `dict[str, T]` of any such T."""
-    if (origin := typing.get_origin(tp)) is None:
-        return _PLAIN.get(tp) or (_is(tp), f"a {tp.__name__}", f"{tp.__name__}s")
-    test, noun, plural = _rule(origin)
-    item, _, items = _rule(typing.get_args(tp)[origin is dict])   # the T of either
-    return (lambda v: test(v) and all(map(item, v.values() if origin is dict else v)),
-            f"{noun} of {items}", f"{plural} of {items}")
+# a plain annotation: (test, noun); a bool is no number
+_PLAIN = {int: (_is(int), "an integer"),
+          float: (_is_number, "a number"),
+          str: (_is(str), "a string"),
+          tuple: (_is(list, tuple), "a list"),
+          dict: (_is(dict), "an object")}
 
 
 def check(name: str, value, tp):
     """`value`, with a list as a tuple, if the annotation `tp` allows it;
-    else a `ConfigError` naming `name`."""
-    test, noun, _ = _rule(tp)
+    else a `ConfigError` naming `name`, or the element of it at fault, such
+    as `labels['c03']`. `tp` is a plain type, a settings class, or
+    `tuple[T, ...]` or `dict[str, T]` of any such T."""
+    origin = typing.get_origin(tp) or tp
+    test, noun = _PLAIN.get(origin) or (_is(origin), f"a {origin.__name__}")
     if not test(value):
         raise ConfigError(f"{name} must be {noun}, not {type(value).__name__} {value!r}")
+    if origin is not tp:
+        item = typing.get_args(tp)[origin is dict]   # the T of either
+        for key, v in value.items() if origin is dict else enumerate(value):
+            check(f"{name}[{key!r}]", v, item)
     return tuple(value) if isinstance(value, list) else value
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -195,6 +196,25 @@ def test_vggish_too_short_input_raises():
     model = backbones.VggishBackbone(cfg, np.random.default_rng(0))
     with pytest.raises(DataError, match="need at least 16 frames"):
         model.embed([spec_of(np.zeros((32, 10)))])
+
+
+@pytest.mark.parametrize("kind, channels, shape, error, message", [
+    ("cnn14", (2, 2, 3, 3, 4, 4), (1, 31, 64), DataError,
+     "input has 31 mel bins and 64 frames; needs at least 32 of each"),
+    ("cnn14", (2, 2, 3, 3, 4, 4), (1, 64, 31), DataError,
+     "input has 64 mel bins and 31 frames; needs at least 32 of each"),
+    ("vggish", (2, 2, 3, 3, 4, 4), (1, 16, 32), DataError, "expected 32 mel bins, got 16"),
+    ("vggish", (2, 2, 3, 3, 4), (1, 32, 32), ConfigError,
+     "vggish preset needs 6 conv channel counts"),
+])
+def test_conv_input_rules(kind, channels, shape, error, message):
+    """A conv backbone rejects, by name, an input its windows cannot be cut
+    from, and VGGish a channel list its fully-connected table cannot size."""
+    cfg = ConvConfig(channels=channels, fc_units=6, embed_dim=4,
+                     vggish_time=16, vggish_mels=32)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        model = backbones.BACKBONE_KINDS[kind](cfg, np.random.default_rng(0))
+        model.embed_batch(np.zeros(shape))
 
 
 @pytest.mark.parametrize("kind", sorted(backbones.BACKBONE_KINDS))

@@ -151,7 +151,7 @@ def test_zero_epochs_is_a_config_error(tmp_path):
     ({"projection_hidden": 0}, "projection_hidden must be a positive integer, not int 0"),
     ({"projection_val_fraction": "x"}, "projection_val_fraction must be a number, not str 'x'"),
     ({"projection_val_fraction": 2.0}, "projection_val_fraction must be a number in (0, 1)"),
-    ({"pinned_labels": 5}, "pinned_labels must be a list of strings, not int 5"),
+    ({"pinned_labels": 5}, "pinned_labels must be a list, not int 5"),
 ])
 def test_top_level_value_of_a_wrong_type_exits_2(tmp_path, capsys, override, message):
     """A top-level value that `ExperimentConfig`'s checks cannot use is a
@@ -173,18 +173,20 @@ def test_top_level_value_of_a_wrong_type_exits_2(tmp_path, capsys, override, mes
     ("mel.n_mels", 64.0, "an integer"),
     ("transformer.n_freq_drop", True, "an integer"),
     ("augment.n_time_masks", 1.5, "an integer"),
-    ("synthetic.test_classes", [2, "5"], "a list of integers"),
-    ("conv.channels", [8, 16.0], "a list of integers"),
+    ("synthetic.test_classes", [2, "5"], "an integer"),
+    ("conv.channels", [8, 16.0], "an integer"),
     ("synthetic.mel.n_mels", 64.0, "an integer"),
 ])
 def test_nested_value_of_a_wrong_type_exits_2(tmp_path, capsys, dotted, value, noun):
     """A value of the wrong type inside a settings block, at any depth, is a
-    configuration error naming the block and the field, raised before
-    anything is written."""
+    configuration error naming the block and the field, or the list
+    element at fault, raised before anything is written."""
     *block, key = dotted.split(".")
     overrides = {key: value}
     for name in reversed(block):
         overrides = {name: overrides}
+    if isinstance(value, list):   # each list row's second element is the bad one
+        key, value = f"{key}[1]", value[1]
     message = (f"bad override for {'.'.join(block)}: {key} must be {noun}, not "
                f"{type(value).__name__} {value!r}")
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -211,7 +213,7 @@ def test_every_settings_block_checks_its_types():
                                 (toy, "preset", None), (toy, "mel", toy.augment),
                                 (toy.synthetic, "test_classes", (2, 5.0)),
                                 (toy, "pinned_labels", "Speech")):
-        with pytest.raises(ConfigError, match=f"^{field} must be "):
+        with pytest.raises(ConfigError, match=rf"^{field}(\[1\])? must be "):
             dataclasses.replace(block, **{field: value})
     for value in (4.0, True):
         with pytest.raises(ConfigError, match="^n_classes must be an integer"):
@@ -626,6 +628,10 @@ def _exit_code_cases(cli_env, tmp_path):
         ("category map value a list",
          [*evaluate, "--config", cfg, "--corpus", corpus,
           "--category-map", write("cat_list.json", '{"c02": ["a"]}')], 3, True),
+        ("category map of classes not in the corpus",
+         [*evaluate, "--config", cfg, "--corpus", corpus,
+          "--category-map", write("cat_unknown.json", '{"zz01": "a", "zz02": "a"}')],
+         3, True),
         ("patchout drops as wide as the grid",
          [*pretrain, "--config", config("drop12", {"transformer": {"n_time_drop": 12}}),
           "--corpus", corpus], 3, True),

@@ -151,8 +151,8 @@ def test_manifest_rejects_an_unknown_split(tmp_path):
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("tags", "c01", "tags must be a list of strings, not str 'c01'"),
-    ("tags", ["c01", 1], "tags must be a list of strings, not list ['c01', 1]"),
+    ("tags", "c01", "tags must be a list, not str 'c01'"),
+    ("tags", ["c01", 1], "tags[1] must be a string, not int 1"),
     ("id", 7, "clip_id must be a string, not int 7"),
     ("split", None, "split must be a string, not NoneType None"),
 ])
@@ -171,12 +171,13 @@ def test_manifest_field_of_a_wrong_type_is_a_data_error(tmp_path, field, value, 
 
 def test_load_json_checks_each_key_against_its_nested_annotation(tmp_path):
     """A key whose value does not fit its nested annotation is a data error
-    naming the file and the key; an absent key takes its default."""
+    naming the file and the element at fault; an absent key takes its
+    default."""
     spec = {"folds": tuple[tuple[str, ...], ...], "pinned": tuple[str, ...]}
     path = tmp_path / "folds.json"
     path.write_text(json.dumps({"folds": [["c00"], [["c01"]]]}))
-    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: folds must be a list "
-                       r"of lists of strings, not list \[\['c00'\], \[\['c01'\]\]\]$"):
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "
+                       r"folds\[1\]\[0\] must be a string, not list \['c01'\]$"):
         protocol.load_json(path, spec, pinned=[])
     path.write_text(json.dumps({"folds": [["c00"], ["c01"]]}))
     assert protocol.load_json(path, spec, pinned=[]) == {"folds": [["c00"], ["c01"]],
