@@ -234,13 +234,13 @@ class TransformerBackbone(Backbone):
 
 
 class ConvBackbone(Backbone):
-    """A stack of 3x3 conv -> batch norm -> ReLU -> optional 2x2 pooling over
-    windows of the input, pooled to features, then a fully-connected chain
-    with a ReLU between each two layers; a clip's embedding is the mean of
-    its windows'. A subclass lists its conv layers in `layers()` as (name
-    suffix, output channels, pooling "avg" | "max" | None) and its
-    fully-connected layers in `fc_layers()` as (name, out, in), the
-    embedding head last, and defines `_windows` and `_features`."""
+    """A stack of bias-free 3x3 conv (batch norm would cancel a bias) -> batch
+    norm -> ReLU -> optional 2x2 pooling over windows of the input, pooled to
+    features, then a fully-connected chain, a ReLU between each two layers; a
+    clip's embedding is the mean of its windows'. A subclass lists its conv
+    layers in `layers()` as (name suffix, output channels, pooling "avg" |
+    "max" | None) and its fully-connected layers in `fc_layers()` as (name,
+    out, in), the embedding head last, and defines `_windows` and `_features`."""
 
     config_type = ConvConfig
     config_key = "conv"
@@ -249,7 +249,6 @@ class ConvBackbone(Backbone):
         rows, cin = [], 1
         for sfx, cout, _ in self.layers():
             rows += [(f"conv_w{sfx}", (cout, cin, 3, 3), "uniform", True),
-                     (f"conv_b{sfx}", (cout,), "zeros", True),
                      *_affine(f"bn_g{sfx}", f"bn_b{sfx}", cout),
                      (f"bn_mean{sfx}", (cout,), "zeros", False),
                      (f"bn_var{sfx}", (cout,), "ones", False)]
@@ -268,14 +267,14 @@ class ConvBackbone(Backbone):
         p, st = self.params, self.stats
         caches = []
         for sfx, _, pool in self.layers():
-            w, b = p[f"conv_w{sfx}"], p[f"conv_b{sfx}"]
+            w = p[f"conv_w{sfx}"]
             bn = (p[f"bn_g{sfx}"], p[f"bn_b{sfx}"], st[f"bn_mean{sfx}"], st[f"bn_var{sfx}"])
             if train:
-                h, c_conv = nn.conv2d(h, w, b)
+                h, c_conv = nn.conv2d(h, w)
                 pre, c_bn = nn.batch_norm2d(h, *bn, True)
                 h = nn.relu(pre)
             else:
-                h = nn.conv2d(h, *nn.fold_batch_norm2d(w, b, *bn))[0]
+                h = nn.conv2d(h, *nn.fold_batch_norm2d(w, *bn))[0]
                 h = nn.relu(h, out=h)
             c_pool = None
             if pool:
@@ -288,7 +287,7 @@ class ConvBackbone(Backbone):
     def _stack_backward(self, dh: np.ndarray, caches: list, grads: dict) -> dict:
         """Adds the conv layers' gradients to `grads` and returns it. Nothing
         reads the gradient of the input spectrogram, so the first conv
-        layer gives its weight and bias gradients alone."""
+        layer gives its weight gradient alone."""
         for k, ((sfx, _, pool), (c_conv, c_bn, pre, c_pool)) in enumerate(zip(
                 reversed(self.layers()), reversed(caches), strict=True)):
             if pool:
@@ -296,11 +295,9 @@ class ConvBackbone(Backbone):
             dh = nn.relu_backward(dh, pre)
             dh, grads[f"bn_g{sfx}"], grads[f"bn_b{sfx}"] = nn.batch_norm2d_backward(dh, c_bn)
             if k == len(caches) - 1:
-                grads[f"conv_w{sfx}"], grads[f"conv_b{sfx}"] = nn.conv2d_param_backward(
-                    dh, c_conv)
+                grads[f"conv_w{sfx}"] = nn.conv2d_param_backward(dh, c_conv)
             else:
-                dh, grads[f"conv_w{sfx}"], grads[f"conv_b{sfx}"] = nn.conv2d_backward(
-                    dh, c_conv)
+                dh, grads[f"conv_w{sfx}"], _ = nn.conv2d_backward(dh, c_conv)
         return grads
 
     def embed_batch(self, x: np.ndarray, train: bool = False,

@@ -131,6 +131,13 @@ class Module:
                 value = {"zeros": np.zeros, "ones": np.ones}[init](shape)
             (self.params if trained else self.stats)[name] = value.astype(dtype)
 
+    @classmethod
+    def blank(cls, cfg):
+        """A module of `cfg` holding no tensors, for its `tensors()` table; draws nothing."""
+        module = cls.__new__(cls)
+        module.cfg = cfg
+        return module
+
     @property
     def dtype(self) -> np.dtype:
         """The dtype of every tensor the module holds, which it computes in."""
@@ -149,12 +156,8 @@ class Module:
         float32 tensors, whose names and shapes must be those of its
         `tensors()` table."""
         _, hp, tensors = load_checkpoint(path, cls.kind)
-        # conv checkpoints written while ConvConfig had a `kind` field still
-        # carry it; the checkpoint header's kind tag is the one that counts
-        hp.pop("kind", None)
-        module = cls.__new__(cls)
         try:
-            module.cfg = cls.config_type(**hp)
+            module = cls.blank(cls.config_type(**hp))
             table = module.tensors()
         except (TypeError, ConfigError) as e:
             raise DataError(f"{path}: its hyperparameters build no {cls.kind}: "

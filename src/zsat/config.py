@@ -48,6 +48,12 @@ class ExperimentConfig:
         if self.backbone == "vggish" and self.conv.vggish_mels != self.mel.n_mels:
             raise ConfigError(f"vggish_mels {self.conv.vggish_mels} must equal the "
                               f"frontend's n_mels {self.mel.n_mels}")
+        # the backbone's own rules, such as VGGish's six conv layers
+        BACKBONE_KINDS[self.backbone].blank(self.backbone_settings()).tensors()
+
+    def backbone_settings(self):
+        """The settings block of the configured backbone kind."""
+        return getattr(self, BACKBONE_KINDS[self.backbone].config_key)
 
     def echo(self) -> dict:
         """Resolved config + version string, embedded in output artifacts."""
@@ -94,7 +100,7 @@ PRESETS = {
     "paper": ExperimentConfig(
         preset="paper", backbone="transformer", mel=MelConfig(), augment=_PAPER_AUG,
         transformer=TransformerConfig(n_freq_drop=2, n_time_drop=10),
-        conv=ConvConfig(), pretrain=TrainConfig(), projection=TrainConfig(epochs=10),
+        conv=ConvConfig(vggish_mels=128), pretrain=TrainConfig(), projection=TrainConfig(epochs=10),
         projection_hidden=1024, projection_dropout=0.2, projection_val_fraction=0.1,
         synthetic=_TOY_SYNTH),
 }

@@ -4,6 +4,7 @@ JSON input file. Any other exception that reaches `zsat` is a bug."""
 
 import dataclasses
 import math
+import reprlib
 import typing
 
 
@@ -51,12 +52,13 @@ _PLAIN = {int: (_is(int), "an integer"),
 def check(name: str, value, tp):
     """`value`, with a list as a tuple, if the annotation `tp` allows it;
     else a `ConfigError` naming `name`, or the element of it at fault, such
-    as `labels['c03']`. `tp` is a plain type, a settings class, or
-    `tuple[T, ...]` or `dict[str, T]` of any such T."""
+    as `labels['c03']`, and showing the value cut short. `tp` is a plain
+    type, a settings class, or `tuple[T, ...]` or `dict[str, T]` of any such T."""
     origin = typing.get_origin(tp) or tp
     test, noun = _PLAIN.get(origin) or (_is(origin), f"a {origin.__name__}")
     if not test(value):
-        raise ConfigError(f"{name} must be {noun}, not {type(value).__name__} {value!r}")
+        raise ConfigError(f"{name} must be {noun}, not {type(value).__name__} "
+                          f"{reprlib.repr(value)}")
     if origin is not tp:
         item = typing.get_args(tp)[origin is dict]   # the T of either
         for key, v in value.items() if origin is dict else enumerate(value):

@@ -81,17 +81,12 @@ def compute_spectrograms(corpus: Corpus, mel: dsp.MelConfig, splits) -> None:
                 raise DataError(f"clip {r.clip_id}: {exc}") from exc
 
 
-def _backbone_config(cfg: ExperimentConfig):
-    """The settings block of the configured backbone kind."""
-    return getattr(cfg, backbones.BACKBONE_KINDS[cfg.backbone].config_key)
-
-
 def build_backbone(cfg: ExperimentConfig, rng: np.random.Generator):
-    return backbones.BACKBONE_KINDS[cfg.backbone](_backbone_config(cfg), rng)
+    return backbones.BACKBONE_KINDS[cfg.backbone](cfg.backbone_settings(), rng)
 
 
 def embed_dim(cfg: ExperimentConfig) -> int:
-    return _backbone_config(cfg).embed_dim
+    return cfg.backbone_settings().embed_dim
 
 
 def run_pretrain(cfg: ExperimentConfig, corpus: Corpus, seed: int,

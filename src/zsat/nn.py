@@ -207,8 +207,8 @@ def _windows(x, k, stride, ho, wo):
 # 2D convolution via im2col: stride 1, "same" zero padding (kh // 2, kw // 2)
 
 
-def conv2d(x, w, b):
-    """x: (N,C,H,W), w: (Cout,C,kh,kw), b: (Cout,) -> out (N,Cout,H,W)."""
+def conv2d(x, w, b=None):
+    """x: (N,C,H,W), w: (Cout,C,kh,kw), b: (Cout,) or None -> out (N,Cout,H,W)."""
     n, c, h, wd = x.shape
     cout, cin, kh, kw = w.shape
     ph, pw = kh // 2, kw // 2
@@ -219,7 +219,8 @@ def conv2d(x, w, b):
         cols[:, :, k] = view
     cols = cols.reshape(n, c * kh * kw, h * wd)
     out = np.matmul(w.reshape(cout, -1), cols)
-    out += b[None, :, None]
+    if b is not None:
+        out += b[None, :, None]
     return out.reshape(n, cout, h, wd), (x, cols, w)
 
 
@@ -231,7 +232,7 @@ def _shift(size, d):
 
 
 def conv2d_param_backward(dout, cache):
-    """(dw, db) of `conv2d_backward` without the input gradient, which no
+    """The dw of `conv2d_backward` without the input gradient, which no
     caller of a first layer reads."""
     _, cols, w = cache
     dflat = dout.reshape(dout.shape[0], w.shape[0], -1)
@@ -239,15 +240,15 @@ def conv2d_param_backward(dout, cache):
     # leave BLAS's row tiles half empty. Each entry sums the same h*w
     # products as dflat @ cols^T; whether in the same order is up to the
     # BLAS kernels, which pick by CPU
-    dw = np.matmul(cols, dflat.transpose(0, 2, 1)).sum(axis=0).T.reshape(w.shape)
-    return dw, dflat.sum(axis=(0, 2))
+    return np.matmul(cols, dflat.transpose(0, 2, 1)).sum(axis=0).T.reshape(w.shape)
 
 
 def conv2d_backward(dout, cache):
+    """(dx, dw, db); db is the gradient of a bias, if the conv had one."""
     x, cols, w = cache
     n, c, h, wd = x.shape
     cout, cin, kh, kw = w.shape
-    dw, db = conv2d_param_backward(dout, cache)
+    dw = conv2d_param_backward(dout, cache)
     dflat = dout.reshape(n, cout, -1)
     dcols = np.matmul(w.reshape(cout, -1).T, dflat)
     dcols = dcols.reshape(n, c, kh * kw, h, wd)
@@ -257,7 +258,7 @@ def conv2d_backward(dout, cache):
     for k in range(kh * kw):
         (ty, fy), (tz, fz) = _shift(h, k // kw - kh // 2), _shift(wd, k % kw - kw // 2)
         dx[:, :, ty, tz] += dcols[:, :, k, fy, fz]
-    return dx, dw, db
+    return dx, dw, dflat.sum(axis=(0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +291,12 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, train: bool,
     return out, (xhat, inv, gamma)
 
 
-def fold_batch_norm2d(w, b, gamma, beta, running_mean, running_var, eps=1e-5):
-    """The conv weight and bias (w', b') whose `conv2d` is `conv2d(w, b)`
-    followed by eval batch norm: with s = gamma / sqrt(running_var + eps),
-    w' = w * s and b' = (b - running_mean) * s + beta per output channel.
-    Returns new arrays and writes into none of its inputs."""
+def fold_batch_norm2d(w, gamma, beta, running_mean, running_var, eps=1e-5):
+    """(w', b') of the bias-free `conv2d(w)` followed by eval batch norm, as
+    new arrays: w' = w * s and b' = beta - running_mean * s per output
+    channel, with s = gamma / sqrt(running_var + eps)."""
     s = gamma / np.sqrt(running_var + eps)
-    wf = w * s[:, None, None, None]
-    bf = b - running_mean
-    bf *= s
-    bf += beta
-    return wf, bf
+    return w * s[:, None, None, None], beta - running_mean * s
 
 
 def batch_norm2d_backward(dout, cache):

@@ -37,17 +37,20 @@ def fd_gradcheck(params: dict, forward, grads_fn, n_coords: int = 30,
     return worst
 
 
-def stacked_conv2d(x, w, b):
+def stacked_conv2d(x, w, b=None):
     """`nn.conv2d` with its im2col columns built by `np.pad` and `np.stack`:
     the reference whose bytes the one-buffer build must match. It takes the
-    same arguments and returns the same cache, so it can stand in for it."""
+    same arguments, the bias optional, and returns the same cache, so it can
+    stand in for it."""
     n, c, h, wd = x.shape
     cout, _, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
     cols = np.stack([xp[:, :, i:i + h, j:j + wd] for i in range(kh) for j in range(kw)],
                     axis=2)
     cols = cols.reshape(n, c * kh * kw, h * wd)
-    out = np.matmul(w.reshape(cout, -1), cols) + b[None, :, None]
+    out = np.matmul(w.reshape(cout, -1), cols)
+    if b is not None:
+        out = out + b[None, :, None]
     return out.reshape(n, cout, h, wd), (x, cols, w)
 
 
@@ -179,7 +182,7 @@ def reference_conv2d_backward(dout, cache):
 
 
 def reference_conv2d_param_backward(dout, cache):
-    return reference_conv2d_backward(dout, cache)[1:]
+    return reference_conv2d_backward(dout, cache)[1]
 
 
 def reference_batch_norm2d(x, gamma, beta, running_mean, running_var, train: bool,
@@ -199,9 +202,9 @@ def reference_batch_norm2d(x, gamma, beta, running_mean, running_var, train: boo
     return out, (xhat, inv, gamma) if train else None
 
 
-def reference_fold_batch_norm2d(w, b, gamma, beta, running_mean, running_var, eps=1e-5):
+def reference_fold_batch_norm2d(w, gamma, beta, running_mean, running_var, eps=1e-5):
     s = gamma / np.sqrt(running_var + eps)
-    return w * s[:, None, None, None], (b - running_mean) * s + beta
+    return w * s[:, None, None, None], beta - running_mean * s
 
 
 def reference_batch_norm2d_backward(dout, cache):

@@ -299,7 +299,7 @@ def _plain_eval_stack(model):
     def forward(h, train):
         assert not train
         for sfx, _, pool in model.layers():
-            h, _ = nn.conv2d(h, p[f"conv_w{sfx}"], p[f"conv_b{sfx}"])
+            h, _ = nn.conv2d(h, p[f"conv_w{sfx}"])
             h, _ = reference_batch_norm2d(h, p[f"bn_g{sfx}"], p[f"bn_b{sfx}"],
                                           st[f"bn_mean{sfx}"], st[f"bn_var{sfx}"], False)
             h = np.maximum(h, 0)
@@ -610,21 +610,36 @@ def test_backbone_checkpoint_round_trip(tmp_path):
         _assert_same_backbone(backbones.BACKBONE_KINDS[kind].load(path), model, x)
 
 
-def test_v1_checkpoints_still_load(tmp_path):
-    """Checkpoints written before the patchout drop counts moved into the
-    transformer config, and before ConvConfig lost its `kind` field."""
-    for kind, (model, x) in _small_backbones().items():
-        hp = dataclasses.asdict(model.cfg)
-        if kind == "transformer":
-            del hp["n_freq_drop"], hp["n_time_drop"]
-            # without drop counts in the file, the loaded model drops nothing
-            model.cfg = dataclasses.replace(model.cfg, n_freq_drop=0, n_time_drop=0)
-        else:
-            hp["kind"] = kind
-            hp["channels"] = list(hp["channels"])
-        path = tmp_path / f"{kind}_v1.ckpt"
-        checkpoint.save_checkpoint(path, kind, hp, {**model.params, **model.stats})
-        _assert_same_backbone(type(model).load(path), model, x)
+def test_v1_transformer_checkpoint_still_loads(tmp_path):
+    """A transformer checkpoint written before the patchout drop counts
+    moved into the transformer config."""
+    model, x = _small_backbones()["transformer"]
+    hp = dataclasses.asdict(model.cfg)
+    del hp["n_freq_drop"], hp["n_time_drop"]
+    # without drop counts in the file, the loaded model drops nothing
+    model.cfg = dataclasses.replace(model.cfg, n_freq_drop=0, n_time_drop=0)
+    path = tmp_path / "transformer_v1.ckpt"
+    checkpoint.save_checkpoint(path, "transformer", hp, {**model.params, **model.stats})
+    _assert_same_backbone(type(model).load(path), model, x)
+
+
+@pytest.mark.parametrize("kind", ["cnn14", "vggish"])
+def test_conv_checkpoint_with_conv_biases_is_refused(tmp_path, kind):
+    """A conv checkpoint written while every conv layer still had a bias,
+    which batch norm cancels, holds a `conv_b` tensor per layer. It is a
+    data error naming them, and one from before ConvConfig lost its `kind`
+    field is a data error naming its hyperparameters: no loader reads the
+    old table."""
+    model, _ = _small_backbones()[kind]
+    biases = {f"conv_b{sfx}": np.zeros(cout) for sfx, cout, _ in model.layers()}
+    tensors = {**model.params, **model.stats, **biases}
+    path = tmp_path / f"{kind}.ckpt"
+    checkpoint.save_checkpoint(path, kind, model.hyperparams(), tensors)
+    with pytest.raises(DataError, match=re.escape(f"unexpected tensors {sorted(biases)}")):
+        type(model).load(path)
+    checkpoint.save_checkpoint(path, kind, {**model.hyperparams(), "kind": kind}, tensors)
+    with pytest.raises(DataError, match=f"its hyperparameters build no {kind}: .*'kind'"):
+        type(model).load(path)
 
 
 def _small_modules():
@@ -680,7 +695,7 @@ def test_backbone_checkpoint_tensors_checked_against_hyperparameters(tmp_path):
 # The SHA-256 of `_init_digest()`. A change to the order, count or kind of
 # the draws that build a module changes it, and with it every seed's initial
 # weights.
-INIT_DIGEST = "bf848e77f36955688b333347a62fe2aaa6e96441d23ef7ddd157e2b4f6bb5cf6"
+INIT_DIGEST = "2d52172d43c6723b1603a8a6d3ac8d19e321eb1c7b1bfe5a537d5aebb2595bc9"
 
 
 def _init_digest():

@@ -48,6 +48,8 @@ def test_paper_preset_holds_the_paper_values():
     assert (cfg.projection_hidden, cfg.projection_dropout,
             cfg.projection_val_fraction) == (1024, 0.2, 0.1)
     assert cfg.augment.mixup_alpha == 0.3
+    # VGGish's window takes the paper frontend's 128 mels without an override
+    assert resolve_config("paper", {"backbone": "vggish"}).conv.vggish_mels == 128
 
 
 def test_override_nested_field():
@@ -56,7 +58,8 @@ def test_override_nested_field():
     assert cfg.seeds == (5, 6)
     assert cfg.projection.epochs == PRESETS["toy"].projection.epochs
     # the VGGish window is checked against the mel bins once every override is in
-    cfg = resolve_config("paper", {"backbone": "vggish", "conv": {"vggish_mels": 128}})
+    cfg = resolve_config("toy", {"backbone": "vggish", "mel": {"n_mels": 128},
+                                 "conv": {"vggish_mels": 128}})
     assert (cfg.backbone, cfg.conv.vggish_mels) == ("vggish", 128)
 
 
@@ -506,6 +509,11 @@ def _exit_code_cases(cli_env, tmp_path):
     checkpoint.save_checkpoint(float_heads_bb, model.kind,
                                {**model.hyperparams(), "n_heads": 4.0},
                                {**model.params, **model.stats})
+    cnn14 = backbones.Cnn14Backbone(cfg_obj.conv, np.random.default_rng(0))
+    conv_b_bb = tmp_path / "conv_b_bb.ckpt"
+    checkpoint.save_checkpoint(conv_b_bb, "cnn14", cnn14.hyperparams(), {
+        **cnn14.params, **cnn14.stats,
+        **{f"conv_b{sfx}": np.zeros(cout) for sfx, cout, _ in cnn14.layers()}})
     no_channels_bb = tmp_path / "no_channels_bb.ckpt"
     checkpoint.save_checkpoint(no_channels_bb, "cnn14", {
         **dataclasses.asdict(cfg_obj.conv), "channels": []}, {})
@@ -635,6 +643,9 @@ def _exit_code_cases(cli_env, tmp_path):
         ("patchout drops as wide as the grid",
          [*pretrain, "--config", config("drop12", {"transformer": {"n_time_drop": 12}}),
           "--corpus", corpus], 3, True),
+        ("vggish with 4 conv channel counts",
+         [*pretrain, "--config", config("vggish4", {"backbone": "vggish", "conv": {
+             "channels": [8, 16, 32, 64]}}), "--corpus", corpus], 2, True),
         ("vggish window smaller than its pooling",
          [*pretrain, "--config", config("vggish8", {"backbone": "vggish",
                                                    "conv": {"vggish_time": 8}}),
@@ -646,6 +657,10 @@ def _exit_code_cases(cli_env, tmp_path):
           "--corpus", corpus], 2, True),
         ("backbone kind mismatch",
          [*project, "--config", config("kind", {"backbone": "cnn14"}),
+          "--corpus", corpus], 3, True),
+        ("conv backbone holding conv biases",
+         ["evaluate", "--backbone", str(conv_b_bb), "--projection", str(proj),
+          "--out", out, "--config", config("cnn14", {"backbone": "cnn14"}),
           "--corpus", corpus], 3, True),
         ("backbone missing a tensor",
          ["evaluate", "--backbone", str(no_cls_bb), "--projection", str(proj),

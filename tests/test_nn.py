@@ -112,14 +112,16 @@ def test_conv2d_matches_nested_loop_reference():
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 3), c=st.integers(1, 4), cout=st.integers(1, 4),
        h=st.integers(1, 9), wd=st.integers(1, 9),
-       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
-def test_conv2d_bytes_match_stacked_columns(n, c, cout, h, wd, dtype, seed):
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16),
+       bias=st.booleans())
+def test_conv2d_bytes_match_stacked_columns(n, c, cout, h, wd, dtype, seed, bias):
     """The output and the cached columns equal, byte for byte and in dtype,
-    those of a column build by `np.pad` and `np.stack`; x is left as it was."""
+    those of a column build by `np.pad` and `np.stack`, with a bias (eval's
+    fold gives one) or without (training); x is left as it was."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, c, h, wd)).astype(dtype)
     w = rng.standard_normal((cout, c, 3, 3)).astype(dtype)
-    b = rng.standard_normal(cout).astype(dtype)
+    b = rng.standard_normal(cout).astype(dtype) if bias else None
     x_bytes = x.tobytes()
     out, (_, cols, _) = nn.conv2d(x, w, b)
     want_out, (_, want_cols, _) = stacked_conv2d(x, w, b)
@@ -138,8 +140,7 @@ def test_conv2d_dtype(x_dtype, w_dtype, want):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, 3, 5, 7)).astype(x_dtype)
     w = rng.standard_normal((4, 3, 3, 3)).astype(w_dtype)
-    b = np.zeros(4, dtype=w_dtype)
-    out, cache = nn.conv2d(x, w, b)
+    out, cache = nn.conv2d(x, w)
     assert out.dtype == want
     grads = nn.conv2d_backward(np.ones_like(out), cache)
     assert [g.dtype for g in grads] == [want] * 3
@@ -184,16 +185,14 @@ def test_conv_stack_layers_match_their_formulas_byte_for_byte(n, c, cout, h, wd,
     rng = np.random.default_rng(n * 1000 + h * 10 + wd)
     x = rng.standard_normal((n, c, h, wd)).astype(dtype)
     w = rng.standard_normal((cout, c, 3, 3)).astype(dtype)
-    b = rng.standard_normal(cout).astype(dtype)
-    out, cache = nn.conv2d(x, w, b)
-    _same_bytes(out, stacked_conv2d(x, w, b)[0], dtype)
+    out, cache = nn.conv2d(x, w)
+    _same_bytes(out, stacked_conv2d(x, w)[0], dtype)
     dout = rng.standard_normal(out.shape).astype(dtype)
     for got, want in zip(nn.conv2d_backward(dout, cache),
                          conftest.reference_conv2d_backward(dout, cache), strict=True):
         _same_bytes(got, want, dtype)
-    for got, want in zip(nn.conv2d_param_backward(dout, cache),
-                         conftest.reference_conv2d_param_backward(dout, cache), strict=True):
-        _same_bytes(got, want, dtype)
+    _same_bytes(nn.conv2d_param_backward(dout, cache),
+                conftest.reference_conv2d_param_backward(dout, cache), dtype)
 
     y = 3.0 * out + 1.0
     gamma, beta = (rng.standard_normal(cout).astype(dtype) for _ in range(2))
@@ -209,8 +208,8 @@ def test_conv_stack_layers_match_their_formulas_byte_for_byte(n, c, cout, h, wd,
                              strict=True):
         _same_bytes(got_a, want_a, dtype)
     mean, var = rng.standard_normal(cout).astype(dtype), rng.random(cout).astype(dtype)
-    for got, want in zip(nn.fold_batch_norm2d(w, b, gamma, beta, mean, var),
-                         conftest.reference_fold_batch_norm2d(w, b, gamma, beta, mean, var),
+    for got, want in zip(nn.fold_batch_norm2d(w, gamma, beta, mean, var),
+                         conftest.reference_fold_batch_norm2d(w, gamma, beta, mean, var),
                          strict=True):
         _same_bytes(got, want, dtype)
 
@@ -383,7 +382,7 @@ def _layer_calls(rng):
     x3, x4 = arr(2, 5, 8), arr(2, 3, 6, 5)
     w, b, gamma, beta = arr(4, 8), arr(4), arr(8), arr(8)
     _, att_args = _attention_inputs(rng, 2, 5, 2, 4, f32)
-    cw, cb, c3 = arr(4, 3, 3, 3), arr(4), arr(3)
+    cw, c3 = arr(4, 3, 3, 3), arr(3)
     bn = (arr(4), arr(4), arr(4), np.abs(arr(4)))
     calls = [
         ("gelu", lambda: (nn.gelu(x3), x3), lambda d, c: nn.gelu_backward(d, c)),
@@ -398,16 +397,16 @@ def _layer_calls(rng):
         ("softmax", lambda: (s := nn.softmax(x3), s),
          lambda d, c: nn.softmax_backward(d, c)),
         ("attention", lambda: nn.attention(x3, *att_args), nn.attention_backward),
-        ("conv2d", lambda: nn.conv2d(x4, cw, cb), nn.conv2d_backward),
-        ("conv2d param grads", lambda: nn.conv2d(x4, cw, cb), nn.conv2d_param_backward),
+        ("conv2d", lambda: nn.conv2d(x4, cw), nn.conv2d_backward),
+        ("conv2d param grads", lambda: nn.conv2d(x4, cw), nn.conv2d_param_backward),
         ("batch_norm2d", lambda: nn.batch_norm2d(x4, c3, c3, np.zeros(3, f32),
                                                  np.ones(3, f32), True),
          nn.batch_norm2d_backward),
         ("avg_pool2d", lambda: nn.avg_pool2d(x4), nn.avg_pool2d_backward),
         ("max_pool2d", lambda: nn.max_pool2d(x4), nn.max_pool2d_backward),
-        ("fold_batch_norm2d", lambda: (nn.fold_batch_norm2d(cw, cb, *bn), None), None),
+        ("fold_batch_norm2d", lambda: (nn.fold_batch_norm2d(cw, *bn), None), None),
     ]
-    return calls, (x3, x4, w, b, gamma, beta, att_args, cw, cb, c3, bn)
+    return calls, (x3, x4, w, b, gamma, beta, att_args, cw, c3, bn)
 
 
 def test_no_layer_writes_into_its_inputs():

@@ -186,6 +186,21 @@ def test_load_json_checks_each_key_against_its_nested_annotation(tmp_path):
         protocol.load_json(path, spec)
 
 
+def test_a_container_of_the_wrong_type_is_shown_cut_short(tmp_path):
+    """A JSON container of the wrong type is shown cut short, so the message
+    has one length whatever the file's size: `labels` given as 12 or as 60
+    [id, label] pairs."""
+    path, messages = tmp_path / "classes.json", []
+    for n in (12, 60):
+        path.write_text(json.dumps({"labels": [[f"c{i:02d}", f"label {i}"]
+                                               for i in range(n)]}))
+        with pytest.raises(DataError, match=r"labels must be an object, not list "
+                           r"\[\['c00', 'label 0'\], .*, \.\.\.\]$") as exc:
+            protocol.load_json(path, {"labels": dict[str, str]})
+        messages.append(str(exc.value))
+    assert len(messages[0]) == len(messages[1])
+
+
 def test_tag_counts_csv(tmp_path):
     path = tmp_path / "counts.csv"
     path.write_text("class_id,label,count\nA,Alpha,10\nB,Bravo,3\n")
