@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import nn, protocol
+from . import crossmodal, dsp, nn, protocol
 from .checkpoint import Module
 from .errors import ConfigError, DataError, settings
 
@@ -60,14 +60,10 @@ class ConvConfig:
         if not (self.channels and all(c > 0 for c in self.channels)):
             raise ConfigError(f"conv channels must be a non-empty list of positive "
                               f"ints, not {self.channels!r}")
-        pooled = 2 ** len(VggishBackbone.POOL_AFTER)
-        if min(self.vggish_time, self.vggish_mels) < pooled:
-            raise ConfigError(f"vggish window {self.vggish_time}x{self.vggish_mels} is "
-                              f"smaller than its {pooled}x{pooled} max pooling")
 
 
 def _linear(w: str, b: str, fan_out: int, fan_in: int) -> list:
-    """Table rows of a linear layer: `nn.init_linear`'s weight and bias."""
+    """Table rows of a linear layer: a "uniform" weight and a zero bias."""
     return [(w, (fan_out, fan_in), "uniform", True), (b, (fan_out,), "zeros", True)]
 
 
@@ -85,19 +81,59 @@ def _choose_drops(size: int, n_drop: int, rng: np.random.Generator) -> np.ndarra
 
 
 class Backbone(Module):
-    """Interface shared by the embedding backbones.
+    """Interface shared by the embedding backbones, and their one pipeline:
+    cast the (N, f, t) spectrograms once to `dtype`, cut each clip into
+    windows (`_windows`), run the kind's `_body` to one feature row per
+    window, run the fully-connected chain of `fc_layers()` rows (name, out,
+    in), a ReLU between each two layers and the embedding head last, and
+    average each clip's windows. `backward` mirrors it.
 
-    Beyond the `Module` contract, a subclass sets `config_key` (the
-    ExperimentConfig field holding its settings) and defines
-    `embed_batch(x, train=False, rng=None)`, which maps (N, f, t)
-    spectrograms of any float dtype to (embeddings (N, m) in `dtype`,
-    cache), and `backward(demb, cache)`, which casts `demb` to `dtype` and
-    returns the gradient of every tensor in `params`, in `dtype`. Only
-    training differentiates a backbone: an eval `embed_batch` returns `None`
-    in place of its cache, and `backward` takes only a train-mode cache.
+    A subclass sets `config_key` (the ExperimentConfig field holding its
+    settings) and defines `_body_tensors`, `_body`, `_body_backward` and
+    `fc_layers`. Only training differentiates a backbone: an eval
+    `embed_batch` returns `None` in place of its cache, and `backward` takes
+    only a train-mode cache.
     """
 
     config_key: str
+
+    def tensors(self) -> list:
+        rows = self._body_tensors()
+        for name, fan_out, fan_in in self.fc_layers():
+            rows += _linear(f"{name}_w", f"{name}_b", fan_out, fan_in)
+        return rows
+
+    def _windows(self, x: np.ndarray):
+        """(windows, windows per clip): the whole clip is its one window."""
+        return x, 1
+
+    def embed_batch(self, x: np.ndarray, train: bool = False,
+                    rng: np.random.Generator | None = None):
+        """x: (N, f, t) of any float dtype -> (embeddings (N, m) in `dtype`,
+        cache). `train` turns on patchout and batch statistics; `rng` draws
+        patchout's drops."""
+        p = self.params
+        windows, per = self._windows(x.astype(self.dtype, copy=False))
+        h, c_body = self._body(windows, train, rng)
+        fc_in = []   # each layer's input; a ReLU output is > 0 where its input is
+        for k, (name, _, _) in enumerate(self.fc_layers()):
+            fc_in.append(nn.relu(h, out=h) if k else h)
+            h = nn.linear(fc_in[k], p[f"{name}_w"], p[f"{name}_b"])
+        emb = h.reshape(-1, per, h.shape[1]).mean(axis=1)
+        return emb, (c_body, fc_in, per) if train else None
+
+    def backward(self, demb: np.ndarray, cache) -> dict:
+        """The gradient of every tensor in `params`, in `dtype`, from `demb`."""
+        p = self.params
+        c_body, fc_in, per = cache
+        dh = np.repeat(demb.astype(self.dtype, copy=False) / per, per, axis=0)
+        grads = {}
+        for k, (name, _, _) in reversed(list(enumerate(self.fc_layers()))):
+            dh, grads[f"{name}_w"], grads[f"{name}_b"] = nn.linear_backward(
+                dh, fc_in[k], p[f"{name}_w"])
+            if k:
+                dh = nn.relu_backward(dh, fc_in[k])
+        return self._body_backward(dh, c_body, grads)
 
     def embed(self, specs: list[np.ndarray]) -> np.ndarray:
         """Eval-mode embeddings (N, m) in `dtype` of a list of (f, t) clips.
@@ -107,13 +143,14 @@ class Backbone(Module):
 
 class TransformerBackbone(Backbone):
     """Pre-norm transformer over non-overlapping spectrogram patches with a
-    class token and disentangled frequency/time positional tables."""
+    class token and disentangled frequency/time positional tables; its body
+    ends at the class token's row of the final layer norm."""
 
     kind = "transformer"
     config_type = TransformerConfig
     config_key = "transformer"
 
-    def tensors(self) -> list:
+    def _body_tensors(self) -> list:
         cfg = self.cfg
         d, h = cfg.d, cfg.ffn_mult * cfg.d
         rows = [*_linear("proj_w", "proj_b", d, cfg.patch_f * cfg.patch_t),
@@ -127,24 +164,23 @@ class TransformerBackbone(Backbone):
             rows += [*_affine(f"ln2_g{i}", f"ln2_b{i}", d),
                      *_linear(f"ffn_w1_{i}", f"ffn_b1_{i}", h, d),
                      *_linear(f"ffn_w2_{i}", f"ffn_b2_{i}", d, h)]
-        return [*rows, *_affine("lnf_g", "lnf_b", d),
-                *_linear("head_w", "head_b", cfg.embed_dim, d)]
+        return [*rows, *_affine("lnf_g", "lnf_b", d)]
+
+    def fc_layers(self) -> list:
+        return [("head", self.cfg.embed_dim, self.cfg.d)]
 
     # -- patch handling -----------------------------------------------------
 
-    def _patches(self, x: np.ndarray, train: bool):
-        """x: (N, f, t) -> flattened patches (N, F, T, pf*pt) and grid (F, T)."""
-        pf, pt = self.cfg.patch_f, self.cfg.patch_t
-        n, f, t = x.shape
-        fp, tp = self.cfg.grid(f, t, train)
-        v = x[:, :fp * pf, :tp * pt].reshape(n, fp, pf, tp, pt)
-        return v.transpose(0, 1, 3, 2, 4).reshape(n, fp, tp, pf * pt), (fp, tp)
-
     def _token_sequence(self, x, train: bool, rng):
-        """Project surviving patches, add positions, prepend class token.
-        In training, patchout drops whole grid rows, then whole columns."""
+        """Cut x (N, f, t) into flattened patches (N, F, T, pf*pt) on the
+        grid (F, T), project surviving patches, add positions, prepend class
+        token. In training, patchout drops whole grid rows, then whole columns."""
         p, cfg = self.params, self.cfg
-        patches, (fp, tp) = self._patches(x, train)
+        pf, pt = cfg.patch_f, cfg.patch_t
+        n, f, t = x.shape
+        fp, tp = cfg.grid(f, t, train)
+        v = x[:, :fp * pf, :tp * pt].reshape(n, fp, pf, tp, pt)
+        patches = v.transpose(0, 1, 3, 2, 4).reshape(n, fp, tp, pf * pt)
         rows = _choose_drops(fp, cfg.n_freq_drop if train else 0, rng)
         cols = _choose_drops(tp, cfg.n_time_drop if train else 0, rng)
         sel = patches[:, rows][:, :, cols]            # (N, R, C, pf*pt)
@@ -154,14 +190,14 @@ class TransformerBackbone(Backbone):
         pos = p["pos_f"][rows][:, None, :] + p["pos_t"][cols][None, :, :]
         tok = tok + pos.reshape(1, r * c, -1)
         cls = np.broadcast_to(p["cls"], (n, 1, self.cfg.d))
-        return np.concatenate([cls, tok], axis=1), (flat, rows, cols, fp, tp)
+        return np.concatenate([cls, tok], axis=1), (flat, rows, cols)
 
     # -- forward / backward -------------------------------------------------
 
     def _block(self, i: int, h: np.ndarray, rows: slice):
         """Block i on h (N, T, d) -> (its output rows `rows`, cache). Every
         token gives keys and values; only `rows` are computed past them.
-        `embed_batch` gives the last block the class token, the one row read."""
+        `_body` gives the last block the class token, the one row read."""
         p = self.params
         a, c_ln1 = nn.layer_norm(h, p[f"ln1_g{i}"], p[f"ln1_b{i}"])
         att, c_att = nn.attention(a, *(p[f"{wb}{nm}{i}"] for wb in "wb" for nm in "qkvo"),
@@ -191,12 +227,10 @@ class TransformerBackbone(Backbone):
         dskip[:, rows] += dh1
         return dskip
 
-    def embed_batch(self, x: np.ndarray, train: bool = False,
-                    rng: np.random.Generator | None = None):
-        """x: (N, f, t) -> (embeddings (N, m), cache for backward).
-        `train` turns patchout on; `rng` draws the dropped rows and columns."""
+    def _body(self, x: np.ndarray, train: bool, rng):
+        """x: (N, f, t) -> (the class token's rows (N, d), cache). `train`
+        turns patchout on; `rng` draws the dropped rows and columns."""
         p, n_layers = self.params, self.cfg.n_layers
-        x = x.astype(self.dtype, copy=False)
         h, patch_cache = self._token_sequence(x, train, rng)
         blocks = []
         for i in range(n_layers):
@@ -204,20 +238,12 @@ class TransformerBackbone(Backbone):
             if train:
                 blocks.append(block)
         y, c_lnf = nn.layer_norm(h, p["lnf_g"], p["lnf_b"])
-        cls_out = y[:, 0, :]
-        emb = nn.linear(cls_out, p["head_w"], p["head_b"])
-        return emb, (patch_cache, blocks, c_lnf, cls_out) if train else None
+        return y[:, 0, :], (patch_cache, blocks, c_lnf)
 
-    def backward(self, demb: np.ndarray, cache) -> dict:
+    def _body_backward(self, dcls: np.ndarray, cache, grads: dict) -> dict:
         p, cfg = self.params, self.cfg
-        demb = demb.astype(self.dtype, copy=False)
-        patch_cache, blocks, c_lnf, cls_out = cache
-        flat, rows, cols, fp, tp = patch_cache
-        grads = {}
-        dcls_out, grads["head_w"], grads["head_b"] = nn.linear_backward(
-            demb, cls_out, p["head_w"])
-        dh, grads["lnf_g"], grads["lnf_b"] = nn.layer_norm_backward(
-            dcls_out[:, None, :], c_lnf)
+        (flat, rows, cols), blocks, c_lnf = cache
+        dh, grads["lnf_g"], grads["lnf_b"] = nn.layer_norm_backward(dcls[:, None, :], c_lnf)
         for block in reversed(blocks):
             dh = self._block_backward(dh, block, grads)
         grads["cls"] = dh[:, 0, :].sum(axis=0)
@@ -234,18 +260,16 @@ class TransformerBackbone(Backbone):
 
 
 class ConvBackbone(Backbone):
-    """A stack of bias-free 3x3 conv (batch norm would cancel a bias) -> batch
-    norm -> ReLU -> optional 2x2 pooling over windows of the input, pooled to
-    features, then a fully-connected chain, a ReLU between each two layers; a
-    clip's embedding is the mean of its windows'. A subclass lists its conv
-    layers in `layers()` as (name suffix, output channels, pooling "avg" |
-    "max" | None) and its fully-connected layers in `fc_layers()` as (name,
-    out, in), the embedding head last, and defines `_windows` and `_features`."""
+    """A body of bias-free 3x3 conv (batch norm would cancel a bias) -> batch
+    norm -> ReLU -> optional 2x2 pooling, pooled to features. A subclass
+    lists its conv layers in `layers()` as (name suffix, output channels,
+    pooling "avg" | "max" | None) and defines `fc_layers`, `_features` and
+    `_features_backward`."""
 
     config_type = ConvConfig
     config_key = "conv"
 
-    def tensors(self) -> list:
+    def _body_tensors(self) -> list:
         rows, cin = [], 1
         for sfx, cout, _ in self.layers():
             rows += [(f"conv_w{sfx}", (cout, cin, 3, 3), "uniform", True),
@@ -253,19 +277,17 @@ class ConvBackbone(Backbone):
                      (f"bn_mean{sfx}", (cout,), "zeros", False),
                      (f"bn_var{sfx}", (cout,), "ones", False)]
             cin = cout
-        for name, fan_out, fan_in in self.fc_layers():
-            rows += _linear(f"{name}_w", f"{name}_b", fan_out, fan_in)
         return rows
 
-    def _stack_forward(self, h: np.ndarray, train: bool):
-        """h: (N, 1, f, t) -> (feature map, per-layer caches). `train`
-        normalizes batch norm by batch statistics and keeps the caches
-        `_stack_backward` reads. Eval batch norm is a fixed affine map: each
-        layer folds it into its conv weight and bias for this call alone,
-        so eval runs conv and ReLU, in place on the conv output, and keeps
-        one folded weight at a time."""
+    def _body(self, x: np.ndarray, train: bool, rng):
+        """x: (N, f, t) windows -> (features, cache); nothing here draws
+        from `rng`. `train` normalizes batch norm by batch statistics and
+        keeps the per-layer caches `_body_backward` reads. Eval batch norm is
+        a fixed affine map: each layer folds it into its conv weight and bias
+        for this call alone, so eval runs conv and ReLU, in place on the conv
+        output, and keeps one folded weight at a time."""
         p, st = self.params, self.stats
-        caches = []
+        h, caches = x[:, None, :, :], []
         for sfx, _, pool in self.layers():
             w = p[f"conv_w{sfx}"]
             bn = (p[f"bn_g{sfx}"], p[f"bn_b{sfx}"], st[f"bn_mean{sfx}"], st[f"bn_var{sfx}"])
@@ -282,12 +304,14 @@ class ConvBackbone(Backbone):
                 h, c_pool = getattr(nn, f"{pool}_pool2d")(h)
             if train:
                 caches.append((c_conv, c_bn, pre, c_pool))
-        return h, caches
+        h, c_feat = self._features(h)
+        return h, (caches, c_feat)
 
-    def _stack_backward(self, dh: np.ndarray, caches: list, grads: dict) -> dict:
-        """Adds the conv layers' gradients to `grads` and returns it. Nothing
-        reads the gradient of the input spectrogram, so the first conv
-        layer gives its weight gradient alone."""
+    def _body_backward(self, dfeat: np.ndarray, cache, grads: dict) -> dict:
+        """Nothing reads the gradient of the input spectrogram, so the first
+        conv layer gives its weight gradient alone."""
+        caches, c_feat = cache
+        dh = self._features_backward(dfeat, c_feat)
         for k, ((sfx, _, pool), (c_conv, c_bn, pre, c_pool)) in enumerate(zip(
                 reversed(self.layers()), reversed(caches), strict=True)):
             if pool:
@@ -299,33 +323,6 @@ class ConvBackbone(Backbone):
             else:
                 dh, grads[f"conv_w{sfx}"], _ = nn.conv2d_backward(dh, c_conv)
         return grads
-
-    def embed_batch(self, x: np.ndarray, train: bool = False,
-                    rng: np.random.Generator | None = None):
-        """x: (N, f, t) -> (embeddings (N, m), cache). `train` normalizes
-        batch norm by batch statistics; nothing here draws from `rng`."""
-        p = self.params
-        windows, per = self._windows(x.astype(self.dtype, copy=False))
-        fmap, caches = self._stack_forward(windows[:, None, :, :], train)
-        h, c_feat = self._features(fmap)
-        fc_in = []   # each layer's input; a ReLU output is > 0 where its input is
-        for k, (name, _, _) in enumerate(self.fc_layers()):
-            fc_in.append(nn.relu(h, out=h) if k else h)
-            h = nn.linear(fc_in[k], p[f"{name}_w"], p[f"{name}_b"])
-        emb = h.reshape(-1, per, h.shape[1]).mean(axis=1)
-        return emb, (caches, c_feat, fc_in, per) if train else None
-
-    def backward(self, demb: np.ndarray, cache) -> dict:
-        p = self.params
-        caches, c_feat, fc_in, per = cache
-        dh = np.repeat(demb.astype(self.dtype, copy=False) / per, per, axis=0)
-        grads = {}
-        for k, (name, _, _) in reversed(list(enumerate(self.fc_layers()))):
-            dh, grads[f"{name}_w"], grads[f"{name}_b"] = nn.linear_backward(
-                dh, fc_in[k], p[f"{name}_w"])
-            if k:
-                dh = nn.relu_backward(dh, fc_in[k])
-        return self._stack_backward(self._features_backward(dh, c_feat), caches, grads)
 
 
 class Cnn14Backbone(ConvBackbone):
@@ -387,8 +384,11 @@ class VggishBackbone(ConvBackbone):
         cfg = self.cfg
         if len(cfg.channels) != 6:
             raise ConfigError("vggish preset needs 6 conv channel counts")
-        ht = cfg.vggish_time // (2 ** len(self.POOL_AFTER))
-        wf = cfg.vggish_mels // (2 ** len(self.POOL_AFTER))
+        pooled = 2 ** len(self.POOL_AFTER)
+        if min(cfg.vggish_time, cfg.vggish_mels) < pooled:
+            raise ConfigError(f"vggish window {cfg.vggish_time}x{cfg.vggish_mels} is "
+                              f"smaller than its {pooled}x{pooled} max pooling")
+        ht, wf = cfg.vggish_time // pooled, cfg.vggish_mels // pooled
         return [("fc1", cfg.fc_units, cfg.channels[-1] * ht * wf),
                 ("fc2", cfg.fc_units, cfg.fc_units), ("head", cfg.embed_dim, cfg.fc_units)]
 
@@ -446,9 +446,6 @@ def pretrain_backbone(model, head: ClassifierHead, manifest, class_ids: list,
     Trains `model` and `head` in place and returns (model, head, per-epoch
     mean loss history). Deterministic for a fixed rng seed (single-threaded).
     """
-    from . import crossmodal
-    from .dsp import apply_spec_augmentations, mixup
-
     if not class_ids:
         raise DataError("empty class set")
     train_records = protocol.training_records(manifest, class_ids)
@@ -461,11 +458,11 @@ def pretrain_backbone(model, head: ClassifierHead, manifest, class_ids: list,
     head_w, head_b = head.params["weight"], head.params["bias"]
 
     def forward(ids, targets):
-        batch = np.stack([apply_spec_augmentations(spectrograms[c], aug_cfg, rng)
+        batch = np.stack([dsp.apply_spec_augmentations(spectrograms[c], aug_cfg, rng)
                           for c in ids])
         if aug_cfg.mixup_alpha > 0 and len(ids) >= 2:
             lam = float(rng.beta(aug_cfg.mixup_alpha, aug_cfg.mixup_alpha))
-            batch, targets = mixup(batch, targets, lam, rng.permutation(len(ids)))
+            batch, targets = dsp.mixup(batch, targets, lam, rng.permutation(len(ids)))
         emb, cache = model.embed_batch(batch, train=True, rng=rng)
 
         def backward(dlogits):

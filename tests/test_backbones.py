@@ -38,8 +38,8 @@ def spec_of(values):
 def test_patchify_grid_shape():
     model = small_transformer()
     x = np.random.default_rng(0).standard_normal((1, 12, 16))
-    seq, (flat, rows, cols, fp, tp) = model._token_sequence(x, False, None)
-    assert (fp, tp) == (3, 4)
+    seq, (flat, rows, cols) = model._token_sequence(x, False, None)
+    assert (rows.tolist(), cols.tolist()) == ([0, 1, 2], [0, 1, 2, 3])
     assert flat.shape == (1, 12, 4 * 4)
     assert seq.shape == (1, 1 + 12, 8)   # class token first
 
@@ -47,8 +47,7 @@ def test_patchify_grid_shape():
 def test_structured_patchout_drops_whole_rows_and_columns():
     model = small_transformer(n_freq_drop=1, n_time_drop=2)
     x = np.random.default_rng(0).standard_normal((1, 12, 16))
-    seq, (flat, rows, cols, fp, tp) = model._token_sequence(
-        x, True, np.random.default_rng(1))
+    seq, (flat, rows, cols) = model._token_sequence(x, True, np.random.default_rng(1))
     assert seq.shape[1] == 1 + (3 - 1) * (4 - 2)
     assert len(set(rows.tolist())) == 2
     assert len(set(cols.tolist())) == 2
@@ -121,6 +120,18 @@ def test_embed_matches_per_clip_embed_batch_for_every_kind():
             assert np.array_equal(row, one[0])
 
 
+def test_only_backbone_defines_the_pipeline():
+    """All three kinds share one tensor table, forward and backward: they
+    come from `Backbone`, and no subclass of it defines its own."""
+    classes = [c for c in vars(backbones).values()
+               if isinstance(c, type) and issubclass(c, backbones.Backbone)]
+    assert {*backbones.BACKBONE_KINDS.values(), backbones.ConvBackbone} < set(classes)
+    for cls in classes:
+        own = sorted({"tensors", "embed_batch", "backward"} & vars(cls).keys())
+        want = ["backward", "embed_batch", "tensors"] if cls is backbones.Backbone else []
+        assert own == want, cls.__name__
+
+
 def test_transformer_last_block_attends_from_the_class_token_only(monkeypatch):
     """The embedding reads only the class token, so in training and in eval
     the last block's attention returns one row per clip and every earlier
@@ -145,7 +156,7 @@ def test_transformer_patchout_reduces_sequence_but_keeps_dim():
     model = small_transformer(n_freq_drop=1, n_time_drop=1)
     x = np.random.default_rng(0).standard_normal((2, 12, 16))
     emb, cache = model.embed_batch(x, train=True, rng=np.random.default_rng(0))
-    flat, rows, cols, fp, tp = cache[0]
+    flat, rows, cols = cache[0][0]
     assert flat.shape[1] == (3 - 1) * (4 - 1)
     assert emb.shape == (2, 5)
 
@@ -291,13 +302,14 @@ def test_every_layer_computes_in_the_model_dtype(kind, monkeypatch):
     assert model.dtype == np.float32
 
 
-def _plain_eval_stack(model):
-    """An eval `_stack_forward` for `model` as plain formulas: conv, then
-    eval batch norm by the running statistics, then ReLU, per layer."""
+def _plain_eval_body(model):
+    """An eval `_body` for `model` as plain formulas: conv, then eval batch
+    norm by the running statistics, then ReLU, per layer, then its features."""
     p, st = model.params, model.stats
 
-    def forward(h, train):
+    def forward(x, train, rng):
         assert not train
+        h = x[:, None]
         for sfx, _, pool in model.layers():
             h, _ = nn.conv2d(h, p[f"conv_w{sfx}"])
             h, _ = reference_batch_norm2d(h, p[f"bn_g{sfx}"], p[f"bn_b{sfx}"],
@@ -305,7 +317,7 @@ def _plain_eval_stack(model):
             h = np.maximum(h, 0)
             if pool:
                 h, _ = getattr(nn, f"{pool}_pool2d")(h)
-        return h, []
+        return model._features(h)[0], None
     return forward
 
 
@@ -326,7 +338,7 @@ def test_conv_eval_folds_batch_norm_into_the_conv(kind, dtype, bound, monkeypatc
         model.stats[f"bn_var{sfx}"][...] = rng.uniform(0.1, 3.0, cout)
     x = rng.standard_normal((2, 32, 48))
     got, _ = model.embed_batch(x)
-    monkeypatch.setattr(model, "_stack_forward", _plain_eval_stack(model))
+    monkeypatch.setattr(model, "_body", _plain_eval_body(model))
     want, _ = model.embed_batch(x)
     assert got.dtype == want.dtype == dtype
     assert np.abs(got - want).max() <= bound * np.abs(want).max()

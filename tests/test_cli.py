@@ -61,6 +61,9 @@ def test_override_nested_field():
     cfg = resolve_config("toy", {"backbone": "vggish", "mel": {"n_mels": 128},
                                  "conv": {"vggish_mels": 128}})
     assert (cfg.backbone, cfg.conv.vggish_mels) == ("vggish", 128)
+    # VGGish's window rule binds VGGish alone: CNN14 never reads vggish_time
+    cfg = resolve_config("toy", {"backbone": "cnn14", "conv": {"vggish_time": 8}})
+    assert (cfg.backbone, cfg.conv.vggish_time) == ("cnn14", 8)
 
 
 def test_unknown_override_key_raises():
@@ -494,6 +497,9 @@ def _exit_code_cases(cli_env, tmp_path):
     vggish5_bb = tmp_path / "vggish5_bb.ckpt"
     checkpoint.save_checkpoint(vggish5_bb, "vggish", dataclasses.asdict(
         ConvConfig(channels=(2, 2, 3, 3, 4))), {})
+    vggish8_bb = tmp_path / "vggish8_bb.ckpt"
+    checkpoint.save_checkpoint(vggish8_bb, "vggish", {
+        **dataclasses.asdict(ConvConfig()), "vggish_time": 8}, {})
     nan_bb = tmp_path / "nan_bb.ckpt"
     model.params["proj_w"][0, 0] = np.nan
     model.save(nan_bb)
@@ -650,6 +656,12 @@ def _exit_code_cases(cli_env, tmp_path):
          [*pretrain, "--config", config("vggish8", {"backbone": "vggish",
                                                    "conv": {"vggish_time": 8}}),
           "--corpus", corpus], 2, True),
+        # the same window resolves for CNN14, so the run gets as far as
+        # the transformer checkpoint, the wrong kind
+        ("cnn14 given a vggish window smaller than VGGish's pooling",
+         [*project, "--config", config("cnn14_vggish8", {"backbone": "cnn14",
+                                                        "conv": {"vggish_time": 8}}),
+          "--corpus", corpus], 3, True),
         ("conv block without channels",
          ["train-projection", "--backbone", str(no_channels_bb), "--out", out,
           "--config", config("no_channels", {"backbone": "cnn14",
@@ -673,6 +685,10 @@ def _exit_code_cases(cli_env, tmp_path):
           "--out", out, "--config", cfg, "--corpus", corpus], 3, True),
         ("vggish block with 5 channels",
          ["evaluate", "--backbone", str(vggish5_bb), "--projection", str(proj),
+          "--out", out, "--config", config("vggish", {"backbone": "vggish"}),
+          "--corpus", corpus], 3, True),
+        ("vggish block with a window smaller than its pooling",
+         ["evaluate", "--backbone", str(vggish8_bb), "--projection", str(proj),
           "--out", out, "--config", config("vggish", {"backbone": "vggish"}),
           "--corpus", corpus], 3, True),
         ("projection missing a tensor",
