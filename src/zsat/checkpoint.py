@@ -107,7 +107,8 @@ class Module:
     is "uniform" (U(-b, b), b = 1/sqrt(prod(shape[1:]))), "normal"
     (N(0, 0.02^2)), "zeros" or "ones"; only the first two draw. Trained
     tensors form `params`, the rest `stats`. Checkpoints hold all of them,
-    and `load` checks a file against the table and draws nothing.
+    and `load` checks a file against the table, and against the
+    hyperparameters the run needs, and draws nothing.
 
     One dtype rule: every tensor a module holds, params and stats alike, is
     float32 unless the constructor is given another `dtype`, so a module in
@@ -151,10 +152,11 @@ class Module:
                         {**self.params, **self.stats})
 
     @classmethod
-    def load(cls, path):
+    def load(cls, path, **want):
         """The module of the checkpoint's hyperparameters, holding the file's
         float32 tensors, whose names and shapes must be those of its
-        `tensors()` table."""
+        `tensors()` table. Each hyperparameter named in `want` must hold the
+        value given there: the one the run needs."""
         _, hp, tensors = load_checkpoint(path, cls.kind)
         try:
             module = cls.blank(cls.config_type(**hp))
@@ -162,6 +164,10 @@ class Module:
         except (TypeError, ConfigError) as e:
             raise DataError(f"{path}: its hyperparameters build no {cls.kind}: "
                             f"{e}") from e
+        for field, value in want.items():
+            if (have := getattr(module.cfg, field)) != value:
+                raise DataError(f"{path}: its {cls.kind} has {field} {have}; "
+                                f"this run needs {value}")
         shapes = {name: shape for name, shape, _, _ in table}
         missing = sorted(set(shapes) - set(tensors))
         unexpected = sorted(set(tensors) - set(shapes))

@@ -84,13 +84,26 @@ def _write_json(path, payload: dict, cfg) -> None:
         (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")))
 
 
-def _seed_path(template: str, seed: int, multi: bool) -> Path:
+def _seed_paths(template: str, seeds) -> list:
+    """Each seed's path: `template` with `{seed}` replaced by the seed; without
+    `{seed}`, the path itself for one seed, or `_seed<N>` added to its stem."""
     if "{seed}" in template:
-        return Path(template.replace("{seed}", str(seed)))
-    if multi:
-        p = Path(template)
-        return p.with_name(f"{p.stem}_seed{seed}{p.suffix}")
-    return Path(template)
+        return [Path(template.replace("{seed}", str(s))) for s in seeds]
+    p = Path(template)
+    if len(seeds) == 1:
+        return [p]
+    return [p.with_name(f"{p.stem}_seed{s}{p.suffix}") for s in seeds]
+
+
+def _sidecars(out: Path):
+    """The head and info file that `pretrain` writes beside its backbone `out`."""
+    return out.with_name(out.name + ".head"), out.with_name(out.name + ".json")
+
+
+def _check_known(path, class_ids, corpus) -> None:
+    """Every class id that the file at `path` names must be in the corpus."""
+    if unknown := sorted(set(class_ids) - set(corpus.labels)):
+        raise DataError(f"{path}: classes {unknown} are not in the corpus")
 
 
 def _check_out_dirs(paths) -> None:
@@ -142,9 +155,7 @@ def _select_train_ids(args, corpus):
                             f"(have {len(folds)} folds)")
         held_out = set(folds[args.fold_id])
         all_ids = [c for f in folds for c in f] + pinned
-        unknown = sorted(set(all_ids) - set(corpus.labels))
-        if unknown:
-            raise DataError(f"{args.folds}: classes {unknown} are not in the corpus")
+        _check_known(args.folds, all_ids, corpus)
         train_ids = [c for c in all_ids if c not in held_out]
     if args.exclude:
         exclusion = protocol.load_json(args.exclude, tuple[str, ...])
@@ -169,8 +180,7 @@ def _read_resume(out: Path, cfg, train_ids: list):
     from . import backbones, experiments, protocol
     if not out.exists():
         raise DataError(f"--resume: no checkpoint at {out}")
-    head_path = out.with_suffix(out.suffix + ".head")
-    info_path = out.with_suffix(out.suffix + ".json")
+    head_path, info_path = _sidecars(out)
     prev = protocol.load_json(info_path, {
         "epochs_done": int, "loss_history": tuple[float, ...],
         "train_classes": tuple[str, ...], "backbone_sha256": str, "head_sha256": str})
@@ -185,12 +195,8 @@ def _read_resume(out: Path, cfg, train_ids: list):
             raise DataError(f"--resume: {path} is not the file {info_path} "
                             f"describes (its sha256 differs)")
     model = _read_backbone(out, cfg)
-    head = backbones.ClassifierHead.load(head_path)
-    want = backbones.HeadConfig(len(train_ids), experiments.embed_dim(cfg))
-    if head.cfg != want:
-        raise DataError(f"--resume: head {head_path} maps {head.cfg.m} dims to "
-                        f"{head.cfg.n_classes} classes; this run needs "
-                        f"{want.m} to {want.n_classes}")
+    head = backbones.ClassifierHead.load(head_path, n_classes=len(train_ids),
+                                         m=experiments.embed_dim(cfg))
     return model, head, done, history
 
 
@@ -214,7 +220,7 @@ def cmd_pretrain(args) -> int:
         raise ConfigError("--folds and --fold-id must be given together")
     if args.synonyms and not args.exclude:
         raise ConfigError("--synonyms needs --exclude")
-    outs = [_seed_path(args.out, s, len(seeds) > 1) for s in seeds]
+    outs = _seed_paths(args.out, seeds)
     _check_out_dirs(outs)
     corpus = experiments.load_corpus(args.corpus, cfg.mel, splits=())
     corpus.train_ids = train_ids = _select_train_ids(args, corpus)
@@ -230,11 +236,11 @@ def cmd_pretrain(args) -> int:
                 cfg, corpus, seed, model=model, head=head, epochs=remaining)
             history = history + hist
             done += remaining
-        head_path = out.with_suffix(out.suffix + ".head")
+        head_path, info_path = _sidecars(out)
         model.save(out)
         head.save(head_path)
         # last, so it describes only files that are whole on disk
-        _write_json(out.with_suffix(out.suffix + ".json"),
+        _write_json(info_path,
                     {"seed": seed, "epochs_done": done, "train_classes": train_ids,
                      "loss_history": history, "backbone_sha256": _sha256(out),
                      "head_sha256": _sha256(head_path)}, cfg)
@@ -243,41 +249,21 @@ def cmd_pretrain(args) -> int:
 
 
 def _read_backbone(path, cfg):
-    """The backbone checkpoint at `path`, checked against the config's
-    backbone kind and embed dim."""
+    """The backbone checkpoint at `path`, of the config's kind and embed dim."""
     from . import backbones, experiments
-    model = backbones.BACKBONE_KINDS[cfg.backbone].load(path)
-    m = experiments.embed_dim(cfg)
-    if model.cfg.embed_dim != m:
-        raise DataError(f"backbone {path} embeds into {model.cfg.embed_dim} dims but the "
-                        f"config expects {m}")
-    return model
-
-
-def _read_projection(path, model, n: int):
-    """The projection checkpoint at `path`, checked against the backbone's
-    embed dim and the word vectors' dim `n`."""
-    from . import crossmodal
-    proj = crossmodal.Projection.load(path)
-    if proj.cfg.m != model.cfg.embed_dim:
-        raise DataError(f"projection {path} maps {proj.cfg.m} dims; the backbone "
-                        f"embeds into {model.cfg.embed_dim}")
-    if proj.cfg.n != n:
-        raise DataError(f"projection {path} maps into {proj.cfg.n} dims; "
-                        f"the word vectors have {n}")
-    return proj
+    return backbones.BACKBONE_KINDS[cfg.backbone].load(
+        path, embed_dim=experiments.embed_dim(cfg))
 
 
 def cmd_train_projection(args) -> int:
     from . import experiments
     cfg, seeds = _resolve(args)
-    multi = len(seeds) > 1
-    outs = [_seed_path(args.out, s, multi) for s in seeds]
+    outs = _seed_paths(args.out, seeds)
     agg = Path(args.out.replace("{seed}", ""))
     agg = agg.with_name(f"{agg.stem}_aggregate.json")
-    _check_out_dirs(outs + [agg] * multi)
+    _check_out_dirs(outs + [agg] * (len(seeds) > 1))
     corpus = experiments.load_corpus(args.corpus, cfg.mel, splits=())
-    models = [_read_backbone(_seed_path(args.backbone, s, multi), cfg) for s in seeds]
+    models = [_read_backbone(p, cfg) for p in _seed_paths(args.backbone, seeds)]
     # the projection trains on the train split and selects its epoch on val
     experiments.compute_spectrograms(corpus, cfg.mel, ("train", "val"))
     best_maps = {}
@@ -289,7 +275,7 @@ def cmd_train_projection(args) -> int:
         best_maps[seed] = report["best_val_map"]
         print(f"seed {seed}: best epoch {report['best_epoch']} "
               f"val mAP {report['best_val_map']:.4f} -> {out}")
-    if multi:
+    if len(seeds) > 1:
         import numpy as np
         _write_json(agg, {"seeds": list(best_maps),
                           "best_val_map_per_seed": best_maps,
@@ -302,19 +288,17 @@ def cmd_train_projection(args) -> int:
 def cmd_evaluate(args) -> int:
     import numpy as np
 
-    from . import experiments, protocol
+    from . import crossmodal, experiments, protocol
     cfg, seeds = _resolve(args)
-    multi = len(seeds) > 1
     _check_out_dirs([args.out])
     corpus = experiments.load_corpus(args.corpus, cfg.mel, splits=())
     n = next(iter(corpus.class_embeddings.values())).shape[0]
-    models = [_read_backbone(_seed_path(args.backbone, s, multi), cfg) for s in seeds]
-    projs = [_read_projection(_seed_path(args.projection, s, multi), model, n)
-             for s, model in zip(seeds, models)]
+    models = [_read_backbone(p, cfg) for p in _seed_paths(args.backbone, seeds)]
+    projs = [crossmodal.Projection.load(p, m=experiments.embed_dim(cfg), n=n)
+             for p in _seed_paths(args.projection, seeds)]
     category_map = (protocol.load_json(args.category_map, dict[str, str])
                     if args.category_map else None)
-    if unknown := sorted(set(category_map or ()) - set(corpus.labels)):
-        raise DataError(f"{args.category_map}: classes {unknown} are not in the corpus")
+    _check_known(args.category_map, category_map or (), corpus)
     # zero-shot evaluation reads only the test split's clips
     experiments.compute_spectrograms(corpus, cfg.mel, ("test",))
     results = []
@@ -323,7 +307,7 @@ def cmd_evaluate(args) -> int:
         r["seed"] = seed
         results.append(r)
     report = {"per_seed": results}
-    if multi:
+    if len(seeds) > 1:
         report["aggregate"] = experiments.aggregate_results(results)
     _write_json(args.out, report, cfg)
     maps = [r["mean_ap"] for r in results]

@@ -47,8 +47,8 @@ class Projection(Module):
                 ("mean", (m,), "zeros", False), ("std", (m,), "ones", False)]
 
     @classmethod
-    def load(cls, path):
-        proj = super().load(path)
+    def load(cls, path, **want):
+        proj = super().load(path, **want)
         # training floors the std at 1e-8, so only a projection file holds less
         if np.any(proj.stats["std"] <= 0):
             raise DataError(f"{path}: normalizer std must be strictly positive")

@@ -16,6 +16,10 @@ from scipy.special import erf
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# the variance floor of layer norm and of batch norm, training and folded alike
+EPS = 1e-5
+# the weight of each training batch's statistics in batch norm's running ones
+BN_MOMENTUM = 0.1
 
 
 def init_linear(rng: np.random.Generator, fan_out: int, fan_in: int, dtype=np.float32):
@@ -102,11 +106,11 @@ def linear_backward(dout, x, w):
 # Layer norm (over the last axis)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
+def layer_norm(x, gamma, beta):
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + EPS)
     xhat = xc
     xhat *= inv
     y = xhat * gamma
@@ -126,19 +130,19 @@ def layer_norm_backward(dout, cache):
 
 
 # ---------------------------------------------------------------------------
-# Softmax / multi-head self-attention
+# Softmax (over the last axis) / multi-head self-attention
 
 
-def softmax(x, axis=-1):
-    e = x - x.max(axis=axis, keepdims=True)
+def softmax(x):
+    e = x - x.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-def softmax_backward(dout, s, axis=-1):
+def softmax_backward(dout, s):
     d = dout * s
-    np.subtract(dout, d.sum(axis=axis, keepdims=True), out=d)
+    np.subtract(dout, d.sum(axis=-1, keepdims=True), out=d)
     d *= s
     return d
 
@@ -265,8 +269,7 @@ def conv2d_backward(dout, cache):
 # Batch norm over (N, H, W) per channel
 
 
-def batch_norm2d(x, gamma, beta, running_mean, running_var, train: bool,
-                 momentum=0.1, eps=1e-5):
+def batch_norm2d(x, gamma, beta, running_mean, running_var, train: bool):
     """Training batch norm: returns (out, cache) and normalizes by the
     batch's statistics. It centres x once, for both the variance (squared,
     summed and divided as `np.var` does) and `xhat`, writes its temporaries
@@ -279,11 +282,11 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, train: bool,
     mu = x.mean(axis=(0, 2, 3), keepdims=True)
     xc = x - mu
     var = np.square(xc).mean(axis=(0, 2, 3))
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mu.reshape(-1)
-    running_var *= 1.0 - momentum
-    running_var += momentum * var
-    inv = 1.0 / np.sqrt(var + eps)
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mu.reshape(-1)
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * var
+    inv = 1.0 / np.sqrt(var + EPS)
     xhat = xc
     xhat *= inv[None, :, None, None]
     out = xhat * gamma[None, :, None, None]
@@ -291,11 +294,11 @@ def batch_norm2d(x, gamma, beta, running_mean, running_var, train: bool,
     return out, (xhat, inv, gamma)
 
 
-def fold_batch_norm2d(w, gamma, beta, running_mean, running_var, eps=1e-5):
+def fold_batch_norm2d(w, gamma, beta, running_mean, running_var):
     """(w', b') of the bias-free `conv2d(w)` followed by eval batch norm, as
     new arrays: w' = w * s and b' = beta - running_mean * s per output
-    channel, with s = gamma / sqrt(running_var + eps)."""
-    s = gamma / np.sqrt(running_var + eps)
+    channel, with s = gamma / sqrt(running_var + EPS)."""
+    s = gamma / np.sqrt(running_var + EPS)
     return w * s[:, None, None, None], beta - running_mean * s
 
 

@@ -760,6 +760,18 @@ def test_checkpoint_kind_mismatch(tmp_path):
         checkpoint.load_checkpoint(path, expected_kind="cnn14")
 
 
+def test_load_refuses_a_hyperparameter_other_than_the_run_needs(tmp_path):
+    """`Module.load(path, **want)` loads a file whose hyperparameters hold
+    every value in `want`, and names the file, the field and both values of
+    the first that differs."""
+    path = tmp_path / "head.ckpt"
+    ClassifierHead(HeadConfig(n_classes=3, m=5), np.random.default_rng(0)).save(path)
+    assert ClassifierHead.load(path, n_classes=3, m=5).cfg == HeadConfig(3, 5)
+    with pytest.raises(DataError) as e:
+        ClassifierHead.load(path, n_classes=3, m=9)
+    assert str(e.value) == f"{path}: its head has m 5; this run needs 9"
+
+
 def test_interrupted_checkpoint_write_keeps_previous(tmp_path):
     """A write that fails half way leaves the previous checkpoint loadable
     and no temporary file behind."""

@@ -511,6 +511,11 @@ def _exit_code_cases(cli_env, tmp_path):
     short_b1_proj = tmp_path / "short_b1_proj.ckpt"
     checkpoint.save_checkpoint(short_b1_proj, "projection", params.hyperparams(),
                                {**params.params, **params.stats, "b1": np.zeros(3)})
+    m, n = experiments.embed_dim(cfg_obj), cfg_obj.synthetic.semantic_dim
+    wide_in_proj, wide_out_proj = tmp_path / "wide_in.ckpt", tmp_path / "wide_out.ckpt"
+    for path, dims in ((wide_in_proj, (m + 1, n)), (wide_out_proj, (m, n + 1))):
+        crossmodal.Projection(crossmodal.ProjectionConfig(*dims, 16, 0.2),
+                              np.random.default_rng(0)).save(path)
     float_heads_bb = tmp_path / "float_heads_bb.ckpt"
     checkpoint.save_checkpoint(float_heads_bb, model.kind,
                                {**model.hyperparams(), "n_heads": 4.0},
@@ -696,6 +701,12 @@ def _exit_code_cases(cli_env, tmp_path):
           "--out", out, "--config", cfg, "--corpus", corpus], 3, True),
         ("projection b1 disagrees with its hidden width",
          ["evaluate", "--backbone", str(bb), "--projection", str(short_b1_proj),
+          "--out", out, "--config", cfg, "--corpus", corpus], 3, True),
+        ("projection of another input dim",
+         ["evaluate", "--backbone", str(bb), "--projection", str(wide_in_proj),
+          "--out", out, "--config", cfg, "--corpus", corpus], 3, True),
+        ("projection into another semantic dim",
+         ["evaluate", "--backbone", str(bb), "--projection", str(wide_out_proj),
           "--out", out, "--config", cfg, "--corpus", corpus], 3, True),
         ("resume with other training classes",
          ["pretrain", "--config", cfg, "--corpus", corpus, "--resume",
