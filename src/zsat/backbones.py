@@ -9,28 +9,28 @@ import numpy as np
 
 from . import crossmodal, dsp, nn, protocol
 from .checkpoint import Module
-from .errors import ConfigError, DataError, settings
+from .errors import ConfigError, Count, DataError, settings
 
 
 @settings
 class TransformerConfig:
-    d: int = 768
-    n_heads: int = 12
-    n_layers: int = 12
-    patch_f: int = 16
-    patch_t: int = 16
-    max_f_patches: int = 8
-    max_t_patches: int = 64
-    embed_dim: int = 768
-    ffn_mult: int = 4
+    d: Count = 768
+    n_heads: Count = 12
+    n_layers: Count = 12
+    patch_f: Count = 16
+    patch_t: Count = 16
+    max_f_patches: Count = 8
+    max_t_patches: Count = 64
+    embed_dim: Count = 768
+    ffn_mult: Count = 4
     # structured patchout: whole grid rows (frequency) and columns (time)
     # dropped from the token sequence in training only
     n_freq_drop: int = 0
     n_time_drop: int = 0
 
     def __post_init__(self):
-        if self.n_heads < 1 or self.d % self.n_heads != 0:
-            raise ConfigError("d must be divisible by n_heads >= 1")
+        if self.d % self.n_heads != 0:
+            raise ConfigError("d must be divisible by n_heads")
         if self.n_freq_drop < 0 or self.n_time_drop < 0:
             raise ConfigError("drop counts must be >= 0")
 
@@ -50,16 +50,15 @@ class TransformerConfig:
 
 @settings
 class ConvConfig:
-    channels: tuple[int, ...] = (64, 128, 256, 512, 1024, 2048)
-    fc_units: int = 2048
-    embed_dim: int = 768
-    vggish_time: int = 96
-    vggish_mels: int = 64
+    channels: tuple[Count, ...] = (64, 128, 256, 512, 1024, 2048)
+    fc_units: Count = 2048
+    embed_dim: Count = 768
+    vggish_time: Count = 96
+    vggish_mels: Count = 64
 
     def __post_init__(self):
-        if not (self.channels and all(c > 0 for c in self.channels)):
-            raise ConfigError(f"conv channels must be a non-empty list of positive "
-                              f"ints, not {self.channels!r}")
+        if not self.channels:
+            raise ConfigError("conv channels must be a non-empty list")
 
 
 def _linear(w: str, b: str, fan_out: int, fan_in: int) -> list:

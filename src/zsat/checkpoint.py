@@ -60,37 +60,41 @@ def save_checkpoint(path, kind: str, hyperparams: dict, tensors: dict) -> None:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise DataError(f"truncated checkpoint while reading {what}")
-    return data
+    return fh.read(n)
+
+
+def _read_u32(fh, what: str) -> int:
+    return struct.unpack("<I", _read_exact(fh, 4, what))[0]
 
 
 def load_checkpoint(path, expected_kind: str):
-    """Returns (kind, hyperparams, tensors as float32 arrays); every tensor
-    is checked to be finite."""
+    """Returns (kind, hyperparams, tensors as float32 arrays); each tensor is
+    checked to be finite, each length against the bytes left before it is read."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4, "magic") != MAGIC:
             raise DataError(f"{path}: not a checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != VERSION:
+        if (version := _read_u32(fh, "version")) != VERSION:
             raise DataError(f"{path}: unsupported version {version}")
-        (klen,) = struct.unpack("<I", _read_exact(fh, 4, "kind length"))
-        kind = _read_exact(fh, klen, "kind").decode("utf-8")
+        kind = _read_exact(fh, _read_u32(fh, "kind length"), "kind").decode("utf-8", "replace")
         if kind != expected_kind:
             raise DataError(f"{path}: checkpoint kind {kind!r}, expected {expected_kind!r}")
-        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, "hyperparam length"))
-        hyperparams = json.loads(_read_exact(fh, hlen, "hyperparams").decode("utf-8"))
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
+        hb = _read_exact(fh, _read_u32(fh, "hyperparam length"), "hyperparams")
+        try:
+            hyperparams = json.loads(hb.decode("utf-8"))
+        except ValueError as exc:   # not UTF-8, or not JSON
+            raise DataError(f"{path}: hyperparams are not JSON: {exc}") from exc
         tensors = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-            name = _read_exact(fh, nlen, "tensor name").decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
+        for _ in range(_read_u32(fh, "tensor count")):
+            name = _read_exact(fh, _read_u32(fh, "name length"), "name").decode("utf-8", "replace")
+            if (rank := _read_u32(fh, "rank")) > 32:   # numpy 1.x's limit; a product tensor has 4
+                raise DataError(f"{path}: tensor {name!r} has rank {rank}, above 32")
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims"))
-            n_elem = int(np.prod(dims)) if rank else 1
-            data = np.frombuffer(_read_exact(fh, 4 * n_elem, f"tensor {name}"),
-                                 dtype="<f4")
+            # a 0 empties the tensor, but numpy still bounds its other dims
+            if math.prod(d for d in dims if d) > os.fstat(fh.fileno()).st_size:
+                raise DataError(f"{path}: tensor {name!r} of shape {dims} exceeds the file")
+            data = np.frombuffer(_read_exact(fh, 4 * math.prod(dims), f"tensor {name}"), "<f4")
             if not np.all(np.isfinite(data)):
                 raise DataError(f"{path}: non-finite values in tensor {name!r}")
             tensors[name] = data.reshape(dims).copy()

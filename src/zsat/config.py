@@ -10,7 +10,7 @@ from . import __version__
 from .backbones import BACKBONE_KINDS, ConvConfig, TransformerConfig
 from .crossmodal import TrainConfig, check_dropout_rate
 from .dsp import AugmentConfig, MelConfig
-from .errors import ConfigError, settings
+from .errors import ConfigError, Count, settings
 from .protocol import SyntheticSpec
 
 
@@ -24,7 +24,7 @@ class ExperimentConfig:
     conv: ConvConfig
     pretrain: TrainConfig
     projection: TrainConfig
-    projection_hidden: int
+    projection_hidden: Count
     projection_dropout: float
     projection_val_fraction: float      # training classes held out to select an epoch
     synthetic: SyntheticSpec
@@ -36,12 +36,9 @@ class ExperimentConfig:
         if self.backbone not in BACKBONE_KINDS:
             raise ConfigError(f"unknown backbone kind {self.backbone!r}; choose "
                               f"from {sorted(BACKBONE_KINDS)}")
-        if not self.seeds:
-            raise ConfigError("seeds must be a non-empty list of integers")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ConfigError("seeds must be a non-empty list of integers >= 0")
         check_dropout_rate(self.projection_dropout, "projection_dropout")
-        if self.projection_hidden <= 0:
-            raise ConfigError(f"projection_hidden must be a positive integer, not "
-                              f"int {self.projection_hidden}")
         if not 0 < self.projection_val_fraction < 1:
             raise ConfigError(f"projection_val_fraction must be a number in (0, 1), "
                               f"not {self.projection_val_fraction!r}")
@@ -108,7 +105,7 @@ PRESETS = {
 
 def resolve_config(preset: str, overrides: dict | None = None) -> ExperimentConfig:
     """Look up a preset and apply nested override dicts (from a config file)."""
-    if preset not in PRESETS:
+    if not isinstance(preset, str) or preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; choose from "
                           f"{sorted(PRESETS)}")
     return _override(PRESETS[preset], {k: v for k, v in (overrides or {}).items()

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import nn, protocol
 from .checkpoint import Module
-from .errors import ConfigError, DataError, DivergenceError, NumericalError, settings
+from .errors import ConfigError, Count, DataError, DivergenceError, NumericalError, settings
 from .evaluation import average_precision, mean_ap
 
 
@@ -138,8 +138,8 @@ class TrainConfig:
     decay_start_epoch: float = 50.0
     decay_end_epoch: float = 100.0
     final_lr: float = 1e-7
-    epochs: int = 130
-    batch_size: int = 24
+    epochs: Count = 130
+    batch_size: Count = 24
     beta1: float = 0.9
     beta2: float = 0.99
     epsilon: float = 1e-8
@@ -150,9 +150,6 @@ class TrainConfig:
             raise ConfigError("require 0 < final_lr <= initial_lr")
         if not (self.warmup_epochs <= self.decay_start_epoch < self.decay_end_epoch):
             raise ConfigError("require warmup <= decay_start < decay_end")
-        for name in ("batch_size", "epochs"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
 
 
 def lr_at(epoch: float, cfg: TrainConfig) -> float:

@@ -8,27 +8,24 @@ import wave
 
 import numpy as np
 
-from .errors import ConfigError, DataError, settings
+from .errors import ConfigError, Count, DataError, Positive, settings
 
 
 @settings
 class MelConfig:
-    sample_rate: int = 32000
-    window_len: int = 800
-    hop_len: int = 320
-    n_mels: int = 128
+    sample_rate: Count = 32000
+    window_len: Count = 800
+    hop_len: Count = 320
+    n_mels: Count = 128
     fmin: float = 0.0
     fmax: float = 16000.0
-    log_floor: float = 1e-5
+    log_floor: Positive = 1e-5
 
     def __post_init__(self):
-        if not (self.window_len >= self.hop_len > 0):
-            raise ConfigError("require window_len >= hop_len > 0")
+        if self.window_len < self.hop_len:
+            raise ConfigError("require window_len >= hop_len")
         if not (0 <= self.fmin < self.fmax <= self.sample_rate / 2):
             raise ConfigError("require 0 <= fmin < fmax <= sample_rate/2")
-        for name in ("n_mels", "log_floor"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
 
 
 @settings

@@ -41,9 +41,13 @@ def _is_number(v) -> bool:
             or isinstance(v, float) and math.isfinite(v))
 
 
+Count = typing.NewType("Count", int)          # an int >= 1
+Positive = typing.NewType("Positive", float)  # a finite number > 0
 # a plain annotation: (test, noun); a bool is no number
 _PLAIN = {int: (_is(int), "an integer"),
+          Count: (lambda v: _is(int)(v) and v >= 1, "a positive integer"),
           float: (_is_number, "a number"),
+          Positive: (lambda v: _is_number(v) and v > 0, "a positive number"),
           str: (_is(str), "a string"),
           tuple: (_is(list, tuple), "a list"),
           dict: (_is(dict), "an object")}

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, semantics
-from .errors import ConfigError, DataError, check, settings
+from .errors import ConfigError, Count, DataError, Positive, check, settings
 
 SPLITS = ("train", "val", "test")
 
@@ -205,23 +205,25 @@ def balanced_sampler(records, class_ids, seed: int):
 
 @settings
 class SyntheticSpec:
-    n_classes: int = 12
+    n_classes: Count = 12
     clips_per_class: int = 20
     n_multilabel: int = 24
-    clip_seconds: float = 1.0
-    sample_rate: int = 32000
+    clip_seconds: Positive = 1.0
+    sample_rate: Count = 32000
     fmin_hz: float = 300.0
     fmax_hz: float = 4000.0
     noise_level: float = 0.01
-    semantic_dim: int = 8
     mel: dsp.MelConfig = field(default_factory=lambda: dsp.MelConfig(n_mels=64))
     # held-out (zero-shot) classes; the rest are training classes
     test_classes: tuple[int, ...] = (2, 5, 8, 11)
 
     def __post_init__(self):
-        # the size of `synthetic_word_vector`'s features, checked before a file is written
-        if self.semantic_dim != 8:
-            raise ConfigError("semantic_dim must be 8 for this generator")
+        if self.n_multilabel > 0 and self.n_classes < 2:
+            raise ConfigError(f"n_multilabel > 0 needs n_classes >= 2, not {self.n_classes}")
+        if self.clip_seconds * self.sample_rate < 1:
+            raise ConfigError("clip_seconds * sample_rate must be at least 1 sample")
+        if not all(0 <= i < self.n_classes for i in self.test_classes):
+            raise ConfigError(f"test_classes {self.test_classes} must lie in [0, n_classes)")
 
     def class_id(self, i: int) -> str:
         return f"c{i:02d}"

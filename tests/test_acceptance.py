@@ -184,7 +184,7 @@ def test_criterion_4_structural_invariants(report):
         fd = int(rng.integers(0, gf))
         td = int(rng.integers(0, gt))
         cfg = backbones.TransformerConfig(
-            d=2, n_heads=1, n_layers=0, patch_f=fp, patch_t=tp,
+            d=2, n_heads=1, n_layers=1, patch_f=fp, patch_t=tp,
             max_f_patches=gf, max_t_patches=gt, embed_dim=2,
             n_freq_drop=fd, n_time_drop=td)
         model = backbones.TransformerBackbone(cfg, np.random.default_rng(0))

@@ -70,10 +70,10 @@ def test_patchout_eval_mode_is_identity():
 
 
 def test_head_count_below_1_is_a_config_error():
-    """No head count below 1 divides `d`: zero heads is a configuration
+    """A head count is a positive integer: zero heads is a configuration
     error, not a `ZeroDivisionError`, and a negative count is refused."""
     for n_heads in (0, -4):
-        with pytest.raises(ConfigError, match="divisible by n_heads"):
+        with pytest.raises(ConfigError, match="^n_heads must be a positive integer"):
             TransformerConfig(d=8, n_heads=n_heads)
 
 
@@ -795,6 +795,30 @@ def test_checkpoint_bad_magic(tmp_path):
         checkpoint.load_checkpoint(path, "head")
 
 
+def test_checkpoint_fields_are_checked_against_the_file(tmp_path):
+    """A length past the end of the file, a rank above numpy 1.x's 32, an
+    empty tensor whose other dims overflow numpy, and a header that is not
+    UTF-8 JSON are data errors, each found before anything that size is
+    read; a kind that is not UTF-8 is a kind of another name."""
+    path = tmp_path / "h.ckpt"
+    checkpoint.save_checkpoint(path, "head", {"n": 1}, {"w": np.ones((2, 3))})
+    good = path.read_bytes()
+    # the first tensor's rank field follows its name, "w"
+    at = good.index(b"w") + 1
+    big = (2 ** 32 - 1).to_bytes(4, "little")
+    for raw, message in (
+            (good[:8] + big + good[12:], "truncated checkpoint while reading kind$"),
+            (good[:at] + (33).to_bytes(4, "little") + good[at + 4:], "rank 33, above 32"),
+            (good[:at] + (3).to_bytes(4, "little") + (0).to_bytes(4, "little") + big + big
+             + good[at + 12:], r"shape \(0, 4294967295, 4294967295\) exceeds the file"),
+            (good.replace(b'{"n": 1}', b'{"n": 1)'), "hyperparams are not JSON"),
+            (good.replace(b'{"n"', b'{"\xff"'), "hyperparams are not JSON"),
+            (good.replace(b"head", b"he\xffd"), "checkpoint kind 'he\ufffdd', expected 'head'")):
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=message):
+            checkpoint.load_checkpoint(path, "head")
+
+
 def test_cnn14_checkpoint_round_trip_with_bn_stats(tmp_path):
     cfg = ConvConfig(channels=(2, 2, 3, 3, 4, 4), fc_units=6, embed_dim=4)
     model = backbones.Cnn14Backbone(cfg, np.random.default_rng(0))
@@ -841,11 +865,11 @@ def test_checkpoint_hyperparameter_of_a_wrong_type_is_a_data_error(tmp_path):
                              max_f_patches=3, max_t_patches=4, embed_dim=5)
     model = backbones.TransformerBackbone(tcfg, np.random.default_rng(0))
     tensors = {**model.params, **model.stats}
-    for field, value in (("n_heads", 4.0), ("patch_f", True), ("n_layers", "1")):
+    for field, value in (("n_heads", 4.0), ("patch_f", True), ("n_layers", "1"), ("d", 0)):
         path = tmp_path / f"{field}.ckpt"
         checkpoint.save_checkpoint(path, "transformer",
                                    {**model.hyperparams(), field: value}, tensors)
-        with pytest.raises(DataError, match=rf"{field} must be an integer, not "
+        with pytest.raises(DataError, match=rf"{field} must be a positive integer, not "
                                             rf"{type(value).__name__}"):
             backbones.TransformerBackbone.load(path)
     ccfg = ConvConfig(channels=(2, 2, 3, 3, 4, 4), fc_units=6, embed_dim=4)

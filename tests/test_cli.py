@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import zsat
-from zsat import backbones, checkpoint, cli, crossmodal, dsp, experiments, protocol
+from zsat import (backbones, checkpoint, cli, crossmodal, dsp, experiments, protocol,
+                  semantics)
 from zsat.backbones import ConvConfig
 from zsat.config import PRESETS, load_config_file, resolve_config
 from zsat.errors import ConfigError, DataError, NumericalError
@@ -153,7 +154,7 @@ def test_zero_epochs_is_a_config_error(tmp_path):
     ({"projection_dropout": "x"}, "projection_dropout must be a number, not str 'x'"),
     ({"fold_k": 1.5}, "fold_k must be an integer, not float 1.5"),
     ({"fold_k": "x"}, "fold_k must be an integer, not str 'x'"),
-    ({"projection_hidden": "x"}, "projection_hidden must be an integer, not str 'x'"),
+    ({"projection_hidden": "x"}, "projection_hidden must be a positive integer, not str 'x'"),
     ({"projection_hidden": 0}, "projection_hidden must be a positive integer, not int 0"),
     ({"projection_val_fraction": "x"}, "projection_val_fraction must be a number, not str 'x'"),
     ({"projection_val_fraction": 2.0}, "projection_val_fraction must be a number in (0, 1)"),
@@ -173,15 +174,17 @@ def test_top_level_value_of_a_wrong_type_exits_2(tmp_path, capsys, override, mes
 
 
 @pytest.mark.parametrize("dotted, value, noun", [
-    ("pretrain.epochs", 2.5, "an integer"),
-    ("pretrain.batch_size", 8.0, "an integer"),
-    ("transformer.n_heads", 4.0, "an integer"),
-    ("mel.n_mels", 64.0, "an integer"),
+    ("pretrain.epochs", 2.5, "a positive integer"),
+    ("pretrain.batch_size", 8.0, "a positive integer"),
+    ("transformer.n_heads", 4.0, "a positive integer"),
+    ("mel.n_mels", 64.0, "a positive integer"),
     ("transformer.n_freq_drop", True, "an integer"),
     ("augment.n_time_masks", 1.5, "an integer"),
     ("synthetic.test_classes", [2, "5"], "an integer"),
-    ("conv.channels", [8, 16.0], "an integer"),
-    ("synthetic.mel.n_mels", 64.0, "an integer"),
+    ("conv.channels", [8, 16.0], "a positive integer"),
+    ("synthetic.mel.n_mels", 64.0, "a positive integer"),
+    ("transformer.ffn_mult", 0, "a positive integer"),
+    ("synthetic.clip_seconds", -1, "a positive number"),
 ])
 def test_nested_value_of_a_wrong_type_exits_2(tmp_path, capsys, dotted, value, noun):
     """A value of the wrong type inside a settings block, at any depth, is a
@@ -299,6 +302,12 @@ def test_pretrain_then_projection_then_evaluate(cli_env):
     assert data["version"].startswith("zsat-")
 
 
+def _vector_dim(cli_env) -> int:
+    """The size of the test corpus's word vectors."""
+    vectors = semantics.load_word_vectors(Path(cli_env["corpus"]) / "word_vectors.txt")
+    return len(next(iter(vectors.values())))
+
+
 def _untrained_artifacts(cli_env, root):
     """An untrained backbone of the configured kind and a projection that
     fits it, written without any training."""
@@ -307,7 +316,7 @@ def _untrained_artifacts(cli_env, root):
     bb, proj = root / "bb0.ckpt", root / "proj0.ckpt"
     experiments.build_backbone(cfg, rng).save(bb)
     crossmodal.Projection(crossmodal.ProjectionConfig(
-        experiments.embed_dim(cfg), cfg.synthetic.semantic_dim, 16, 0.2), rng).save(proj)
+        experiments.embed_dim(cfg), _vector_dim(cli_env), 16, 0.2), rng).save(proj)
     return cfg, bb, proj
 
 
@@ -511,7 +520,7 @@ def _exit_code_cases(cli_env, tmp_path):
     short_b1_proj = tmp_path / "short_b1_proj.ckpt"
     checkpoint.save_checkpoint(short_b1_proj, "projection", params.hyperparams(),
                                {**params.params, **params.stats, "b1": np.zeros(3)})
-    m, n = experiments.embed_dim(cfg_obj), cfg_obj.synthetic.semantic_dim
+    m, n = experiments.embed_dim(cfg_obj), _vector_dim(cli_env)
     wide_in_proj, wide_out_proj = tmp_path / "wide_in.ckpt", tmp_path / "wide_out.ckpt"
     for path, dims in ((wide_in_proj, (m + 1, n)), (wide_out_proj, (m, n + 1))):
         crossmodal.Projection(crossmodal.ProjectionConfig(*dims, 16, 0.2),
@@ -525,6 +534,14 @@ def _exit_code_cases(cli_env, tmp_path):
     checkpoint.save_checkpoint(conv_b_bb, "cnn14", cnn14.hyperparams(), {
         **cnn14.params, **cnn14.stats,
         **{f"conv_b{sfx}": np.zeros(cout) for sfx, cout, _ in cnn14.layers()}})
+    # the first tensor's rank field reads 65, above numpy's limit
+    rank65_bb, raw, at = tmp_path / "rank65_bb.ckpt", bytearray(bb.read_bytes()), 8
+    for _ in range(2):   # past the kind and the hyperparameter block
+        at += 4 + int.from_bytes(raw[at:at + 4], "little")
+    at += 4              # past the tensor count
+    at += 4 + int.from_bytes(raw[at:at + 4], "little")   # past the first name
+    raw[at:at + 4] = (65).to_bytes(4, "little")
+    rank65_bb.write_bytes(raw)
     no_channels_bb = tmp_path / "no_channels_bb.ckpt"
     checkpoint.save_checkpoint(no_channels_bb, "cnn14", {
         **dataclasses.asdict(cfg_obj.conv), "channels": []}, {})
@@ -638,6 +655,10 @@ def _exit_code_cases(cli_env, tmp_path):
                               "--corpus", corpus], 2, True),
         ("config file not an object", [*pretrain, "--config", config("five", 5),
                                        "--corpus", corpus], 2, True),
+        ("preset a list", [*pretrain, "--config", config("preset_list", {"preset": ["toy"]}),
+                           "--corpus", corpus], 2, True),
+        ("seed below 0", [*pretrain, "--config", config("neg_seed", {"seeds": [-1]}),
+                          "--corpus", corpus], 2, True),
         ("--synonyms without --exclude",
          [*pretrain, "--config", cfg, "--corpus", corpus,
           "--synonyms", write("synonyms.json", "{}")], 2, True),
@@ -672,6 +693,9 @@ def _exit_code_cases(cli_env, tmp_path):
           "--config", config("no_channels", {"backbone": "cnn14",
                                              "conv": {"channels": []}}),
           "--corpus", corpus], 2, True),
+        ("backbone tensor of rank 65",
+         ["train-projection", "--backbone", str(rank65_bb), "--out", out,
+          "--config", cfg, "--corpus", corpus], 3, True),
         ("backbone kind mismatch",
          [*project, "--config", config("kind", {"backbone": "cnn14"}),
           "--corpus", corpus], 3, True),
@@ -744,6 +768,10 @@ def _exit_code_cases(cli_env, tmp_path):
         ("fold file pinned an int",
          [*held_out, write("int_pinned.json", json.dumps(
              {"folds": [[train[0]], [train[1]]], "pinned": 5}))], 3, True),
+        ("exclusion removes every training class",
+         [*pretrain, "--config", cfg, "--corpus", corpus,
+          "--exclude", write("all_train.json", json.dumps([meta["labels"][c] for c in train]))],
+         3, True),
         ("exclusion entry an int",
          [*pretrain, "--config", cfg, "--corpus", corpus,
           "--exclude", write("int_exclude.json", "[5]")], 3, True),
@@ -774,6 +802,17 @@ def _exit_code_cases(cli_env, tmp_path):
         ("zero projection epochs",
          [*project, "--config", config("p0", {"projection": {"epochs": 0}}),
           "--corpus", corpus], 2, True),
+        *[(f"{block}.{key} {value}",
+           [*pretrain, "--config", config(f"{key}{value}", {"backbone": kind,
+                                                          block: {key: value}}),
+            "--corpus", corpus], 2, True)
+          for kind, block, key, value in (
+              ("transformer", "transformer", "ffn_mult", 0),
+              ("transformer", "transformer", "d", 0),
+              ("transformer", "transformer", "embed_dim", -1),
+              ("transformer", "transformer", "patch_f", 0),
+              ("transformer", "transformer", "n_layers", 0),
+              ("cnn14", "conv", "fc_units", 0))],
         ("cnn14 input with fewer mel bins than its pooling",
          [*pretrain, "--config", config("mel16", {"backbone": "cnn14",
                                                  "mel": {"n_mels": 16}}),
@@ -852,10 +891,16 @@ def test_train_projection_checks_its_aggregate_directory_first(tmp_path, capsys)
 
 
 @pytest.mark.parametrize("synthetic", [
-    {"semantic_dim": 4},              # the generator's word vectors have 8 dims
+    {"semantic_dim": 4},              # no such setting: word vectors have 8 dims
     {"n_classes": 60},                # fundamentals closer than one mel bin
     {"clip_seconds": float("nan")},   # JSON's NaN
-], ids=["semantic_dim", "n_classes", "clip_seconds"])
+    {"clip_seconds": -1},
+    {"sample_rate": 0},
+    {"n_classes": 1},                 # too few for the two-class mixes
+    {"n_classes": 4},                 # test classes 5, 8 and 11 lie beyond it
+    {"sample_rate": 3, "clip_seconds": 0.25},   # a clip of no sample
+], ids=["semantic_dim", "n_classes", "clip_seconds", "negative_clip_seconds",
+        "zero_sample_rate", "one_class", "test_class_out_of_range", "empty_clip"])
 def test_synth_config_fault_writes_nothing(tmp_path, capsys, synthetic):
     """A synthetic spec the generator cannot render is a configuration error
     raised before any file is written."""
