@@ -72,6 +72,8 @@ def _limit_threads(n: int) -> None:
 def _resolve(args):
     from .config import load_config_file, resolve_config
     cfg = load_config_file(args.config) if args.config else resolve_config(args.preset)
+    if args.seed and min(args.seed) < 0:
+        raise ConfigError(f"--seed must be >= 0, got {min(args.seed)}")
     seeds = tuple(args.seed) if args.seed else cfg.seeds
     return cfg, seeds
 

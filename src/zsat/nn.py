@@ -5,14 +5,18 @@ in float64 while training runs in float32.
 Every layer computes in the one dtype of its input, params and statistics:
 a `checkpoint.Module` holds all its tensors in one dtype and casts its input
 to it. The layers' constants are Python floats, which never promote an array
-under NumPy's promotion rules."""
+under NumPy's promotion rules.
+
+GELU's erf is computed here, with no scipy, on one of two paths by dtype.
+float32, the dtype the product computes in, takes a rational form clamped
+to |x| <= 4; float64, which the gradient checks compute in, applies the C
+library's erf through `math.erf` element by element."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.special import erf
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -34,9 +38,49 @@ def init_linear(rng: np.random.Generator, fan_out: int, fan_in: int, dtype=np.fl
 # Pointwise
 
 
+# erf(x) ~ x P(x^2) / Q(x^2) on |x| <= 4, a rational form after Abramowitz &
+# Stegun section 7.1 and W. J. Cody, Math. Comp. 23 (1969): P of degree 6 and
+# Q of degree 4 in x^2, an odd numerator of degree 13 over an even denominator
+# of degree 8. Fitted towards minimax absolute error against `math.erf` on
+# 40,000 evenly spaced points of (0, 4], where its error is 7.2e-8; each
+# literal is a float32 value. Evaluated in float32 it is within 4.2e-7 of erf
+# at every float32 in [0, 4]; beyond 4, erf rounds to 1 in float32.
+_ERF_P = (1.1283787, 0.21608932, 0.05272909, 0.004383457, 0.0001575411,
+          -1.9941735e-06, 1.9102211e-08)
+_ERF_Q = (1.0, 0.52483207, 0.121695295, 0.015738735, 0.0011193148)
+_math_erf = np.frompyfunc(math.erf, 1, 1)
+
+
+def _horner(t, coefs):
+    """sum(coefs[k] * t**k), a new array, by Horner steps from the top."""
+    acc = t * coefs[-1]
+    for c in coefs[-2:0:-1]:
+        acc += c
+        acc *= t
+    acc += coefs[0]
+    return acc
+
+
+def _erf(z, out=None):
+    """erf(z), written into `out` if given (it may be z itself). float32 takes
+    the clamped rational form, odd to the bit and clipped to [-1, 1]; any
+    other dtype takes `math.erf`, within a few ulps of the exact value."""
+    if z.dtype != np.float32:
+        if out is None:
+            out = np.empty_like(z)
+        out[...] = _math_erf(z)
+        return out
+    x = np.clip(z, -4.0, 4.0, out=out)
+    t = x * x
+    x *= _horner(t, _ERF_P)
+    x /= _horner(t, _ERF_Q)
+    return np.clip(x, -1.0, 1.0, out=x)
+
+
 def _normal_cdf(x, out=None):
     """Phi(x) = (erf(x / sqrt 2) + 1) * 0.5, written into `out` if given."""
-    cdf = erf(x / SQRT2, out=out)
+    cdf = np.divide(x, SQRT2, out=out)
+    _erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     return cdf

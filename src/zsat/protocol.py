@@ -220,6 +220,9 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n_multilabel > 0 and self.n_classes < 2:
             raise ConfigError(f"n_multilabel > 0 needs n_classes >= 2, not {self.n_classes}")
+        if self.sample_rate > 2**31 - 1:
+            # a PCM16 mono header holds the byte rate, 2 * sample_rate, in 32 bits
+            raise ConfigError(f"sample_rate must be at most 2**31 - 1, not {self.sample_rate}")
         if self.clip_seconds * self.sample_rate < 1:
             raise ConfigError("clip_seconds * sample_rate must be at least 1 sample")
         if not all(0 <= i < self.n_classes for i in self.test_classes):

@@ -659,6 +659,10 @@ def _exit_code_cases(cli_env, tmp_path):
                            "--corpus", corpus], 2, True),
         ("seed below 0", [*pretrain, "--config", config("neg_seed", {"seeds": [-1]}),
                           "--corpus", corpus], 2, True),
+        ("--seed below 0 for synth", ["synth", "--config", cfg, "--seed", "-1",
+                                      "--out", str(tmp_path / "neg_seed_corpus")], 2, True),
+        ("--seed below 0 for pretrain", [*pretrain, "--config", cfg, "--corpus", corpus,
+                                         "--seed", "0", "--seed", "-1"], 2, True),
         ("--synonyms without --exclude",
          [*pretrain, "--config", cfg, "--corpus", corpus,
           "--synonyms", write("synonyms.json", "{}")], 2, True),
@@ -899,8 +903,10 @@ def test_train_projection_checks_its_aggregate_directory_first(tmp_path, capsys)
     {"n_classes": 1},                 # too few for the two-class mixes
     {"n_classes": 4},                 # test classes 5, 8 and 11 lie beyond it
     {"sample_rate": 3, "clip_seconds": 0.25},   # a clip of no sample
+    {"sample_rate": 2**31, "clip_seconds": 1e-8},   # beyond the WAV header's byte rate
 ], ids=["semantic_dim", "n_classes", "clip_seconds", "negative_clip_seconds",
-        "zero_sample_rate", "one_class", "test_class_out_of_range", "empty_clip"])
+        "zero_sample_rate", "one_class", "test_class_out_of_range", "empty_clip",
+        "sample_rate_beyond_wav"])
 def test_synth_config_fault_writes_nothing(tmp_path, capsys, synthetic):
     """A synthetic spec the generator cannot render is a configuration error
     raised before any file is written."""

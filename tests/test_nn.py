@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,6 +344,52 @@ def test_sliced_attention_is_full_attention_on_its_rows(rows):
         np.testing.assert_allclose(grads[name], want[name], rtol=1e-12, atol=1e-12,
                                    err_msg=name)
     assert np.abs(grads["bk"]).max() < 1e-12 and np.abs(want["bk"]).max() < 1e-12
+
+
+def test_float32_erf_is_within_5e7_of_scipy():
+    """The rational form stays within 5e-7 of scipy's erf over [-6, 6], is
+    odd to the bit, never leaves [-1, 1], and keeps the special values."""
+    x = np.linspace(-6.0, 6.0, 2_000_001, dtype=np.float32)
+    got = nn._erf(x)
+    assert got.dtype == np.float32
+    want = conftest.scipy_erf(x.astype(np.float64))
+    assert np.abs(got - want).max() < 5e-7
+    assert np.array_equal(nn._erf(-x), -got)
+    assert np.abs(got).max() <= 1.0
+    special = np.array([np.inf, -np.inf, np.nan, -0.0], dtype=np.float32)
+    got = nn._erf(special)
+    assert got.tolist()[:2] == [1.0, -1.0] and np.isnan(got[2])
+    assert got[3] == 0.0 and np.signbit(got[3])
+
+
+def test_float64_erf_is_within_4_ulps_of_math_erf():
+    x = np.concatenate([np.linspace(-7.0, 7.0, 20_001), [np.inf, -np.inf, -0.0, 1e-300]])
+    got = nn._erf(x)
+    want = np.array([math.erf(v) for v in x])
+    assert got.dtype == np.float64
+    assert (np.abs(got - want) <= 4 * np.spacing(np.abs(want))).all()
+    assert np.signbit(got[-2])
+
+
+def test_zsat_runs_without_scipy():
+    """Every zsat module imports, and GELU runs in both dtypes, in a process
+    where importing scipy fails."""
+    code = textwrap.dedent("""
+        import importlib, pkgutil, sys
+        sys.modules["scipy"] = None
+        import numpy as np
+        import zsat
+        for info in pkgutil.iter_modules(zsat.__path__):
+            importlib.import_module(f"zsat.{info.name}")
+        from zsat import nn
+        for dtype in (np.float32, np.float64):
+            x = np.linspace(-5.0, 5.0, 11).astype(dtype)
+            y = nn.gelu(x)
+            assert y.dtype == dtype and abs(float(y[-1]) - 5.0) < 1e-5
+    """)
+    src = str(Path(nn.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_gelu_and_softmax_gradients_match_finite_differences():
