@@ -319,6 +319,12 @@ def cmd_evaluate(args) -> int:
     if accs:   # None when the test split has no single-label clip
         print(f"accuracy per seed {['%.3f' % a for a in accs]} "
               f"mean {np.mean(accs):.3f} chance {results[0]['random_accuracy']:.3f}")
+    # the seed-mean analysis when there are several seeds, else the one seed's
+    agg = report.get("aggregate")
+    r, n, p = ((agg["proximity_r"], agg["proximity_n"], agg["proximity_p"]) if agg
+               else (results[0]["proximity"][k] for k in ("pearson_r", "n", "p")))
+    print("proximity r " + ("n/a" if r is None else f"{r:+.3f}") + f" over {n} classes, "
+          "permutation p " + ("n/a" if p is None else f"{p:.3f}"))
     return 0
 
 

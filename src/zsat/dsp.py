@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import struct
 import wave
 
@@ -135,15 +136,44 @@ def mel_center_frequencies(cfg: MelConfig) -> np.ndarray:
     return mel_to_hz(mel_pts)[1:-1]
 
 
-def compute_logmel(samples: np.ndarray, cfg: MelConfig) -> np.ndarray:
-    """Hann-window power STFT -> mel filterbank -> log(x + log_floor): (n_mels, t)."""
-    n_frames(samples.size, cfg.window_len, cfg.hop_len)  # raises below one window
-    frames = np.lib.stride_tricks.sliding_window_view(
-        samples, cfg.window_len)[::cfg.hop_len] * np.hanning(cfg.window_len)
-    power = np.abs(np.fft.rfft(frames, n=cfg.window_len, axis=1)) ** 2
-    fb = mel_filterbank(cfg)
-    mel = power @ fb.T  # (t, n_mels)
-    return np.log(mel.T + cfg.log_floor)
+class LogmelWork:
+    """The float64 work buffers `compute_logmel` writes a clip's windowed
+    frames, their spectrum and its power into. They hold the most frames
+    asked for so far, and a shorter clip uses their first rows (`buf[:t]`),
+    so one set serves clips of every length."""
+
+    def __init__(self):
+        self.frames = self.spec = self.power = np.empty((0, 0))
+
+    def rows(self, t: int, window_len: int):
+        """(frames, spectrum, power) views of `t` rows for `window_len`."""
+        if t > self.frames.shape[0] or self.frames.shape[1] != window_len:
+            n_bins = window_len // 2 + 1
+            self.frames = np.empty((t, window_len))
+            self.spec = np.empty((t, n_bins), dtype=np.complex128)
+            self.power = np.empty((t, n_bins))
+        return self.frames[:t], self.spec[:t], self.power[:t]
+
+
+def compute_logmel(samples: np.ndarray, cfg: MelConfig,
+                   work: LogmelWork | None = None) -> np.ndarray:
+    """Hann-window power STFT -> mel filterbank -> log(x + log_floor): a
+    C-contiguous float32 (n_mels, t) array.
+
+    Every step runs in float64, and the log-mel is rounded to float32 once,
+    at the end. The frames, spectrum and power are written into `work`'s
+    buffers, sliced to this clip's t frames; pass one `LogmelWork` to every
+    call of a loop so that they are allocated once. Without one, the call
+    makes its own."""
+    t = n_frames(samples.size, cfg.window_len, cfg.hop_len)  # raises below one window
+    frames, spec, power = (work or LogmelWork()).rows(t, cfg.window_len)
+    np.multiply(np.lib.stride_tricks.sliding_window_view(
+        samples, cfg.window_len)[::cfg.hop_len], np.hanning(cfg.window_len), out=frames)
+    np.fft.rfft(frames, n=cfg.window_len, axis=1, out=spec)
+    np.square(np.abs(spec, out=power), out=power)
+    mel = power @ mel_filterbank(cfg).T  # (t, n_mels)
+    mel += cfg.log_floor
+    return np.log(mel, out=mel).T.astype(np.float32, order="C")
 
 
 def mixup(x: np.ndarray, y: np.ndarray, lam: float, perm: np.ndarray):
@@ -179,5 +209,5 @@ def apply_spec_augmentations(x: np.ndarray, cfg: AugmentConfig,
             v[start:start + width, :] = fill
     if cfg.gain_range_db > 0:
         gain_db = rng.uniform(-cfg.gain_range_db, cfg.gain_range_db)
-        v = v + gain_db * (np.log(10.0) / 10.0)
+        v += gain_db * (math.log(10.0) / 10.0)  # a Python float keeps v's dtype
     return v

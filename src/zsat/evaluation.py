@@ -3,6 +3,8 @@ baseline, and the AP-vs-semantic-proximity correlation."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import DataError
@@ -72,12 +74,40 @@ def nearest_similarity(vec, train: dict) -> float:
     return max(cosine(vec, train[t]) for t in sorted(train))
 
 
+# The permutation p is exact over all n! orderings up to EXACT_ORDERINGS_MAX_N
+# classes (8! = 40,320); above, it is estimated from DRAWN_ORDERINGS orderings
+# drawn from a generator of its own, so no run's random stream moves it.
+EXACT_ORDERINGS_MAX_N = 8
+DRAWN_ORDERINGS = 10_000
+
+
+def permutation_p(x, y) -> tuple:
+    """(one-sided permutation p of `pearson_r(x, y)`, orderings counted).
+
+    p is the share of the orderings of `y` whose r with `x` is at least the
+    observed r, allowing 1e-12 for rounding; None when r is None."""
+    r = pearson_r(x, y)
+    n = len(y)
+    if n <= EXACT_ORDERINGS_MAX_N:
+        orders = np.array(list(itertools.permutations(range(n))))
+    else:
+        orders = np.random.default_rng(0).permuted(
+            np.tile(np.arange(n), (DRAWN_ORDERINGS, 1)), axis=1)
+    if r is None:
+        return None, len(orders)
+    xc = np.asarray(x, dtype=np.float64) - np.mean(x)
+    yc = np.asarray(y, dtype=np.float64) - np.mean(y)
+    rs = (yc[orders] * xc).mean(axis=1) / np.sqrt((xc * xc).mean() * (yc * yc).mean())
+    return float(np.mean(rs >= r - 1e-12)), len(orders)
+
+
 def proximity_correlation(test_aps: dict, test_random_aps: dict, proximity: dict) -> dict:
     """Correlate AP improvement over the random baseline with each class's
     `proximity` to the training classes (`nearest_similarity`). Classes whose
     AP is None (no positive test clip) are skipped, as in `mean_ap`. Returns
-    the "per_class" rows and "pearson_r", None when either variable has zero
-    variance."""
+    the "per_class" rows, "pearson_r" (None when either variable has zero
+    variance), the "n" classes kept, and `permutation_p`'s "p" of that r with
+    the count of "orderings" it was taken over."""
     kept = sorted(c for c, ap in test_aps.items() if ap is not None)
     if len(kept) < 3:
         raise DataError("need at least 3 test classes with a positive test clip")
@@ -85,4 +115,6 @@ def proximity_correlation(test_aps: dict, test_random_aps: dict, proximity: dict
              "proximity": proximity[c]} for c in kept]
     improvements = [r["ap"] - r["random_ap"] for r in rows]
     proximities = [r["proximity"] for r in rows]
-    return {"per_class": rows, "pearson_r": pearson_r(improvements, proximities)}
+    p, orderings = permutation_p(improvements, proximities)
+    return {"per_class": rows, "pearson_r": pearson_r(improvements, proximities),
+            "n": len(kept), "p": p, "orderings": orderings}

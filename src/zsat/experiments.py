@@ -30,7 +30,7 @@ class Corpus:
     train_ids: list
     test_ids: list
     class_embeddings: dict        # class id -> semantic vector
-    spectrograms: dict            # clip id -> (n_mels, frames) log-mel array
+    spectrograms: dict            # clip id -> (n_mels, frames) float32 log-mel array
     root: Path                    # directory relative clip paths are read from
 
 
@@ -72,11 +72,12 @@ def compute_spectrograms(corpus: Corpus, mel: dsp.MelConfig, splits) -> None:
     afterwards is safe, since every clip it keeps was computed; widening it
     is not."""
     train = set(protocol.training_records(corpus.records, corpus.train_ids))
+    work = dsp.LogmelWork()
     for r in corpus.records:
         if r.split in splits and (r.split != "train" or r in train):
             try:
                 corpus.spectrograms[r.clip_id] = dsp.compute_logmel(dsp.load_wav(
-                    corpus.root / r.path, expected_rate=mel.sample_rate), mel)
+                    corpus.root / r.path, expected_rate=mel.sample_rate), mel, work)
             except (OSError, DataError) as exc:
                 raise DataError(f"clip {r.clip_id}: {exc}") from exc
 
@@ -187,8 +188,9 @@ def aggregate_results(results: list) -> dict:
     mean_aps = {c: None if ap is None else float(np.mean([r["per_class_ap"][c]
                                                           for r in results]))
                 for c, ap in sorted(results[0]["per_class_ap"].items())}
-    proximity = {row["class_id"]: row["proximity"]
-                 for row in results[0]["proximity"]["per_class"]}
+    proximity = evaluation.proximity_correlation(
+        mean_aps, results[0]["random_ap"],
+        {row["class_id"]: row["proximity"] for row in results[0]["proximity"]["per_class"]})
     return {
         "seeds": [r["seed"] for r in results],
         "mean_accuracy": float(np.mean(accs)) if accs else None,
@@ -196,6 +198,7 @@ def aggregate_results(results: list) -> dict:
         "random_mean_ap": results[0]["random_mean_ap"],
         "random_accuracy": results[0]["random_accuracy"],
         "per_class_mean_ap": mean_aps,
-        "proximity_r": evaluation.proximity_correlation(
-            mean_aps, results[0]["random_ap"], proximity)["pearson_r"],
+        "proximity_r": proximity["pearson_r"],
+        "proximity_n": proximity["n"],
+        "proximity_p": proximity["p"],
     }

@@ -302,7 +302,8 @@ def test_criterion_5c_proximity_correlation(graded_results, report):
     r = agg["proximity_r"]
     ok = r is not None and r > 0.0
     report("5c", ok, f"proximity correlation r {r:+.3f} on the graded corpus "
-                     f"(3-seed mean per-class AP, need > 0)")
+                     f"(3-seed mean per-class AP, need > 0; {agg['proximity_n']} "
+                     f"classes, permutation p {agg['proximity_p']:.3f})")
 
 
 def test_criterion_6_ablation_direction(graded_results, report):

@@ -124,7 +124,7 @@ def test_logmel_shape_and_finiteness():
 
 
 def _logmel_by_index(samples, cfg):
-    """The log-mel with its frames gathered by a fancy index."""
+    """The float64 log-mel with its frames gathered by a fancy index."""
     t = dsp.n_frames(samples.size, cfg.window_len, cfg.hop_len)
     idx = np.arange(cfg.window_len)[None, :] + cfg.hop_len * np.arange(t)[:, None]
     frames = samples[idx] * np.hanning(cfg.window_len)
@@ -137,8 +137,8 @@ def _logmel_by_index(samples, cfg):
 @settings(max_examples=60, deadline=None)
 def test_logmel_frames_equal_a_fancy_index_gather(window, data):
     """Every window, hop up to the window and length from one window to many
-    hops plus a remainder gives the fancy-index reference's bytes; input
-    shorter than one window is a data error."""
+    hops plus a remainder gives the bytes of the fancy-index reference rounded
+    once to float32; input shorter than one window is a data error."""
     hop = data.draw(st.integers(1, window), label="hop")
     n = (window + hop * data.draw(st.integers(0, 40), label="hops")
          + data.draw(st.integers(0, hop - 1), label="remainder"))
@@ -147,7 +147,7 @@ def test_logmel_frames_equal_a_fancy_index_gather(window, data):
                                               label="seed")).uniform(-1, 1, n)
     got = dsp.compute_logmel(samples, cfg)
     assert got.shape == (8, dsp.n_frames(n, window, hop))
-    assert got.tobytes() == _logmel_by_index(samples, cfg).tobytes()
+    assert got.tobytes() == _logmel_by_index(samples, cfg).astype(np.float32).tobytes()
     with pytest.raises(DataError, match="shorter than one analysis window"):
         dsp.compute_logmel(samples[:window - 1], cfg)
 
@@ -203,6 +203,16 @@ def test_gain_is_constant_log_offset():
     diff = out - x
     assert np.allclose(diff, diff[0, 0])
     assert abs(diff[0, 0]) <= 6.0 * np.log(10.0) / 10.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_augmentation_and_mixup_keep_the_input_dtype(dtype):
+    cfg = dsp.AugmentConfig(n_time_masks=2, n_freq_masks=1, max_mask_width=3,
+                            max_time_shift=4, max_freq_shift=2, gain_range_db=6.0)
+    x = _spec().astype(dtype)
+    assert dsp.apply_spec_augmentations(x, cfg, np.random.default_rng(7)).dtype == dtype
+    mixed, _ = dsp.mixup(np.stack([x, 2 * x]), np.eye(2), 0.25, np.array([1, 0]))
+    assert mixed.dtype == dtype
 
 
 def test_rolls_permute_values():

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -129,9 +131,9 @@ def test_load_corpus_computes_only_the_requested_splits(tiny_corpus, monkeypatch
     full = experiments.load_corpus(tiny_corpus["root"], mel)
     compute, calls = dsp.compute_logmel, []
 
-    def counting(samples, cfg):
+    def counting(samples, cfg, work=None):
         calls.append(cfg)
-        return compute(samples, cfg)
+        return compute(samples, cfg, work)
     monkeypatch.setattr(dsp, "compute_logmel", counting)
     test_ids = [r.clip_id for r in full.records if r.split == "test"]
     assert 0 < len(test_ids) < len(full.records)
@@ -152,6 +154,30 @@ def test_load_corpus_computes_only_the_requested_splits(tiny_corpus, monkeypatch
         assert part.class_embeddings.keys() == full.class_embeddings.keys()
         for c, v in full.class_embeddings.items():
             assert part.class_embeddings[c].tobytes() == v.tobytes()
+
+
+def test_compute_spectrograms_reuses_its_buffers_across_clip_lengths(tmp_path):
+    """One pass over clips long, then short, then longer still gives each
+    clip the bytes of its own fresh `compute_logmel` call, stored as a
+    C-contiguous float32 array: no clip reads another's rows of the shared
+    buffers."""
+    mel = dsp.MelConfig(sample_rate=8000, window_len=200, hop_len=80, n_mels=16,
+                        fmax=4000.0)
+    rng = np.random.default_rng(0)
+    records = []
+    for i, n in enumerate((4000, 900, 8000, 4000)):
+        dsp.save_wav(tmp_path / f"c{i}.wav", rng.uniform(-0.5, 0.5, n), mel.sample_rate)
+        records.append(protocol.ClipRecord(f"c{i}", f"c{i}.wav", ("a",), "test"))
+    corpus = experiments.Corpus(records=records, labels={"a": "a"}, train_ids=[],
+                                test_ids=["a"], class_embeddings={}, spectrograms={},
+                                root=tmp_path)
+    experiments.compute_spectrograms(corpus, mel, ("test",))
+    assert list(corpus.spectrograms) == ["c0", "c1", "c2", "c3"]
+    for r in records:
+        got = corpus.spectrograms[r.clip_id]
+        want = dsp.compute_logmel(dsp.load_wav(tmp_path / r.path), mel)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # --- pearson r -------------------------------------------------------------------
@@ -224,13 +250,49 @@ def test_proximity_needs_three_classes():
                                                              "b": np.ones(2)}))
 
 
+def test_proximity_permutation_p_counts_the_orderings_at_least_as_correlated():
+    """Three strictly monotone classes: of the 3! orderings of the
+    proximities only the observed one gives an r as large, so p = 1/6; the
+    reverse gives the smallest r, so every ordering counts. With zero
+    variance r and p are None."""
+    aps = {"a": 0.9, "b": 0.5, "c": 0.2}
+    rand = {c: 0.1 for c in aps}
+    rep = evaluation.proximity_correlation(aps, rand, {"a": 0.9, "b": 0.7, "c": 0.1})
+    assert (rep["n"], rep["orderings"]) == (3, 6)
+    assert rep["p"] == pytest.approx(1 / 6)
+    rev = evaluation.proximity_correlation(aps, rand, {"a": 0.1, "b": 0.7, "c": 0.9})
+    assert rev["pearson_r"] < 0 and rev["p"] == 1.0
+    flat = evaluation.proximity_correlation(aps, rand, dict.fromkeys(aps, 0.5))
+    assert flat["pearson_r"] is None and flat["p"] is None and flat["n"] == 3
+
+
+def test_proximity_permutation_p_is_exact_up_to_8_classes_then_drawn():
+    """Up to 8 classes p is exact: it equals a count over every ordering made
+    with `pearson_r` itself. Above 8 it is a share of `DRAWN_ORDERINGS`
+    orderings from a generator of its own, so every call gives the same p."""
+    rng = np.random.default_rng(5)
+    for n in (4, 8):
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        r = evaluation.pearson_r(x, y)
+        hits = sum(evaluation.pearson_r(x, y[list(o)]) >= r - 1e-12
+                   for o in itertools.permutations(range(n)))
+        assert evaluation.permutation_p(x, y) == (hits / math.factorial(n),
+                                                  math.factorial(n))
+    x, y = rng.standard_normal(12), rng.standard_normal(12)
+    p, orderings = evaluation.permutation_p(x, y)
+    assert orderings == evaluation.DRAWN_ORDERINGS and 0 < p < 1
+    assert evaluation.permutation_p(x, y) == (p, orderings)
+    assert evaluation.permutation_p(x, -x) == (1.0, orderings)
+
+
 # --- seed aggregate ---------------------------------------------------------------
 
 def test_aggregate_results_averages_seeds_before_the_proximity_analysis():
     """Per-class APs are averaged over seeds, class "c" (no positive clip)
     stays None, and a seed without an accuracy is left out of its mean.
     `proximity_r` is the Pearson r of the seed-mean gains over chance
-    against seed 0's proximities, over the classes with a positive clip."""
+    against seed 0's proximities, over the classes with a positive clip;
+    `proximity_n` counts those classes and `proximity_p` is r's permutation p."""
     rand = {"a": 0.125, "b": 0.25, "c": 0.0, "d": 0.125, "e": 0.25}
     prox = {"a": 0.875, "b": 0.25, "d": 0.5, "e": 0.625}
 
@@ -255,3 +317,6 @@ def test_aggregate_results_averages_seeds_before_the_proximity_analysis():
     kept = ["a", "b", "d", "e"]
     assert agg["proximity_r"] == evaluation.pearson_r(
         [mean[c] - rand[c] for c in kept], [prox[c] for c in kept])
+    assert agg["proximity_n"] == 4
+    assert agg["proximity_p"] == evaluation.permutation_p(
+        [mean[c] - rand[c] for c in kept], [prox[c] for c in kept])[0]
